@@ -26,8 +26,8 @@ OBS_RETRIES ?= 2
 OUT_DIR ?= out
 
 .PHONY: install test test-fast test-slow bench bench-json bench-compare \
-        equivalence obs-gate trace audit chaos adversary serve shard \
-        resilience resilience-smoke lint reproduce examples clean
+        equivalence obs-gate perfbench-check trace audit chaos adversary \
+        serve shard resilience resilience-smoke lint reproduce examples clean
 
 # Chaos campaign knobs (see docs/robustness.md).
 CHAOS_SEED ?= 5
@@ -97,6 +97,15 @@ equivalence:
 obs-gate:
 	python -m repro audit --emission-gate --scale $(OBS_SCALE) \
 		--retries $(OBS_RETRIES)
+
+# The repository benchmark's correctness checks, not its timings
+# (perfbench/README.md, "Checks"): a run fails when a digest differs
+# between passes or between the untraced and traced pass (the REVB
+# file's sha256 included), when the streaming or sharded audit finds a
+# violation, or when more than 10% of the timed window is unattributed.
+perfbench-check:
+	python3 perfbench/run.py --workload flat-large --trace 1
+	python3 perfbench/run.py --workload resilience-composed --trace 1
 
 # bench-json plus the full observability exports: JSONL event log,
 # Perfetto-loadable Chrome trace, OpenMetrics textfile.

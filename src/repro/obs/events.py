@@ -937,7 +937,9 @@ def iter_block_events(block: RoundBlock) -> Iterator[Event]:
     per-decision path emits for the same rounds: ``RoundStart``, one
     ``BidEvent`` per finite report in ascending agent order, then
     ``WinnerEvent``/``PaymentEvent``/``NNUpdateEvent`` when the round
-    committed, and ``RoundEnd``.
+    committed, and ``RoundEnd``.  Each round's finite reports come out
+    as python lists in one step per column (one ``flatnonzero`` and a
+    ``tolist()`` on the numpy backend), never one array scalar per bid.
     """
     t = block.t0
     step = block.t_step
@@ -946,53 +948,43 @@ def iter_block_events(block: RoundBlock) -> Iterator[Event]:
     numpy_rows = _np is not None and isinstance(block.bid_vals, _np.ndarray)
     for i in range(block.rounds):
         rnd = block.base_round + i
-        yield RoundStart(t=t, round=rnd)
+        yield RoundStart(t, rnd)
         t += step
         vals = block.bid_row(i)
         objs = block.obj_row(i)
         if numpy_rows:
-            agents = _np.nonzero(_np.isfinite(vals))[0].tolist()
+            finite = _np.flatnonzero(_np.isfinite(vals))
+            agents = finite.tolist()
+            bid_objs = objs[finite].tolist()
+            bid_vals = vals[finite].tolist()
         else:
             agents = [a for a in range(m) if math.isfinite(vals[a])]
-        for a in agents:
-            yield BidEvent(
-                t=t,
-                round=rnd,
-                agent=a,
-                obj=int(objs[a]),
-                value=float(vals[a]),
-            )
+            bid_objs = [objs[a] for a in agents]
+            bid_vals = [vals[a] for a in agents]
+        for agent, obj, value in zip(agents, bid_objs, bid_vals):
+            yield BidEvent(t, rnd, agent, obj, value)
             t += step
         winner = int(block.winners[i])
         if winner >= 0:
+            obj = int(block.objs[i])
             yield WinnerEvent(
-                t=t,
-                round=rnd,
-                agent=winner,
-                obj=int(block.objs[i]),
-                value=float(vals[winner]),
-                obj_size=int(block.obj_sizes[i]),
-                residual_before=int(block.residuals[i]),
+                t,
+                rnd,
+                winner,
+                obj,
+                float(vals[winner]),
+                int(block.obj_sizes[i]),
+                int(block.residuals[i]),
             )
             t += step
-            yield PaymentEvent(
-                t=t,
-                round=rnd,
-                agent=winner,
-                amount=float(block.payments[i]),
-                rule=rule,
-            )
+            yield PaymentEvent(t, rnd, winner, float(block.payments[i]), rule)
             t += step
-            yield NNUpdateEvent(
-                t=t, round=rnd, obj=int(block.objs[i]), agents=m
-            )
+            yield NNUpdateEvent(t, rnd, obj, m)
             t += step
             committed = 1
         else:
             committed = 0
-        yield RoundEnd(
-            t=t, round=rnd, committed=committed, otc=float(block.otcs[i])
-        )
+        yield RoundEnd(t, rnd, committed, float(block.otcs[i]))
         t += step
 
 

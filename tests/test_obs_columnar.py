@@ -17,7 +17,10 @@ The contracts under test (docs/observability.md):
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import struct
 from dataclasses import fields, replace
 
 import pytest
@@ -25,10 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import events as ev
+from repro.obs import export
 from repro.obs.audit import audit_events, audit_files, audit_stream
 from repro.obs.events import (
     EVENT_TYPES,
+    BidEvent,
     ColumnarRoundBuffer,
+    PartitionEvent,
+    PaymentEvent,
+    RoundStart,
+    ServeStart,
     WinnerEvent,
     iter_block_events,
 )
@@ -150,6 +159,199 @@ class TestBinaryCodec:
         cut.write_bytes(full.read_bytes()[:-3])
         with pytest.raises(ValueError, match="truncated"):
             list(iter_events_binary(cut))
+
+    def test_payload_shorter_than_fields_rejected(self, tmp_path):
+        # A BidEvent record declaring (and holding) 40 of its 48 bytes.
+        head, record = _one_record_log(BidEvent(t=1.0, agent=2, obj=3), tmp_path)
+        assert struct.unpack_from("<I", record, 1)[0] == 48
+        short = record[:1] + struct.pack("<I", 40) + record[5:45]
+        p = tmp_path / "short.rev"
+        p.write_bytes(head + short)
+        with pytest.raises(ValueError, match="record payload length mismatch"):
+            list(iter_events_binary(p))
+
+    def test_tuple_count_overrunning_payload_rejected(self, tmp_path):
+        # t + round + u32 count + two i64 islands = a 36-byte payload.
+        event = PartitionEvent(t=0.0, round=4, islands=(0, 1))
+        head, record = _one_record_log(event, tmp_path)
+        assert struct.unpack_from("<I", record, 1)[0] == 36
+        claims_nine = record[:21] + struct.pack("<I", 9) + record[25:]
+        p = tmp_path / "overrun.rev"
+        p.write_bytes(head + claims_nine)
+        with pytest.raises(ValueError, match="record payload length mismatch"):
+            list(iter_events_binary(p))
+
+    def test_overlong_payload_rejected(self, tmp_path):
+        head, record = _one_record_log(RoundStart(t=0.0, round=1), tmp_path)
+        size = struct.unpack_from("<I", record, 1)[0]
+        padded = record[:1] + struct.pack("<I", size + 8) + record[5:] + bytes(8)
+        p = tmp_path / "long.rev"
+        p.write_bytes(head + padded)
+        with pytest.raises(ValueError, match="24 decoded of 32"):
+            list(iter_events_binary(p))
+
+
+#: sha256 of the REVB v1 files below, recorded with the field-by-field
+#: encoder the compiled codec replaced; any byte drift fails here even
+#: if the encoder and decoder drift together.
+PINNED_SHA256 = "81ab7c0c8bb7d283faa27f783c2bc7ed92d5a5540e9efeeba22564bbe5be3749"
+TINY_RUN_SHA256 = "6535b4967ee8a9239e9d334b83d61e38a76e02f4223ad3298c09a05c7068662d"
+
+#: Values the pinned events cycle through, per field shape.
+_PIN_VALUES = {
+    "float": (-0.0, math.inf, -2.5, 1e-300, -math.inf, 3.0e15 + 0.125),
+    "int": (-1, -(2**63), 2**63 - 1, 7, -42, 123_456_789),
+    "bool": (True, False),
+    "str": ("ünïcødé", "", "区域-7", "rule/second_price", "émoji \U0001f680"),
+    "tuple[int, ...]": ((3, -1, 2**40), (), (0,)),
+    "tuple[tuple[int, int], ...]": (((0, 1), (-5, 2**33)), (), ((9, -9),)),
+}
+
+
+def _pinned_events() -> list:
+    """One event of every registered kind, each field taking the next
+    value of its shape's cycle in :data:`_PIN_VALUES`."""
+    used = dict.fromkeys(_PIN_VALUES, 0)
+    out = []
+    for cls in EVENT_TYPES.values():
+        kwargs = {}
+        for f in fields(cls):
+            pool = _PIN_VALUES[f.type]
+            kwargs[f.name] = pool[used[f.type] % len(pool)]
+            used[f.type] += 1
+        out.append(cls(**kwargs))
+    return out
+
+
+def _reference_records(events) -> tuple[bytes, list[bytes]]:
+    """REVB v1 encoded field by field, straight from the format spec in
+    docs/observability.md: ``(file header, one record per event)``."""
+    tags = list(EVENT_TYPES)
+    head = BINARY_MAGIC + struct.pack("<BH", 1, len(tags))
+    for tag in tags:
+        raw = tag.encode("utf-8")
+        head += struct.pack("<B", len(raw)) + raw
+    records = []
+    for event in events:
+        payload = b""
+        for f in fields(event):
+            v = getattr(event, f.name)
+            if f.type == "float":
+                payload += struct.pack("<d", v)
+            elif f.type == "int":
+                payload += struct.pack("<q", v)
+            elif f.type == "bool":
+                payload += b"\x01" if v else b"\x00"
+            elif f.type == "str":
+                raw = v.encode("utf-8")
+                payload += struct.pack("<I", len(raw)) + raw
+            elif f.type == "tuple[int, ...]":
+                payload += struct.pack(f"<I{len(v)}q", len(v), *v)
+            else:
+                flat = [x for pair in v for x in pair]
+                payload += struct.pack(f"<I{len(flat)}q", len(v), *flat)
+        records.append(
+            struct.pack("<BI", tags.index(event.type), len(payload)) + payload
+        )
+    return head, records
+
+
+def _one_record_log(event, tmp_path) -> tuple[bytes, bytes]:
+    """``(file header, the event's record)`` as the writer emits them."""
+    data = write_events_binary([event], tmp_path / "one.rev").read_bytes()
+    head, _ = _reference_records([])
+    assert data[: len(head)] == head
+    return head, data[len(head) :]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestBinaryBytesPinned:
+    def test_every_kind_with_edge_values_is_pinned(self, tmp_path):
+        events = _pinned_events()
+        assert {e.type for e in events} == set(EVENT_TYPES)
+        values = [getattr(e, f.name) for e in events for f in fields(e)]
+        assert {v for v in values if type(v) is bool} == {True, False}
+        assert any(math.copysign(1.0, v) < 0 for v in values if v == 0.0)
+        assert math.inf in values and -(2**63) in values
+        assert any(not s.isascii() for s in values if type(s) is str)
+        assert () in values and (3, -1, 2**40) in values
+        assert ((0, 1), (-5, 2**33)) in values
+        path = write_events_binary(events, tmp_path / "pinned.rev")
+        assert _sha256(path) == PINNED_SHA256
+        assert read_events_binary(path) == events
+
+    def test_tiny_run_log_is_pinned(self, tiny_events, tmp_path):
+        path = write_events_binary(tiny_events, tmp_path / "tiny.rev")
+        assert _sha256(path) == TINY_RUN_SHA256
+
+    @given(events=arbitrary_events)
+    @settings(max_examples=60, deadline=None)
+    def test_compiled_encoder_matches_reference(self, events, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rev") / "log.rev"
+        head, records = _reference_records(events)
+        assert write_events_binary(events, path).read_bytes() == head + b"".join(
+            records
+        )
+
+
+class TestChunkedReader:
+    def test_kind_index_out_of_range_rejected(self, tmp_path):
+        head, _ = _reference_records([])
+        p = tmp_path / "kind.rev"
+        p.write_bytes(head + struct.pack("<BI", len(EVENT_TYPES), 0))
+        with pytest.raises(ValueError, match="out of range"):
+            list(iter_events_binary(p))
+
+    @pytest.mark.parametrize(
+        "keep", [1, 3, 5 + 20], ids=["header-kind-only", "header-mid-length", "payload"]
+    )
+    def test_truncation_in_header_or_payload_rejected(self, tmp_path, keep):
+        # keep=1 and 3 cut the 5-byte record header, 25 cuts the payload.
+        head, record = _one_record_log(BidEvent(t=2.0, round=1), tmp_path)
+        p = tmp_path / "cut.rev"
+        p.write_bytes(head + record + record[:keep])
+        with pytest.raises(ValueError, match="truncated"):
+            list(iter_events_binary(p))
+
+    def test_header_only_log_is_empty(self, tmp_path):
+        path = write_events_binary([], tmp_path / "empty.rev")
+        assert path.read_bytes() == _reference_records([])[0]
+        assert read_events_binary(path) == []
+
+    def test_records_straddling_every_chunk_boundary_round_trip(self, tmp_path):
+        # Fixed-width and variable-width records of varying length, a few
+        # read chunks long; every chunk boundary must fall inside a record.
+        events = []
+        for i in range(3000):
+            events.append(RoundStart(t=float(i), round=i))
+            events.append(BidEvent(t=float(i), round=i, agent=i % 7, value=0.5 * i))
+            events.append(PaymentEvent(t=float(i), round=i, rule="r" * (i % 11)))
+        head, records = _reference_records(events)
+        starts, pos = set(), len(head)
+        for rec in records:
+            starts.add(pos)
+            pos += len(rec)
+        chunk = export._IO_CHUNK
+        boundaries = range(len(head) + chunk, pos, chunk)
+        assert len(boundaries) >= 3
+        assert all(b not in starts for b in boundaries)
+        path = write_events_binary(events, tmp_path / "long.rev")
+        assert path.read_bytes() == head + b"".join(records)
+        assert read_events_binary(path) == events
+
+    def test_record_longer_than_a_chunk_round_trips(self, tmp_path):
+        pairs = tuple((i, i + 1) for i in range(export._IO_CHUNK // 16 + 5))
+        events = [
+            RoundStart(t=0.0, round=0),
+            ServeStart(t=1.0, workload="wide", replicas=pairs),
+            BidEvent(t=2.0, round=0, agent=1, obj=2, value=3.0),
+        ]
+        path = write_events_binary(events, tmp_path / "wide.rev")
+        assert path.stat().st_size > export._IO_CHUNK
+        assert read_events_binary(path) == events
 
 
 # -- JSONL rotation ----------------------------------------------------------
@@ -299,7 +501,7 @@ def _expand_without_time(buffer: ColumnarRoundBuffer) -> list[dict]:
     out = []
     for event in iter_block_events(block):
         d = event.to_dict()
-        d.pop("t")
+        assert type(d.pop("t")) is float
         out.append(d)
     return out
 
@@ -313,7 +515,15 @@ class TestBufferBackends:
         py_buf = ColumnarRoundBuffer(3, self.SIZES, backend="array")
         _stage_sample_rounds(np_buf)
         _stage_sample_rounds(py_buf)
-        assert _expand_without_time(np_buf) == _expand_without_time(py_buf)
+        expanded = [_expand_without_time(b) for b in (np_buf, py_buf)]
+        # Type-exact: ``1 == 1.0`` and numpy scalars would pass ``==``.
+        for dicts in expanded:
+            for d in dicts:
+                assert all(type(v) in (int, float, str) for v in d.values()), d
+        np_lines, py_lines = (
+            [json.dumps(d, sort_keys=True) for d in dicts] for dicts in expanded
+        )
+        assert np_lines == py_lines
 
     @pytest.mark.parametrize("backend", ["numpy", "array"])
     def test_staged_n_bids_matches_flush_recount(self, backend):
