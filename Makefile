@@ -101,11 +101,14 @@ obs-gate:
 # The repository benchmark's correctness checks, not its timings
 # (perfbench/README.md, "Checks"): a run fails when a digest differs
 # between passes or between the untraced and traced pass (the REVB
-# file's sha256 included), when the streaming or sharded audit finds a
-# violation, or when more than 10% of the timed window is unattributed.
+# file's sha256 included), when the streaming, sharded, serving or
+# mechanism audit finds a violation, or when more than 10% of the timed
+# window is unattributed.  serve-flashcrowd is the workload whose log
+# carries drift re-auctions through the mechanism audit.
 perfbench-check:
 	python3 perfbench/run.py --workload flat-large --trace 1
 	python3 perfbench/run.py --workload resilience-composed --trace 1
+	python3 perfbench/run.py --workload serve-flashcrowd --trace 1
 
 # bench-json plus the full observability exports: JSONL event log,
 # Perfetto-loadable Chrome trace, OpenMetrics textfile.

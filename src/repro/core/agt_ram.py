@@ -45,6 +45,7 @@ from repro.obs import events as ev
 from repro.obs import tracer as obs
 from repro.result import PlacementResult
 from repro.utils.timing import Timer, perf_counter
+from repro.utils.validation import check_index
 
 
 class _OtcLedger:
@@ -194,7 +195,8 @@ class AGTRam(Mechanism):
     strategies:
         Optional mapping ``server -> Strategy`` for agents that deviate
         from truth-telling; unlisted agents are truthful.  Used by the
-        equilibrium experiments.
+        equilibrium experiments.  Keys must be integer server ids in
+        ``[0, M)``; :meth:`run` raises ``ConfigurationError`` otherwise.
     max_rounds:
         Safety cap on mechanism rounds (default: no cap beyond the
         natural M·N bound).
@@ -282,6 +284,13 @@ class AGTRam(Mechanism):
         self.strategies = dict(strategies) if strategies else {}
         self.max_rounds = max_rounds
         self.batch_size = batch_size
+
+    def run(self, instance, *, record_audit: bool = False, **kwargs) -> PlacementResult:
+        """:meth:`Mechanism.run`, once every ``strategies`` key is known
+        to name a server of ``instance``."""
+        for server in self.strategies:
+            check_index(server, "strategies key", instance.n_servers)
+        return super().run(instance, record_audit=record_audit, **kwargs)
 
     # -- internals ---------------------------------------------------------
 

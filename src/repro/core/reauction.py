@@ -16,7 +16,8 @@ The construction preserves feasibility by design:
   server — and the affected objects' primary copies always fit, because
   they are stored right now under the same accounting;
 * the affected columns of the winning sub-scheme are merged back into
-  the full X matrix and the NN tables rebuilt.
+  a copy of the state, and only those columns' NN tables are rebuilt
+  (:meth:`~repro.drp.state.ReplicationState.replace_columns`).
 
 The result carries the replica **delta** — (server, object) pairs added
 and removed relative to the pre-auction state — which is exactly what
@@ -36,6 +37,7 @@ from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
 from repro.result import PlacementResult
+from repro.utils.validation import check_index
 
 __all__ = ["ReauctionOutcome", "build_sub_instance", "reauction_objects"]
 
@@ -64,15 +66,12 @@ class ReauctionOutcome:
 
 
 def _affected(instance: DRPInstance, objects: Sequence[int]) -> np.ndarray:
-    ks = np.unique(np.asarray(list(objects), dtype=np.int64))
-    if len(ks) == 0:
+    """The sorted distinct object ids; each must be an integer (not a
+    bool, not a float) in ``[0, N)``."""
+    ids = [check_index(k, "object id", instance.n_objects) for k in objects]
+    if not ids:
         raise ConfigurationError("reauction needs at least one object")
-    if ks.min() < 0 or ks.max() >= instance.n_objects:
-        raise ConfigurationError(
-            f"object ids must be in [0, {instance.n_objects}); got "
-            f"{int(ks.min())}..{int(ks.max())}"
-        )
-    return ks
+    return np.unique(np.asarray(ids, dtype=np.int64))
 
 
 def build_sub_instance(
@@ -156,9 +155,8 @@ def reauction_objects(
     else:
         sub_result = placer(sub)
 
-    x_new = state.x.copy()
-    x_new[:, ks] = sub_result.state.x
-    merged = ReplicationState.from_matrix(instance, x_new)
+    merged = state.copy()
+    merged.replace_columns(ks, sub_result.state.x)
 
     was, now = state.x[:, ks], sub_result.state.x
     add_srv, add_col = np.nonzero(now & ~was)

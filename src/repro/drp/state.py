@@ -68,17 +68,8 @@ class ReplicationState:
         NN tables are recomputed from scratch — used by population-based
         baselines (GRA) that manipulate whole schemes.
         """
-        x = np.asarray(x, dtype=bool)
-        m, n = instance.n_servers, instance.n_objects
-        if x.shape != (m, n):
-            raise ConfigurationError(f"x must have shape ({m}, {n}), got {x.shape}")
-        if not x[instance.primaries, np.arange(n)].all():
-            raise ConfigurationError("primary copies may not be de-allocated")
         state = cls(instance)
-        state.x = x.copy()
-        state.used = x @ instance.sizes
-        state.n_replicas_added = int(x.sum() - n)
-        state.recompute_nn()
+        state.replace_columns(np.arange(instance.n_objects), x)
         return state
 
     def copy(self) -> "ReplicationState":
@@ -231,22 +222,64 @@ class ReplicationState:
             )
             self._otc_read_k[k] = new_rk
 
+    def replace_columns(self, ks: np.ndarray, x_cols: np.ndarray) -> None:
+        """Set X's columns ``ks`` to ``x_cols`` and rebuild their NN tables.
+
+        ``x_cols`` is validated like :meth:`from_matrix`'s matrix (shape
+        ``(M, len(ks))``, every primary copy kept); ``used`` and
+        ``n_replicas_added`` follow the new columns.  Other columns keep
+        their NN entries, so a bulk edit of a few objects costs
+        O(Σ_{k∈ks} M·|R_k|), not a full rebuild.
+        """
+        inst = self.instance
+        ks = np.asarray(ks)
+        x_cols = np.asarray(x_cols, dtype=bool)
+        m, n = inst.n_servers, inst.n_objects
+        if x_cols.shape != (m, len(ks)):
+            raise ConfigurationError(
+                f"x must have shape ({m}, {len(ks)}), got {x_cols.shape}"
+            )
+        if len(ks) and (
+            ks.dtype.kind not in "iu"
+            or ks.min() < 0
+            or ks.max() >= n
+            or len(np.unique(ks)) < len(ks)
+        ):
+            raise ConfigurationError(
+                f"columns must be distinct integer object ids in [0, {n}), "
+                f"got {ks}"
+            )
+        ks = ks.astype(np.int64, copy=False)
+        if not x_cols[inst.primaries[ks], np.arange(len(ks))].all():
+            raise ConfigurationError("primary copies may not be de-allocated")
+        old = self.x[:, ks]
+        sizes = inst.sizes[ks]
+        self.used = self.used + x_cols @ sizes - old @ sizes
+        self.n_replicas_added += int(x_cols.sum()) - int(old.sum())
+        self.x[:, ks] = x_cols
+        self._rebuild_nn(ks)
+
     def recompute_nn(self) -> None:
         """Rebuild NN tables from X (vectorized per object).
 
         Cost O(Σ_k M·|R_k|); used after bulk edits to X.
         """
+        self._rebuild_nn(range(self.instance.n_objects))
+
+    def _rebuild_nn(self, ks) -> None:
+        """Recompute the NN entries of the objects ``ks`` from X."""
         inst = self.instance
         # A bulk rebuild invalidates any notion of "the last broadcast" —
         # and the incremental OTC tracker, which only follows
         # add_replica deltas (re-arm with begin_otc_tracking if needed).
         self._otc_track = False
         self.last_nn_changed = np.zeros(inst.n_servers, dtype=bool)
-        for k in range(inst.n_objects):
+        rows = np.arange(inst.n_servers)
+        for k in ks:
             reps = np.nonzero(self.x[:, k])[0]
             block = inst.cost[:, reps]
             arg = block.argmin(axis=1)
-            self.nn_dist[:, k] = block[np.arange(inst.n_servers), arg]
+            self.nn_dist[:, k] = block[rows, arg]
             self.nn_server[:, k] = reps[arg]
 
     def __repr__(self) -> str:

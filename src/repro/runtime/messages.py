@@ -8,6 +8,7 @@ overhead in bytes — the quantity a deployment engineer would budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,13 @@ class ElectionMessage(Message):
 
 @dataclass
 class MessageLog:
-    """Counts and sizes per message type; optionally keeps the stream."""
+    """Counts and sizes per message type; optionally keeps the stream.
+
+    ``counts`` stays per receiver when a fan-out is recorded at once
+    (:meth:`record_fanout`): a broadcast to ``n`` agents counts ``n``
+    messages and ``n`` times their wire size, exactly as ``n``
+    :meth:`record` calls would.
+    """
 
     keep_messages: bool = False
     counts: dict[str, int] = field(default_factory=dict)
@@ -146,6 +153,29 @@ class MessageLog:
         self.bytes_total += message.wire_bytes()
         if self.keep_messages:
             self.messages.append(message)
+
+    def record_fanout(
+        self, make: Callable[[int], Message], receivers: Sequence[int]
+    ) -> None:
+        """Record one broadcast: ``make(r)`` for every ``r`` in ``receivers``.
+
+        A fan-out sends one payload, so every message has the type and
+        wire size of the first; only that one is built unless the log
+        keeps the stream.  No receivers, no messages (and no new key in
+        ``counts``).
+        """
+        n = len(receivers)
+        if n == 0:
+            return
+        if self.keep_messages:
+            sent = [make(r) for r in receivers]
+            self.messages.extend(sent)
+            first = sent[0]
+        else:
+            first = make(receivers[0])
+        name = type(first).__name__
+        self.counts[name] = self.counts.get(name, 0) + n
+        self.bytes_total += n * first.wire_bytes()
 
     def total_messages(self) -> int:
         return sum(self.counts.values())

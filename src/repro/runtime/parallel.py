@@ -7,11 +7,14 @@ runs it on a thread pool: the bid computation is numpy-bound, so the GIL
 is released inside the array kernels and threads provide genuine overlap
 without the serialization cost of process pools.
 
-This is the fidelity knob, not the speed knob — the vectorized
-:class:`~repro.core.agt_ram.AGTRam` engine evaluates all agents in one
-array operation and is faster than any per-agent executor; the simulator
-exists to model the distributed protocol faithfully (per-agent work,
-message counts, critical-path depth).
+The simulator hands it *strategic* agents only — those with an entry in
+its ``strategies``, whose reports transform their own rows.  A truthful
+agent's report is the first-index argmax the benefit engine already
+holds, so the simulator reads all of those from one
+``best_per_server()`` call per round and never evaluates them here.
+This is the fidelity knob, not the speed knob — the simulator exists to
+model the distributed protocol faithfully (per-agent work, message
+counts, critical-path depth).
 """
 
 from __future__ import annotations

@@ -653,13 +653,12 @@ class ShardedAGTRam:
                         )
                     )
             for r in region_ids:
-                for agent in rows[r]:
-                    log.record(
-                        NNResyncMessage(
-                            sender=central_id(r), receiver=agent,
-                            objs=kept_objs,
-                        )
-                    )
+                log.record_fanout(
+                    lambda a, r=r: NNResyncMessage(
+                        sender=central_id(r), receiver=a, objs=kept_objs
+                    ),
+                    rows[r],
+                )
             islands = [
                 _Island(
                     index=0,
@@ -780,13 +779,12 @@ class ShardedAGTRam:
                 # recovery ends with its agents current, so it counts
                 # as awake for this round's digest.
                 for r in awake:
-                    for agent in rows[r]:
-                        log.record(
-                            NNResyncMessage(
-                                sender=central_id(r), receiver=agent,
-                                objs=digest,
-                            )
-                        )
+                    log.record_fanout(
+                        lambda a, r=r: NNResyncMessage(
+                            sender=central_id(r), receiver=a, objs=digest
+                        ),
+                        rows[r],
+                    )
 
             if not any_commit and not stalled:
                 if active is not None:
@@ -1011,9 +1009,12 @@ class ShardedAGTRam:
                     )
                 )
         # Regional OMAX broadcast + the winner's payment.
-        for a in region_rows:
-            log.record(AllocateMessage(sender=rcid, receiver=a,
-                                       winner=winner, obj=obj))
+        log.record_fanout(
+            lambda a: AllocateMessage(
+                sender=rcid, receiver=a, winner=winner, obj=obj
+            ),
+            region_rows,
+        )
         log.record(PaymentMessage(sender=rcid, receiver=winner,
                                   amount=outcome.payment))
         if eventing:
@@ -1068,12 +1069,12 @@ class ShardedAGTRam:
             return  # nobody left to elect; the region sits the epoch out
         stand_in = min(live)
         for a in live:
-            for b in live:
-                if a != b:
-                    log.record(
-                        ElectionMessage(sender=a, receiver=b,
-                                        candidate=stand_in)
-                    )
+            log.record_fanout(
+                lambda b, a=a: ElectionMessage(
+                    sender=a, receiver=b, candidate=stand_in
+                ),
+                [b for b in live if b != a],
+            )
         counters["elections"] += 1
         if eventing:
             sink.emit(

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.agents import Bid, ReplicaAgent
 from repro.core.strategies import Strategy
+from repro.drp.benefit import NEG_INF
 from repro.drp.cost import total_otc
 from repro.drp.delta import make_local_engine, resolve_engine
 from repro.drp.instance import DRPInstance
@@ -61,6 +62,7 @@ from repro.obs import tracer as obs
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.parallel import ParallelBidEvaluator
 from repro.utils.timing import Timer, perf_counter
+from repro.utils.validation import check_index
 
 #: The central body's address in the message log.
 CENTRAL = -1
@@ -74,9 +76,16 @@ class SemiDistributedSimulator:
     payment_rule:
         Forwarded to the central body.
     strategies:
-        Optional per-agent deviation strategies.
+        Optional per-agent deviation strategies, keyed by integer server
+        id in ``[0, M)`` (:meth:`run` raises ``ConfigurationError`` for
+        any other key).  Each round, a truthful agent's dominant report
+        is its row's first-index argmax, which the benefit engine
+        already holds: the bid sweep reads every unlisted agent's bid
+        from one ``best_per_server()`` call.  Only listed agents
+        evaluate their own rows (:meth:`ReplicaAgent.make_bid`).
     max_workers:
-        Thread-pool width for the PARFOR bid sweep (None = serial).
+        Thread-pool width for the listed agents' bid evaluations (None
+        = serial); unlisted agents never reach the pool.
     keep_messages:
         Retain full message objects in the log (memory-heavy; counts and
         bytes are always kept).
@@ -93,6 +102,7 @@ class SemiDistributedSimulator:
         never bid and so never receive replicas, but their primaries
         keep serving (data survives agent failure).  Models the paper's
         robustness concern about per-node failures in a large system.
+        Ids must be integers in ``[0, M)``, like ``strategies`` keys.
     central_failure_round:
         If set, the central body crashes at the start of that round.
         The agents self-repair (paper §7): each broadcasts an election
@@ -172,6 +182,11 @@ class SemiDistributedSimulator:
         self.quarantine = quarantine
 
     def run(self, instance: DRPInstance) -> PlacementResult:
+        m = instance.n_servers
+        for agent_id in self.strategies:
+            check_index(agent_id, "strategies key", m)
+        for agent_id in self.failed_agents:
+            check_index(agent_id, "failed_agents id", m)
         sink = ev.current()
         if sink.enabled:
             sink.emit(ev.RunStart(t=ev.now(), algorithm="AGT-RAM(simulated)"))
@@ -200,16 +215,14 @@ class SemiDistributedSimulator:
         """Leader election: every live agent broadcasts a vote for the
         lowest live id, which becomes the acting central."""
         new_central = min(electorate)
-        for voter in sorted(electorate):
-            for peer in sorted(electorate):
-                if peer != voter:
-                    metrics.log.record(
-                        ElectionMessage(
-                            sender=voter,
-                            receiver=peer,
-                            candidate=new_central,
-                        )
-                    )
+        voters = sorted(electorate)
+        for voter in voters:
+            metrics.log.record_fanout(
+                lambda peer, v=voter: ElectionMessage(
+                    sender=v, receiver=peer, candidate=new_central
+                ),
+                [peer for peer in voters if peer != voter],
+            )
         if sink.enabled:
             sink.emit(
                 ev.ElectionEvent(
@@ -459,19 +472,34 @@ class SemiDistributedSimulator:
                         # will ever commit again, the game is over.
                         break
 
-                # PARFOR bid sweep (Figure 2 lines 03-09).
+                # PARFOR bid sweep (Figure 2 lines 03-09).  Eq. 5 values
+                # are finite, so a truthful agent's dominant report is
+                # the engine's cached first-index argmax of its row (-inf
+                # when L_i is empty); strategic agents evaluate theirs.
                 t0 = perf_counter() if traced else 0.0
-                live_agents = [agents[i] for i in ordered]
-                bids = evaluator.evaluate(live_agents, engine)
+                vals, objs = engine.best_per_server()
+                bids: dict[int, Optional[Bid]] = {
+                    i: None if value == NEG_INF else Bid(i, obj, value)
+                    for i, obj, value in zip(
+                        ordered, objs[ordered].tolist(), vals[ordered].tolist()
+                    )
+                }
+                strategic = [i for i in ordered if i in self.strategies]
+                if strategic:
+                    deviators = [agents[i] for i in strategic]
+                    bids.update(
+                        zip(strategic, evaluator.evaluate(deviators, engine))
+                    )
                 if traced:
                     tracer.add("round/bid_sweep", perf_counter() - t0)
 
                 # Per-agent work this round = |L_i| object evaluations.
-                eligible_counts = engine.eligible_counts(np.asarray(ordered))
-                metrics.record_round_work([int(c) for c in eligible_counts])
+                metrics.record_round_work(
+                    engine.eligible_counts(np.asarray(ordered)).tolist()
+                )
 
                 honest: dict[int, Bid] = {}
-                for agent_id, bid in zip(ordered, bids):
+                for agent_id, bid in bids.items():
                     if bid is None:
                         # Empty L_i: the agent leaves the game (line 18).
                         active.discard(agent_id)
@@ -622,15 +650,16 @@ class SemiDistributedSimulator:
 
                 # OMAX broadcast (line 13) + payment (line 14).
                 t0 = perf_counter() if traced else 0.0
-                for agent_id in sorted(active):
-                    metrics.log.record(
-                        AllocateMessage(
-                            sender=acting_central,
-                            receiver=agent_id,
-                            winner=outcome.winner,
-                            obj=outcome.obj,
-                        )
-                    )
+                receivers = sorted(active)
+                metrics.log.record_fanout(
+                    lambda a: AllocateMessage(
+                        sender=acting_central,
+                        receiver=a,
+                        winner=outcome.winner,
+                        obj=outcome.obj,
+                    ),
+                    receivers,
+                )
                 metrics.log.record(
                     PaymentMessage(
                         sender=acting_central,
@@ -666,16 +695,15 @@ class SemiDistributedSimulator:
                     # Eager protocol (the paper): broadcast after every
                     # allocation; every agent's view is always fresh.
                     engine.notify_allocation(outcome.winner, outcome.obj)
-                    for agent_id in sorted(active):
-                        if injector is None:
-                            metrics.log.record(
-                                NNUpdateMessage(
-                                    sender=agent_id,
-                                    receiver=agent_id,
-                                    obj=outcome.obj,
-                                )
-                            )
-                        else:
+                    if injector is None:
+                        metrics.log.record_fanout(
+                            lambda a: NNUpdateMessage(
+                                sender=a, receiver=a, obj=outcome.obj
+                            ),
+                            receivers,
+                        )
+                    else:
+                        for agent_id in receivers:
                             injector.send_reliable(
                                 lambda a=agent_id: NNUpdateMessage(
                                     sender=a, receiver=a, obj=outcome.obj
@@ -717,16 +745,15 @@ class SemiDistributedSimulator:
                         # honest per-object accounting of the resync.
                         engine.resync()
                         batch = tuple(sorted(stale_objs))
-                        for agent_id in sorted(active):
-                            if injector is None:
-                                metrics.log.record(
-                                    NNResyncMessage(
-                                        sender=agent_id,
-                                        receiver=agent_id,
-                                        objs=batch,
-                                    )
-                                )
-                            else:
+                        if injector is None:
+                            metrics.log.record_fanout(
+                                lambda a: NNResyncMessage(
+                                    sender=a, receiver=a, objs=batch
+                                ),
+                                receivers,
+                            )
+                        else:
+                            for agent_id in receivers:
                                 injector.send_reliable(
                                     lambda a=agent_id: NNResyncMessage(
                                         sender=a, receiver=a, objs=batch

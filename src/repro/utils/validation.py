@@ -23,6 +23,16 @@ def check_positive_int(value, name: str) -> int:
     return int(value)
 
 
+def check_index(value, name: str, bound: int) -> int:
+    """Validate that ``value`` is an integer in ``[0, bound)`` and return it
+    as ``int`` — no bools, no floats, no negative (wrap-around) indices."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value < bound:
+        raise ConfigurationError(f"{name} must be in [0, {bound}), got {value}")
+    return int(value)
+
+
 def check_positive(value, name: str) -> float:
     """Validate that ``value`` is a real number > 0 and return it as float."""
     if not isinstance(value, Real) or isinstance(value, bool):

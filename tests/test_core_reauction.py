@@ -8,6 +8,7 @@ import pytest
 from repro.core import build_sub_instance, reauction_objects
 from repro.drp.cost import otc_of_matrix
 from repro.drp.feasibility import check_state
+from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
 from repro.runtime.simulator import SemiDistributedSimulator
 
@@ -68,6 +69,12 @@ class TestBuildSubInstance:
             build_sub_instance(
                 tiny_instance, placed.state, [0], reads=np.zeros((2, 2))
             )
+        # Non-integral and boolean ids used to truncate to 2, 5 and 0, 1.
+        for ids in ([2.7, 5.2], [True, False], np.array([2.0, 5.0])):
+            with pytest.raises(ConfigurationError, match="object id"):
+                build_sub_instance(tiny_instance, placed.state, ids)
+            with pytest.raises(ConfigurationError, match="object id"):
+                reauction_objects(tiny_instance, placed.state, ids)
 
 
 class TestReauctionObjects:
@@ -79,6 +86,23 @@ class TestReauctionObjects:
         np.testing.assert_array_equal(
             outcome.state.x[:, untouched], placed.state.x[:, untouched]
         )
+        check_state(outcome.state)
+
+    @pytest.mark.parametrize("demand", [False, True], ids=["same", "override"])
+    def test_merged_state_matches_from_matrix(self, tiny_instance, placed, demand):
+        ks = [0, 5, 6, 20, 33]
+        kw = {}
+        if demand:
+            rng = np.random.default_rng(4)
+            kw["reads"] = rng.integers(0, 60, tiny_instance.reads.shape)
+        outcome = reauction_objects(tiny_instance, placed.state, ks, **kw)
+        x = placed.state.x.copy()
+        x[:, ks] = outcome.sub_result.state.x
+        ref = ReplicationState.from_matrix(tiny_instance, x)
+        np.testing.assert_array_equal(outcome.state.x, ref.x)
+        np.testing.assert_array_equal(outcome.state.used, ref.used)
+        np.testing.assert_array_equal(outcome.state.nn_dist, ref.nn_dist)
+        assert outcome.state.n_replicas_added == ref.n_replicas_added
         check_state(outcome.state)
 
     def test_delta_matches_states(self, tiny_instance, placed):

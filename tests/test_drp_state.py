@@ -129,6 +129,44 @@ class TestFromMatrix:
             ReplicationState.from_matrix(line_instance, np.zeros((2, 2), dtype=bool))
 
 
+class TestReplaceColumns:
+    def _grown(self, instance, seed):
+        st = ReplicationState.primaries_only(instance)
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            i = int(rng.integers(instance.n_servers))
+            k = int(rng.integers(instance.n_objects))
+            if st.can_host(i, k):
+                st.add_replica(i, k)
+        return st
+
+    def test_matches_from_matrix(self, tiny_instance):
+        st = self._grown(tiny_instance, 1)
+        target = self._grown(tiny_instance, 2).x
+        ks = np.array([1, 4, 9, 30])
+        st.replace_columns(ks, target[:, ks])
+        x = self._grown(tiny_instance, 1).x
+        x[:, ks] = target[:, ks]
+        ref = ReplicationState.from_matrix(tiny_instance, x)
+        np.testing.assert_array_equal(st.x, ref.x)
+        np.testing.assert_array_equal(st.used, ref.used)
+        np.testing.assert_array_equal(st.nn_dist, ref.nn_dist)
+        assert st.n_replicas_added == ref.n_replicas_added
+        assert not st.last_nn_changed.any()
+        check_state(st)
+
+    def test_bad_columns_rejected(self, line_instance):
+        st = ReplicationState.primaries_only(line_instance)
+        cols = st.x[:, [1]]
+        with pytest.raises(ConfigurationError, match="shape"):
+            st.replace_columns([0, 1], cols)
+        with pytest.raises(ConfigurationError, match="primary"):
+            st.replace_columns([1], np.zeros((3, 1), dtype=bool))
+        for ks in ([-1], [2], [1, 1], [1.0], [True]):
+            with pytest.raises(ConfigurationError, match="distinct integer"):
+                st.replace_columns(ks, np.ones((3, len(ks)), dtype=bool))
+
+
 class TestCopy:
     def test_independent(self, line_instance):
         st = ReplicationState.primaries_only(line_instance)

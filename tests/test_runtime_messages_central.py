@@ -67,6 +67,28 @@ class TestMessageLog:
         log.record(BidMessage(sender=0, receiver=-1, obj=0, value=1.0))
         assert log.messages == []
 
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_fanout_counts_per_receiver(self, keep):
+        def make(a):
+            return NNResyncMessage(sender=-1, receiver=a, objs=(3, 4))
+
+        fanned, looped = MessageLog(keep_messages=keep), MessageLog(keep_messages=keep)
+        for log in (fanned, looped):
+            log.record(PaymentMessage(sender=-1, receiver=0, amount=1.0))
+        fanned.record_fanout(make, [0, 2, 5])
+        for a in [0, 2, 5]:
+            looped.record(make(a))
+        assert list(fanned.counts.items()) == list(looped.counts.items())
+        assert fanned.counts["NNResyncMessage"] == 3
+        assert fanned.bytes_total == looped.bytes_total == 17 + 3 * 21
+        assert fanned.messages == looped.messages
+        assert len(fanned.messages) == (4 if keep else 0)
+
+    def test_empty_fanout_adds_no_key(self):
+        log = MessageLog(keep_messages=True)
+        log.record_fanout(lambda a: NNUpdateMessage(sender=a, receiver=a), [])
+        assert log.counts == {} and log.bytes_total == 0 and log.messages == []
+
 
 class TestCentralBody:
     def bids(self, values):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.agt_ram import run_agt_ram
 from repro.core.strategies import OverProjection
 from repro.drp.feasibility import check_state
+from repro.errors import ConfigurationError
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.parallel import ParallelBidEvaluator
 from repro.runtime.simulator import SemiDistributedSimulator
@@ -153,3 +154,49 @@ class TestFailedAgents:
             read_heavy_instance
         )
         assert degraded.savings_percent <= healthy.savings_percent + 1e-9
+
+
+class TestAgentIdValidation:
+    """``strategies`` keys (both entry points) and ``failed_agents`` ids
+    must be integer server ids in ``[0, M)``: a negative id used to wrap
+    around in ``run_agt_ram`` and be ignored by the simulator."""
+
+    BAD_IDS = pytest.mark.parametrize(
+        "bad", [-10, "M", 2.5, True], ids=["negative", "M", "float", "bool"]
+    )
+
+    @staticmethod
+    def _resolve(bad, instance):
+        return instance.n_servers if bad == "M" else bad
+
+    @BAD_IDS
+    def test_strategy_key_rejected_by_simulator(self, tiny_instance, bad):
+        key = self._resolve(bad, tiny_instance)
+        sim = SemiDistributedSimulator(strategies={key: OverProjection(3.0)})
+        with pytest.raises(ConfigurationError, match="strategies key"):
+            sim.run(tiny_instance)
+
+    @BAD_IDS
+    def test_strategy_key_rejected_by_run_agt_ram(self, tiny_instance, bad):
+        key = self._resolve(bad, tiny_instance)
+        with pytest.raises(ConfigurationError, match="strategies key"):
+            run_agt_ram(tiny_instance, strategies={key: OverProjection(3.0)})
+
+    @BAD_IDS
+    def test_failed_agent_rejected_by_simulator(self, tiny_instance, bad):
+        dead = {self._resolve(bad, tiny_instance)}
+        with pytest.raises(ConfigurationError, match="failed_agents id"):
+            SemiDistributedSimulator(failed_agents=dead).run(tiny_instance)
+
+    def test_numpy_integer_ids_accepted(self, tiny_instance):
+        strategies = {np.int64(6): OverProjection(3.0)}
+        sim = SemiDistributedSimulator(
+            strategies=strategies, failed_agents={np.int64(2)}
+        ).run(tiny_instance)
+        ref = SemiDistributedSimulator(
+            strategies={6: OverProjection(3.0)}, failed_agents={2}
+        ).run(tiny_instance)
+        np.testing.assert_array_equal(sim.extra["payments"], ref.extra["payments"])
+        eng = run_agt_ram(tiny_instance, strategies=strategies)
+        ref_eng = run_agt_ram(tiny_instance, strategies={6: OverProjection(3.0)})
+        np.testing.assert_array_equal(eng.extra["payments"], ref_eng.extra["payments"])
