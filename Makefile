@@ -89,11 +89,13 @@ equivalence:
 	python -m repro audit --compare-engines --scale $(EQ_SCALE) \
 		--repeats 5 --min-speedup $(EQ_MIN_SPEEDUP)
 
-# Emission gate: prove the buffered columnar path is byte-equivalent to
-# the legacy per-object path (deterministic, hard fail) and bound the
-# eventing-on overhead against the per-scale budget (noisy half;
-# re-measures on failure, keeping the best attempt — see
-# docs/observability.md "The emission gate").
+# Emission gate: prove AGT-RAM's columnar event stream is byte-equivalent
+# to the reference replayed from its own audit transcript, for the
+# vectorized and naive engines, first price, a strategy map and a warm
+# start (deterministic, hard fail), and bound the eventing-on overhead
+# against the per-scale budget (noisy half; re-measures on failure,
+# keeping the best attempt — see docs/observability.md "The emission
+# gate").
 obs-gate:
 	python -m repro audit --emission-gate --scale $(OBS_SCALE) \
 		--retries $(OBS_RETRIES)

@@ -1599,9 +1599,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--emission-gate",
         action="store_true",
         dest="emission_gate",
-        help="prove buffered columnar emission is byte-equivalent to the "
-        "legacy per-object path on a bench preset and measure its "
-        "eventing-on overhead",
+        help="prove AGT-RAM's columnar event stream equals the one replayed "
+        "from its audit transcript (vectorized and naive engines, first "
+        "price, a strategy map, a warm start) on a bench preset and "
+        "measure its eventing-on overhead",
     )
     p.add_argument(
         "--max-overhead",

@@ -23,13 +23,13 @@ O(M·N²) worst case (for M <= N).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from repro.core.mechanism import Mechanism, MechanismAudit, RoundRecord
 from repro.core.payments import PAYMENT_RULES
-from repro.core.strategies import Strategy, TruthfulStrategy
+from repro.core.strategies import Strategy
 from repro.drp.cost import total_otc
 from repro.drp.delta import (
     DeltaBenefitEngine,
@@ -45,32 +45,39 @@ from repro.obs import events as ev
 from repro.obs import tracer as obs
 from repro.result import PlacementResult
 from repro.utils.timing import Timer, perf_counter
-from repro.utils.validation import check_index
+from repro.utils.validation import (
+    check_index,
+    check_nonnegative_int,
+    check_positive_int,
+)
 
 
 class _OtcLedger:
-    """Flush-time OTC settlement for the buffered (columnar) loop.
+    """Flush-time OTC settlement for the columnar ring.
 
-    The per-object path delta-maintains the system OTC inside
-    :meth:`~repro.drp.state.ReplicationState.add_replica` — one O(M)
-    pass over the just-relaxed (strided) NN column per commit.  Strided
+    The state's OTC tracker
+    (:meth:`~repro.drp.state.ReplicationState.begin_otc_tracking`)
+    delta-maintains the system OTC inside ``add_replica`` — one O(M) pass
+    over the just-relaxed (strided) NN column per commit.  Strided
     column walks are an order of magnitude slower than contiguous row
-    passes, so the buffered loop does no OTC arithmetic at all: each
+    passes, so the clearing loop does no OTC arithmetic at all: each
     flush *reconstructs* every committed round's relaxed NN column as
-    ``min(c(·, P_k), c(·, winner), …)`` from the instance's contiguous
-    cost-column rows (:meth:`~repro.drp.instance.DRPInstance.cost_col_rows`),
+    ``min(c(·, P_k), c(·, r), …, c(·, winner))`` over the object's
+    replicas from the instance's contiguous cost-column rows
+    (:meth:`~repro.drp.instance.DRPInstance.cost_col_rows`),
     batch-gathered and min-chained per chunk, then settles the rounds
     with one batched ``einsum("rj,rj->r", ...)`` and a scalar replay of
     the tracker's exact accumulation.  The reconstruction is value-exact
     (a min-chain of the same floats the broadcast relaxed), the rows are
     contiguous like the tracker's scratch, and chunked batched einsum
     reduces each row independently — so the resulting ``RoundEnd`` OTC
-    floats are bit-identical to the per-object path's; the
-    byte-equivalence gate pins it.
+    floats are bit-identical to the tracker's; the emission gate pins
+    it.
 
-    Requires a primaries-only start: with pre-existing replicas the
-    primary column is not the pre-commit state (the buffered loop is
-    not taken for warm starts).
+    The ledger starts from whatever state it is given: it takes the
+    tracker's own seed (:meth:`~repro.drp.state.ReplicationState.otc_seed`)
+    and opens a replica chain for every object that already has a
+    non-primary replica, so warm starts settle like cold ones.
     """
 
     #: Rows settled per gather/einsum call — sized so the three
@@ -94,19 +101,21 @@ class _OtcLedger:
 
     def __init__(self, state: ReplicationState) -> None:
         inst = state.instance
-        # Seed exactly like the per-commit tracker's fresh path — same
-        # cached ``primary_otc_terms`` floats — without ever arming the
-        # tracker on the state (the loop's commits must not pay it).
-        otc0, read_k = inst.primary_otc_terms()
+        otc0, read_k = state.otc_seed()
         self.otc = otc0
         self.read_k = read_k.tolist()
         self.rstat_rows = inst.read_scale_rows()
         self.cost_rows = inst.cost_col_rows()
         self.pmap = inst.primaries
         self.wterm = inst.local_value_terms()[1]
-        #: Commit history per object (winner lists) — repeat commits of
-        #: one object must min-chain every prior replicator.
+        #: Non-primary replicators per object — repeat commits of one
+        #: object must min-chain every replica it already has.
         self.chains: dict[int, list[int]] = {}
+        if state.n_replicas_added:
+            extra = state.x.copy()
+            extra[inst.primaries, np.arange(inst.n_objects)] = False
+            for k, w in zip(*(a.tolist() for a in np.nonzero(extra.T))):
+                self.chains.setdefault(k, []).append(w)
         c, m = self._CHUNK, inst.n_servers
         self._pc = np.empty((c, m))
         self._sc = np.empty((c, m))
@@ -136,7 +145,7 @@ class _OtcLedger:
                 if hist is None:
                     chains[k] = [winners_l[s + j]]
                 else:
-                    # Repeat commit: rebuild the full relax chain.
+                    # Object already replicated: rebuild the full chain.
                     hist.append(winners_l[s + j])
                     row = rows[j]
                     np.minimum(crows[int(pmap[k])], crows[hist[0]], out=row)
@@ -183,6 +192,16 @@ class _OtcLedger:
 class AGTRam(Mechanism):
     """The paper's mechanism, configurable for the ablation studies.
 
+    Every single-winner run clears in one loop (:meth:`_clear`),
+    whatever the engine, valuation, strategies, start state, audit,
+    tracer or sink; batched runs (``batch_size > 1``) have their own
+    (:meth:`_clear_batched`).  With a sink active, single-winner rounds
+    are staged into a struct-of-arrays ring
+    (:class:`~repro.obs.events.ColumnarRoundBuffer`) and flushed as
+    :class:`~repro.obs.events.RoundBlock`\\ s — no per-decision objects
+    in the loop — while batched rounds emit one event object per
+    decision.
+
     Parameters
     ----------
     payment_rule:
@@ -198,8 +217,8 @@ class AGTRam(Mechanism):
         equilibrium experiments.  Keys must be integer server ids in
         ``[0, M)``; :meth:`run` raises ``ConfigurationError`` otherwise.
     max_rounds:
-        Safety cap on mechanism rounds (default: no cap beyond the
-        natural M·N bound).
+        Safety cap on mechanism rounds, an integer >= 0 (default: no cap
+        beyond the natural M·N bound).
     batch_size:
         Allocations per round.  1 is Figure 2 exactly.  B > 1 realizes
         the paper's "provide a *list* of objects" phrasing: the central
@@ -220,24 +239,9 @@ class AGTRam(Mechanism):
         the declared numpy bound is available.  Only meaningful for
         ``valuation="local"``; the global-oracle ablation always uses
         its own engine.
-    emission:
-        Event-emission path when a sink is active.  ``"object"`` is the
-        legacy per-decision path (one Python object per bid/winner/
-        payment); ``"columnar"`` stages rounds in a preallocated
-        struct-of-arrays ring buffer
-        (:class:`~repro.obs.events.ColumnarRoundBuffer`) flushed into
-        the sink as :class:`~repro.obs.events.RoundBlock`\\ s — same
-        events after expansion, byte-identical under logical event
-        time, but the hot loop never builds objects.  ``"auto"``
-        (default) uses the columnar path whenever the run qualifies for
-        the vectorized tight loop (truthful, unbatched, untraced); other
-        configurations fall back to the per-object path.
     """
 
     name = "AGT-RAM"
-
-    #: Valid ``emission`` knob values.
-    EMISSION_MODES = ("auto", "object", "columnar")
 
     def __init__(
         self,
@@ -248,7 +252,6 @@ class AGTRam(Mechanism):
         max_rounds: Optional[int] = None,
         batch_size: int = 1,
         engine: str = "auto",
-        emission: str = "auto",
     ):
         if payment_rule not in PAYMENT_RULES:
             raise ConfigurationError(
@@ -259,10 +262,6 @@ class AGTRam(Mechanism):
             raise ConfigurationError(
                 f"valuation must be 'local' or 'global', got {valuation!r}"
             )
-        if max_rounds is not None and max_rounds < 0:
-            raise ConfigurationError("max_rounds must be >= 0")
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         if engine not in ENGINE_NAMES:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
@@ -272,18 +271,16 @@ class AGTRam(Mechanism):
                 "engine='vectorized' delta-maintains the local CoR oracle; "
                 "the global-oracle ablation only supports engine='naive'/'auto'"
             )
-        if emission not in self.EMISSION_MODES:
-            raise ConfigurationError(
-                f"unknown emission mode {emission!r}; "
-                f"expected one of {self.EMISSION_MODES}"
-            )
-        self.emission = emission
         self.engine = engine
         self.payment_rule = payment_rule
         self.valuation = valuation
         self.strategies = dict(strategies) if strategies else {}
-        self.max_rounds = max_rounds
-        self.batch_size = batch_size
+        self.max_rounds = (
+            None
+            if max_rounds is None
+            else check_nonnegative_int(max_rounds, "max_rounds")
+        )
+        self.batch_size = check_positive_int(batch_size, "batch_size")
 
     def run(self, instance, *, record_audit: bool = False, **kwargs) -> PlacementResult:
         """:meth:`Mechanism.run`, once every ``strategies`` key is known
@@ -319,176 +316,293 @@ class AGTRam(Mechanism):
             reported_vals[server] = row[obj]
         return reported_vals, reported_objs
 
-    def _fast_loop(
-        self,
-        state: ReplicationState,
-        engine: DeltaBenefitEngine,
-        pay,
-        cap: int,
-        payments: np.ndarray,
-        utilities: np.ndarray,
-    ) -> int:
-        """Figure 2's loop over the delta engine's cached bests.
-
-        Only reachable for truthful, unbatched, non-observed runs, where
-        reports == true bests and no per-round scaffolding is needed.
-        Allocations, payments and utilities are bit-identical to the
-        generic loop (same values through the same payment rule, same
-        first-index argmax tie-break).
-        """
-        vals, objs = engine.best_view()
-        # Inline Vickrey price via a swap instead of np.delete: the max
-        # over the other agents is unchanged (−inf never wins it), and in
-        # this loop ``vals`` is NaN-free by construction (finite Eq. 5
-        # arithmetic, ineligible cells exactly −inf), so the non-finite
-        # filtering of ``second_best_payment`` is vacuous.
-        second_price = self.payment_rule == "second_price"
-        neg_inf = -np.inf
-        rounds = 0
-        while rounds < cap:
-            winner = int(vals.argmax())
-            best = float(vals[winner])
-            if not np.isfinite(best) or best <= 0.0:
-                break
-            obj = int(objs[winner])
-            if second_price:
-                vals[winner] = neg_inf
-                runner_up = float(vals.max())
-                vals[winner] = best
-                payment = runner_up if runner_up > 0.0 else 0.0
-            else:
-                payment = pay(vals, winner)
-            payments[winner] += payment
-            utilities[winner] += best - payment
-            state.add_replica(winner, obj)
-            engine.notify_allocation(winner, obj)
-            rounds += 1
-        return rounds
-
-    def _flush_block(self, buf, sink, series, ledger=None) -> None:
-        """Flush the ring into the sink and fill the round series.
+    def _flush_block(self, buf, sink, series, ledger) -> None:
+        """Settle the ring's OTC, flush it into the sink and fill the
+        round series.
 
         Series values come off the block columns via ``tolist()`` —
-        python-native scalars, the same bits the per-object path's
-        ``float()``/``int()`` casts produce.  When a ``ledger`` is given
-        its :meth:`_OtcLedger.fill` settles the ring's ``otcs`` column
-        first — the hot loop never touches OTC at all.
+        python-native scalars, the same bits ``RoundSeries.append``'s
+        ``float()``/``int()`` casts produce.
         """
-        if ledger is not None:
-            ledger.fill(buf)
+        ledger.fill(buf)
         block = buf.flush()
         if block is None:
             return
-        if series is not None:
-            idx = np.nonzero(block.winners >= 0)[0]
-            if len(idx):
-                series.otc.extend(block.otcs[idx].tolist())
-                series.best_bid.extend(
-                    block.bid_vals[idx, block.winners[idx]].tolist()
-                )
-                series.payment.extend(block.payments[idx].tolist())
-                series.n_bids.extend(block.n_bids[idx].tolist())
+        idx = np.nonzero(block.winners >= 0)[0]
+        if len(idx):
+            series.otc.extend(block.otcs[idx].tolist())
+            series.best_bid.extend(
+                block.bid_vals[idx, block.winners[idx]].tolist()
+            )
+            series.payment.extend(block.payments[idx].tolist())
+            series.n_bids.extend(block.n_bids[idx].tolist())
         sink.emit_block(block)
 
-    def _buffered_loop(
+    def _clear(
         self,
         instance: DRPInstance,
         state: ReplicationState,
-        engine: DeltaBenefitEngine,
-        pay,
+        engine,
         cap: int,
         payments: np.ndarray,
         utilities: np.ndarray,
         sink,
         series,
+        audit: Optional[MechanismAudit],
     ) -> int:
-        """The :meth:`_fast_loop` arithmetic with columnar eventing.
+        """Figure 2's loop, one winner per round; returns the rounds run.
 
-        Each round stages its pre-commit bid vectors and commit scalars
-        into a preallocated ring (plain array stores — no per-decision
-        objects); the ring flushes into the sink as
-        :class:`~repro.obs.events.RoundBlock`\\ s when full and once at
-        the end.  Expansion reproduces the per-object event stream
-        exactly (byte-identical under logical time); ``RoundEnd.otc`` is
-        settled per *flush* by the :class:`_OtcLedger`, which rebuilds
-        the committed NN columns from contiguous cost rows — the loop
-        itself does no OTC arithmetic, matching the per-object path's
-        tracker bit-for-bit.
+        Each round reads every agent's dominant report (the delta
+        engine's zero-copy cached bests, or the naive and global
+        engines' fresh sweep) through the agents' strategies, takes the
+        first-index argmax, prices it, commits it and broadcasts the NN
+        update.  With a sink, each round's pre-commit report vectors and
+        commit scalars are staged into a preallocated ring — plain array
+        stores — which flushes into the sink as a block when full and
+        once at the end; ``RoundEnd.otc`` is settled per flush by the
+        :class:`_OtcLedger`, so the loop does no OTC arithmetic.
         """
-        vals, objs = engine.best_view()
-        # Inline Vickrey price via the same swap as _fast_loop — vals is
-        # NaN-free here, so this is bit-identical to second_best_payment.
-        second_price = self.payment_rule == "second_price"
-        neg_inf = -np.inf
-        capacities = instance.capacities
-        used = state.used
-        ledger = _OtcLedger(state)
-        buf = ev.ColumnarRoundBuffer(
-            instance.n_servers,
-            instance.sizes,
-            capacity=min(512, cap + 1),
-            payment_rule=self.payment_rule,
+        m = instance.n_servers
+        read = (
+            engine.best_view
+            if isinstance(engine, DeltaBenefitEngine)
+            else engine.best_per_server
         )
-        # The loop counts finite reports per round while the bid vector
-        # is cache-hot; the flush then skips its whole-ring scan.
-        buf.staged_n_bids = True
-        fin = np.empty(instance.n_servers, dtype=bool)
-        # Bind the ring columns locally; the flush re-arms the buffer
-        # with fresh arrays, so rebind after each one.
-        bid_vals, bid_objs = buf.bid_vals, buf.bid_objs
-        win_col, obj_col = buf.winners, buf.objs
-        res_col, pay_col, nb_col = buf.residuals, buf.payments, buf.n_bids
-        ring_cap = buf.capacity
-        n = 0
+        strategies = self.strategies
+        # Inline Vickrey price via a swap instead of np.delete: the max
+        # over the other agents is unchanged (−inf never wins it), and a
+        # round that gets priced holds no NaN or +inf report (argmax
+        # would have picked it), so the non-finite filtering of
+        # ``second_best_payment`` is vacuous.  Engine reports (Eq. 5
+        # arithmetic, ineligible cells exactly −inf) are never −0.0
+        # either, which the rule would pass through as a price;
+        # strategic reports may be, so they go through the rule itself.
+        inline = self.payment_rule == "second_price" and not strategies
+        pay = PAYMENT_RULES[self.payment_rule]
+        neg_inf = -np.inf
+        eventing = sink.enabled
+        if eventing:
+            capacities = instance.capacities
+            used = state.used
+            ledger = _OtcLedger(state)
+            buf = ev.ColumnarRoundBuffer(
+                m,
+                instance.sizes,
+                capacity=min(512, cap + 1),
+                payment_rule=self.payment_rule,
+            )
+            # The loop counts finite reports per round while the report
+            # vector is cache-hot; the flush then skips its ring scan.
+            buf.staged_n_bids = True
+            fin = np.empty(m, dtype=bool)
         rounds = 0
         while rounds < cap:
+            vals, objs = read()
+            if strategies:
+                vals, objs = self._reports(vals, objs, engine)
             winner = int(vals.argmax())
             best = float(vals[winner])
-            bid_vals[n] = vals  # staged pre-commit, rows are copies
-            bid_objs[n] = objs
-            np.isfinite(vals, out=fin)
-            nb_col[n] = np.count_nonzero(fin)
+            if eventing:
+                buf.stage(vals, objs)  # pre-commit; the ring keeps copies
+                buf.n_bids[buf.n] = np.count_nonzero(np.isfinite(vals, out=fin))
             if not np.isfinite(best) or best <= 0.0:
                 # Central body's binary decision: (0) do not replicate.
-                win_col[n] = -1
-                obj_col[n] = -1
-                res_col[n] = 0
-                pay_col[n] = 0.0
-                buf.n = n + 1
+                if audit is not None:
+                    audit.append(
+                        RoundRecord(vals.copy(), objs.copy(), -1, -1, 0.0, 0.0)
+                    )
+                if eventing:
+                    buf.close(otc=0.0)  # the ledger settles OTC at flush
                 break
+            # Payment (lines 11-12, Axiom 5).
             obj = int(objs[winner])
-            if second_price:
+            if inline:
                 vals[winner] = neg_inf
                 runner_up = float(vals.max())
                 vals[winner] = best
                 payment = runner_up if runner_up > 0.0 else 0.0
             else:
                 payment = pay(vals, winner)
+            # A deviating winner's *true* value for the object it was
+            # awarded is not its report.
+            true_value = (
+                engine.value_at(winner, obj) if winner in strategies else best
+            )
             payments[winner] += payment
-            utilities[winner] += best - payment
-            residual_before = int(capacities[winner]) - int(used[winner])
+            utilities[winner] += true_value - payment
+            if audit is not None:
+                # Copied before the commit: the delta engine's view
+                # changes in place.
+                audit.append(
+                    RoundRecord(
+                        vals.copy(), objs.copy(), winner, obj, payment, true_value
+                    )
+                )
+            if eventing:
+                residual = int(capacities[winner]) - int(used[winner])
+            # Commit + NN broadcast (lines 13-21).
             state.add_replica(winner, obj)
             engine.notify_allocation(winner, obj)
-            win_col[n] = winner
-            obj_col[n] = obj
-            res_col[n] = residual_before
-            pay_col[n] = payment
-            n += 1
             rounds += 1
-            if n == ring_cap:
-                buf.n = n
-                self._flush_block(buf, sink, series, ledger)
-                bid_vals, bid_objs = buf.bid_vals, buf.bid_objs
-                win_col, obj_col = buf.winners, buf.objs
-                res_col, pay_col, nb_col = (
-                    buf.residuals,
-                    buf.payments,
-                    buf.n_bids,
+            if eventing:
+                buf.commit(winner, obj, residual, payment, otc=0.0)
+                if buf.full:
+                    self._flush_block(buf, sink, series, ledger)
+        if eventing:
+            self._flush_block(buf, sink, series, ledger)
+        return rounds
+
+    def _clear_batched(
+        self,
+        instance: DRPInstance,
+        state: ReplicationState,
+        engine,
+        cap: int,
+        payments: np.ndarray,
+        utilities: np.ndarray,
+        sink,
+        series,
+        audit: Optional[MechanismAudit],
+    ) -> int:
+        """Batched rounds: approve the top-B positive reports at a
+        uniform clearing price (the best rejected report), which no
+        winner's own bid can influence.
+
+        Emits one event object per decision; ``RoundEnd.otc`` comes from
+        the state's OTC tracker.  A :class:`~repro.obs.events.RoundBlock`
+        row holds exactly one winner, so batches do not use the ring.
+        """
+        eventing = sink.enabled
+        if eventing:
+            state.begin_otc_tracking()
+        rounds = 0
+        while rounds < cap:
+            rnd = rounds
+            if eventing:
+                sink.emit(ev.RoundStart(t=ev.now(), round=rnd))
+            vals, objs = self._reports(*engine.best_per_server(), engine)
+            if eventing:
+                for agent in np.nonzero(np.isfinite(vals))[0]:
+                    sink.emit(
+                        ev.BidEvent(
+                            t=ev.now(),
+                            round=rnd,
+                            agent=int(agent),
+                            obj=int(objs[agent]),
+                            value=float(vals[agent]),
+                        )
+                    )
+            best = float(vals[int(np.argmax(vals))])
+            positive: list[int] = []
+            if np.isfinite(best) and best > 0.0:
+                positive = [
+                    int(i)
+                    for i in np.argsort(vals)[::-1]
+                    if np.isfinite(vals[i]) and vals[i] > 0.0
+                ]
+            elif audit is not None:
+                audit.append(RoundRecord(vals.copy(), objs.copy(), -1, -1, 0.0, 0.0))
+            batch = positive[: self.batch_size]
+            rejected = positive[self.batch_size :]
+            clearing = float(vals[rejected[0]]) if rejected else 0.0
+            # True values captured before any commit: bids within a
+            # batch are mutually stale by design, and the delta engine
+            # computes cells from the *live* state, so reading after a
+            # commit would see the relaxed NN distances the naive
+            # engine's (deliberately stale) matrix does not.
+            batch_true = {w: engine.value_at(w, int(objs[w])) for w in batch}
+            committed = 0
+            for w in batch:
+                obj = int(objs[w])
+                if not state.can_host(w, obj):
+                    # A stale bid (another batch member changed nothing
+                    # for capacity, but warm starts might); skip rather
+                    # than fault.
+                    if eventing:
+                        sink.emit(
+                            ev.CapacityReject(
+                                t=ev.now(),
+                                round=rnd,
+                                agent=w,
+                                obj=obj,
+                                obj_size=int(instance.sizes[obj]),
+                                residual=int(state.residual[w]),
+                                reason=(
+                                    "duplicate" if state.x[w, obj] else "capacity"
+                                ),
+                            )
+                        )
+                    continue
+                if eventing:
+                    sink.emit(
+                        ev.WinnerEvent(
+                            t=ev.now(),
+                            round=rnd,
+                            agent=w,
+                            obj=obj,
+                            value=float(vals[w]),
+                            obj_size=int(instance.sizes[obj]),
+                            residual_before=int(state.residual[w]),
+                        )
+                    )
+                    sink.emit(
+                        ev.PaymentEvent(
+                            t=ev.now(),
+                            round=rnd,
+                            agent=w,
+                            amount=clearing,
+                            rule="uniform",
+                        )
+                    )
+                state.add_replica(w, obj)
+                payments[w] += clearing
+                utilities[w] += batch_true[w] - clearing
+                committed += 1
+                if audit is not None:
+                    audit.append(
+                        RoundRecord(
+                            vals.copy(), objs.copy(), w, obj, clearing, batch_true[w]
+                        )
+                    )
+            if committed == 0:
+                # Central body's binary decision: (0) do not replicate.
+                if eventing:
+                    sink.emit(
+                        ev.RoundEnd(
+                            t=ev.now(),
+                            round=rnd,
+                            committed=0,
+                            otc=state.tracked_otc(),
+                        )
+                    )
+                break
+            # NN updates broadcast once, after the batch commits.
+            for w in batch:
+                obj = int(objs[w])
+                if state.x[w, obj]:
+                    engine.refresh_object(obj)
+                    engine.refresh_server(w)
+            rounds += 1
+            if eventing:
+                sink.emit(
+                    ev.NNUpdateEvent(
+                        t=ev.now(), round=rnd, obj=-1, agents=instance.n_servers
+                    )
                 )
-                n = 0
-        else:
-            buf.n = n
-        self._flush_block(buf, sink, series, ledger)
+                series.append(
+                    otc=state.tracked_otc(),
+                    best_bid=best,
+                    payment=clearing,
+                    n_bids=int(np.isfinite(vals).sum()),
+                )
+                sink.emit(
+                    ev.RoundEnd(
+                        t=ev.now(),
+                        round=rnd,
+                        committed=committed,
+                        otc=series.otc[-1],
+                    )
+                )
         return rounds
 
     # -- mechanism entry ---------------------------------------------------
@@ -506,13 +620,11 @@ class AGTRam(Mechanism):
         re-replication across workload epochs); by default the game
         starts from the primaries-only scheme as in the paper.
         """
-        pay = PAYMENT_RULES[self.payment_rule]
         timer = Timer()
         tracer = obs.current()
         traced = tracer.enabled
         sink = ev.current()
-        eventing = sink.enabled
-        series = ev.RoundSeries() if eventing else None
+        series = ev.RoundSeries() if sink.enabled else None
         audit = MechanismAudit() if record_audit else None
         m = instance.n_servers
         payments = np.zeros(m)
@@ -537,317 +649,17 @@ class AGTRam(Mechanism):
             if traced:
                 tracer.add("engine_init", perf_counter() - t0)
 
-            rounds = 0
-            round_idx = 0  # event-stream round label (includes the closing round)
-            cap = self.max_rounds if self.max_rounds is not None else m * instance.n_objects
-
-            # Tight loop for the vectorized engine when nothing needs the
-            # per-round observability scaffolding: same allocations, same
-            # payments (bit-identical — the equivalence tests pin it),
-            # but ~10 numpy calls per round instead of a full O(M·N)
-            # sweep plus event/tracer bookkeeping.
-            tight = (
-                isinstance(engine, DeltaBenefitEngine)
-                and not self.strategies
-                and self.batch_size == 1
-                and not traced
-                and audit is None
+            cap = (
+                self.max_rounds
+                if self.max_rounds is not None
+                else m * instance.n_objects
             )
-            fast = tight and not eventing
-            # The columnar path keeps eventing ON through the tight
-            # loop: rounds are staged in a preallocated ring and flushed
-            # as blocks, instead of bailing to the per-object loop.  Its
-            # ledger reconstructs NN columns from the primaries, so it
-            # needs a primaries-only start; warm starts take the
-            # per-object path.
-            buffered = (
-                tight
-                and eventing
-                and self.emission != "object"
-                and state.n_replicas_added == 0
-            )
-            if eventing and not buffered:
-                # Per-round OTC telemetry (RoundEnd / series) comes from
-                # the state's incremental tracker — one O(M) einsum per
-                # commit instead of an O(M·N) recompute per round.  The
-                # buffered loop skips even that: its _OtcLedger settles
-                # OTC per flush, producing the same floats bit-for-bit.
-                state.begin_otc_tracking()
-            if fast:
-                rounds = self._fast_loop(
-                    state, engine, pay, cap, payments, utilities
+            clear = self._clear if self.batch_size == 1 else self._clear_batched
+            with tracer.span("clear"):
+                rounds = clear(
+                    instance, state, engine, cap, payments, utilities, sink,
+                    series, audit,
                 )
-                cap = rounds  # generic loop below is skipped
-            elif buffered:
-                rounds = self._buffered_loop(
-                    instance,
-                    state,
-                    engine,
-                    pay,
-                    cap,
-                    payments,
-                    utilities,
-                    sink,
-                    series,
-                )
-                cap = rounds  # generic loop below is skipped
-            while rounds < cap:
-                round_idx = rounds
-                if eventing:
-                    sink.emit(ev.RoundStart(t=ev.now(), round=round_idx))
-                # PARFOR bid sweep (Figure 2 lines 03-09).
-                t0 = perf_counter() if traced else 0.0
-                true_vals, true_objs = engine.best_per_server()
-                reported_vals, reported_objs = self._reports(
-                    true_vals, true_objs, engine
-                )
-                if traced:
-                    tracer.add("round/bid_sweep", perf_counter() - t0)
-                if eventing:
-                    for agent in np.nonzero(np.isfinite(reported_vals))[0]:
-                        sink.emit(
-                            ev.BidEvent(
-                                t=ev.now(),
-                                round=round_idx,
-                                agent=int(agent),
-                                obj=int(reported_objs[agent]),
-                                value=float(reported_vals[agent]),
-                            )
-                        )
-                t0 = perf_counter() if traced else 0.0
-                # OMAX selection (line 10).
-                winner = int(np.argmax(reported_vals))
-                best = float(reported_vals[winner])
-                if traced:
-                    tracer.add("round/argmax", perf_counter() - t0)
-                if not np.isfinite(best) or best <= 0.0:
-                    # Central body's binary decision: (0) do not replicate.
-                    if eventing:
-                        sink.emit(
-                            ev.RoundEnd(
-                                t=ev.now(),
-                                round=round_idx,
-                                committed=0,
-                                otc=state.tracked_otc(),
-                            )
-                        )
-                    if audit is not None:
-                        audit.append(
-                            RoundRecord(
-                                reported=reported_vals.copy(),
-                                objects=reported_objs.copy(),
-                                winner=-1,
-                                obj=-1,
-                                payment=0.0,
-                                true_value=0.0,
-                            )
-                        )
-                    break
-
-                if self.batch_size == 1:
-                    # Payment (lines 11-12, Axiom 5).
-                    t0 = perf_counter() if traced else 0.0
-                    obj = int(reported_objs[winner])
-                    payment = pay(reported_vals, winner)
-                    # The winner's *true* value for the object it was
-                    # awarded (not necessarily its truthful argmax when
-                    # deviating).
-                    true_value = engine.value_at(winner, obj)
-                    payments[winner] += payment
-                    utilities[winner] += true_value - payment
-                    if traced:
-                        tracer.add("round/payment", perf_counter() - t0)
-                    if eventing:
-                        sink.emit(
-                            ev.WinnerEvent(
-                                t=ev.now(),
-                                round=round_idx,
-                                agent=winner,
-                                obj=obj,
-                                value=best,
-                                obj_size=int(instance.sizes[obj]),
-                                residual_before=int(state.residual[winner]),
-                            )
-                        )
-                        sink.emit(
-                            ev.PaymentEvent(
-                                t=ev.now(),
-                                round=round_idx,
-                                agent=winner,
-                                amount=payment,
-                                rule=self.payment_rule,
-                            )
-                        )
-                    t0 = perf_counter() if traced else 0.0
-
-                    # Commit + NN broadcast (lines 13-21).
-                    state.add_replica(winner, obj)
-                    engine.notify_allocation(winner, obj)
-                    rounds += 1
-                    if traced:
-                        tracer.add("round/nn_broadcast", perf_counter() - t0)
-                    if eventing:
-                        sink.emit(
-                            ev.NNUpdateEvent(
-                                t=ev.now(), round=round_idx, obj=obj, agents=m
-                            )
-                        )
-                        assert series is not None
-                        series.append(
-                            otc=state.tracked_otc(),
-                            best_bid=best,
-                            payment=payment,
-                            n_bids=int(np.isfinite(reported_vals).sum()),
-                        )
-                        sink.emit(
-                            ev.RoundEnd(
-                                t=ev.now(),
-                                round=round_idx,
-                                committed=1,
-                                otc=series.otc[-1],
-                            )
-                        )
-
-                    if audit is not None:
-                        audit.append(
-                            RoundRecord(
-                                reported=reported_vals.copy(),
-                                objects=reported_objs.copy(),
-                                winner=winner,
-                                obj=obj,
-                                payment=payment,
-                                true_value=true_value,
-                            )
-                        )
-                    continue
-
-                # Batched round: approve the top-B positive reports at a
-                # uniform clearing price (the best rejected report),
-                # which no winner's own bid can influence.
-                t0 = perf_counter() if traced else 0.0
-                order = np.argsort(reported_vals)[::-1]
-                positive = [
-                    int(i)
-                    for i in order
-                    if np.isfinite(reported_vals[i]) and reported_vals[i] > 0.0
-                ]
-                batch = positive[: self.batch_size]
-                rejected = positive[self.batch_size :]
-                clearing = (
-                    float(reported_vals[rejected[0]]) if rejected else 0.0
-                )
-                # True values captured before any commit: bids within a
-                # batch are mutually stale by design, and the delta
-                # engine computes cells from the *live* state, so reading
-                # after a commit would see the relaxed NN distances the
-                # naive engine's (deliberately stale) matrix does not.
-                batch_true = {
-                    w: engine.value_at(w, int(reported_objs[w])) for w in batch
-                }
-                committed = 0
-                for w in batch:
-                    obj = int(reported_objs[w])
-                    if not state.can_host(w, obj):
-                        # A stale bid (another batch member changed
-                        # nothing for capacity, but warm starts might);
-                        # skip rather than fault.
-                        if eventing:
-                            sink.emit(
-                                ev.CapacityReject(
-                                    t=ev.now(),
-                                    round=round_idx,
-                                    agent=w,
-                                    obj=obj,
-                                    obj_size=int(instance.sizes[obj]),
-                                    residual=int(state.residual[w]),
-                                    reason=(
-                                        "duplicate" if state.x[w, obj] else "capacity"
-                                    ),
-                                )
-                            )
-                        continue
-                    true_value = batch_true[w]
-                    if eventing:
-                        sink.emit(
-                            ev.WinnerEvent(
-                                t=ev.now(),
-                                round=round_idx,
-                                agent=w,
-                                obj=obj,
-                                value=float(reported_vals[w]),
-                                obj_size=int(instance.sizes[obj]),
-                                residual_before=int(state.residual[w]),
-                            )
-                        )
-                        sink.emit(
-                            ev.PaymentEvent(
-                                t=ev.now(),
-                                round=round_idx,
-                                agent=w,
-                                amount=clearing,
-                                rule="uniform",
-                            )
-                        )
-                    state.add_replica(w, obj)
-                    payments[w] += clearing
-                    utilities[w] += true_value - clearing
-                    committed += 1
-                    if audit is not None:
-                        audit.append(
-                            RoundRecord(
-                                reported=reported_vals.copy(),
-                                objects=reported_objs.copy(),
-                                winner=w,
-                                obj=obj,
-                                payment=clearing,
-                                true_value=true_value,
-                            )
-                        )
-                if traced:
-                    tracer.add("round/payment", perf_counter() - t0)
-                if committed == 0:
-                    if eventing:
-                        sink.emit(
-                            ev.RoundEnd(
-                                t=ev.now(),
-                                round=round_idx,
-                                committed=0,
-                                otc=state.tracked_otc(),
-                            )
-                        )
-                    break
-                # NN updates broadcast once, after the batch commits.
-                t0 = perf_counter() if traced else 0.0
-                for w in batch:
-                    obj = int(reported_objs[w])
-                    if state.x[w, obj]:
-                        engine.refresh_object(obj)
-                        engine.refresh_server(w)
-                rounds += 1
-                if traced:
-                    tracer.add("round/nn_broadcast", perf_counter() - t0)
-                if eventing:
-                    sink.emit(
-                        ev.NNUpdateEvent(
-                            t=ev.now(), round=round_idx, obj=-1, agents=m
-                        )
-                    )
-                    assert series is not None
-                    series.append(
-                        otc=state.tracked_otc(),
-                        best_bid=best,
-                        payment=clearing,
-                        n_bids=int(np.isfinite(reported_vals).sum()),
-                    )
-                    sink.emit(
-                        ev.RoundEnd(
-                            t=ev.now(),
-                            round=round_idx,
-                            committed=committed,
-                            otc=series.otc[-1],
-                        )
-                    )
-
             if traced:
                 tracer.count("rounds", rounds)
 
@@ -881,7 +693,6 @@ def run_agt_ram(
     record_audit: bool = False,
     max_rounds: Optional[int] = None,
     engine: str = "auto",
-    emission: str = "auto",
 ) -> PlacementResult:
     """Functional one-shot entry point for :class:`AGTRam`.
 
@@ -894,6 +705,5 @@ def run_agt_ram(
         strategies=strategies,
         max_rounds=max_rounds,
         engine=engine,
-        emission=emission,
     )
     return mech.run(instance, record_audit=record_audit)

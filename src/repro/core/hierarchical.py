@@ -48,6 +48,7 @@ from repro.obs import events as ev
 from repro.result import PlacementResult
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.timing import Timer
+from repro.utils.validation import check_nonnegative_int
 
 
 def partition_by_proximity(
@@ -151,6 +152,8 @@ class HierarchicalAGTRam:
                 "the cooperative regional game has no vectorized engine; "
                 "use engine='auto' or 'naive'"
             )
+        if self.max_rounds is not None:
+            self.max_rounds = check_nonnegative_int(self.max_rounds, "max_rounds")
 
     # -- helpers -----------------------------------------------------------
 

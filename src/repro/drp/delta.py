@@ -119,6 +119,11 @@ class DeltaBenefitEngine:
 
     engine_name = "vectorized"
 
+    #: Float64 cells per block of :meth:`_rebuild` (256 KiB), so each
+    #: block stays cache-resident across its multiply, subtract, mask and
+    #: argmax passes and a full sweep allocates no (M, N) temporary.
+    _BLOCK_CELLS = 1 << 15
+
     def __init__(self, instance: DRPInstance, state: ReplicationState):
         if not HAVE_NUMPY:
             raise ConfigurationError(numpy_support_error())
@@ -140,15 +145,16 @@ class DeltaBenefitEngine:
             # a replica may NOT be placed.  A row only changes when that
             # server's capacity or replica set changes (i.e. when it wins
             # a round), so per-round maintenance is O(N) for one row.
-            self._inel = (
-                self.instance.sizes[None, :] > self.state.residual[:, None]
-            ) | self.state.x
+            self._inel = np.empty((m, n), dtype=bool)
+            self._blockbuf = np.empty(
+                (max(1, min(m, self._BLOCK_CELLS // max(n, 1))), n)
+            )
             # The tracer active at construction time is the one the run
             # executes under (the mechanism builds its engine inside the
             # capture scope); caching its enabled flag keeps contextvar
             # lookups out of the per-allocation repair path.
             self._counting = obs.current().enabled
-            self._rescan_all()
+            self._rebuild()
 
     # -- maintenance --------------------------------------------------------
 
@@ -200,17 +206,33 @@ class DeltaBenefitEngine:
         self._best_objs[rows] = objs
         self._best_vals[rows] = masked[np.arange(n_rows), objs]
 
-    def _rescan_all(self) -> None:
-        """Full-sweep rebuild of every cached best — no row gathering.
+    def _rebuild(self) -> None:
+        """Rebuild the ineligibility mask and every cached best from the
+        live state, a block of rows at a time.
 
         Identical arithmetic and tie-break to :meth:`_rescan_rows` on
-        ``arange(M)``, minus the three full-matrix fancy-index copies.
+        ``arange(M)`` (the cells are elementwise, the argmax per row), but
+        computed in place in a reused cache-sized block — no row
+        gathering and no (M, N) temporaries to allocate and page in.
         """
-        values = self.rstat * self.state.nn_dist - self.wterm
-        np.copyto(values, NEG_INF, where=self._inel)
-        objs = values.argmax(axis=1)
-        self._best_objs[:] = objs
-        self._best_vals[:] = values[np.arange(values.shape[0]), objs]
+        state = self.state
+        sizes = self.instance.sizes
+        residual = state.residual[:, None]
+        block = self._blockbuf
+        step = block.shape[0]
+        m = self.instance.n_servers
+        for s in range(0, m, step):
+            e = min(s + step, m)
+            inel = self._inel[s:e]
+            np.greater(sizes, residual[s:e], out=inel)
+            np.logical_or(inel, state.x[s:e], out=inel)
+            values = block[: e - s]
+            np.multiply(self.rstat[s:e], state.nn_dist[s:e], out=values)
+            np.subtract(values, self.wterm[s:e], out=values)
+            np.copyto(values, NEG_INF, where=inel)
+            objs = values.argmax(axis=1)
+            self._best_objs[s:e] = objs
+            self._best_vals[s:e] = values[np.arange(e - s), objs]
 
     def notify_allocation(self, server: int, k: int) -> None:
         """Repair cached bests after ``state.add_replica(server, k)``.
@@ -250,13 +272,7 @@ class DeltaBenefitEngine:
 
     def resync(self) -> None:
         """Full rebuild from the live state (lazy/stale-view protocols)."""
-        np.greater(
-            self.instance.sizes[None, :],
-            self.state.residual[:, None],
-            out=self._inel,
-        )
-        np.logical_or(self._inel, self.state.x, out=self._inel)
-        self._rescan_all()
+        self._rebuild()
         tracer = obs.current()
         if tracer.enabled:
             self._counting = True
@@ -272,7 +288,7 @@ class DeltaBenefitEngine:
         return self._best_vals.copy(), self._best_objs.copy()
 
     def best_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy view of the cached bests for the tight round loop.
+        """Zero-copy view of the cached bests for the clearing loop.
 
         Mutated in place by :meth:`notify_allocation`; callers must not
         hold references across allocations.

@@ -121,6 +121,26 @@ class ReplicationState:
 
     # -- incremental OTC tracking -------------------------------------------
 
+    def otc_seed(self) -> tuple[float, np.ndarray]:
+        """The scheme's total OTC and per-object read costs, ``(otc, read_k)``.
+
+        ``read_k[k] = Σ_i rstat_ik · nn_dist_ik``.  Both OTC
+        delta-maintainers start from this — the state's own tracker
+        (:meth:`begin_otc_tracking`) and the mechanism's flush-time
+        settlement (``repro.core.agt_ram``) — so their per-round OTC
+        floats cannot drift apart.  A primaries-only scheme reads the
+        instance's cached terms in O(N); any other costs one O(M·N)
+        reduction.  The returned array belongs to the caller.
+        """
+        inst = self.instance
+        if self.n_replicas_added == 0:
+            otc0, read_k = inst.primary_otc_terms()
+            return otc0, read_k.copy()
+        rstat, wterm = inst.local_value_terms()
+        read_k = np.einsum("ik,ik->k", rstat, self.nn_dist)
+        kept = float(np.einsum("ik,ik->", self.x, wterm))
+        return float(read_k.sum()) + inst.primary_ship_total() + kept, read_k
+
     def begin_otc_tracking(self) -> float:
         """Start delta-maintaining the scheme's total OTC across commits.
 
@@ -140,23 +160,12 @@ class ReplicationState:
         telemetry.  Returns the starting OTC.
         """
         inst = self.instance
-        rstat, wterm = inst.local_value_terms()
-        if self.n_replicas_added == 0:
-            otc0, read_k = inst.primary_otc_terms()
-            self._otc_value = otc0
-            self._otc_read_k = read_k.copy()
-        else:
-            read_k = np.einsum("ik,ik->k", rstat, self.nn_dist)
-            kept = float(np.einsum("ik,ik->", self.x, wterm))
-            self._otc_read_k = read_k
-            self._otc_value = (
-                float(read_k.sum()) + inst.primary_ship_total() + kept
-            )
+        self._otc_value, self._otc_read_k = self.otc_seed()
         # Transposed copy: the per-commit delta dots one object's
         # read-scale row — contiguous in (N, M) layout, one cache/TLB
         # miss per element in the (M, N) one.
         self._otc_rstat_rows = inst.read_scale_rows()
-        self._otc_wterm = wterm
+        self._otc_wterm = inst.local_value_terms()[1]
         # Contiguous scratch for the masked read-cost delta each commit
         # computes inside :meth:`add_replica`.
         self._otc_scratch = np.empty(inst.n_servers)
@@ -210,10 +219,10 @@ class ReplicationState:
             # new replicator's update-keeping term.  The column is staged
             # contiguous first: einsum's reduction order depends on
             # operand strides, and over contiguous rows it matches the
-            # batched ``einsum("rj,rj->r", ...)`` the columnar flush path
-            # computes over its reconstructed copies of the same columns
-            # — which is what keeps the two emission paths' OTC floats
-            # bit-identical.
+            # batched ``einsum("rj,rj->r", ...)`` the mechanism's
+            # flush-time settlement computes over its reconstructed copies
+            # of the same columns — which is what keeps the two settlers'
+            # OTC floats bit-identical.
             scratch = self._otc_scratch
             np.copyto(scratch, dist_col)
             new_rk = float(np.einsum("j,j->", self._otc_rstat_rows[k], scratch))

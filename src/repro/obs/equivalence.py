@@ -17,8 +17,8 @@ checkable artifact:
 3. **Timing pass** — both engines run uninstrumented ``repeats`` times;
    the reported speedup is best-of-naive over best-of-vectorized.  The
    instrumented pass proves identity; this pass measures the win the
-   fast path actually delivers (events and tracing off is exactly the
-   regime the tight loop optimizes).
+   fast path actually delivers (events and tracing off: the path
+   callers run).
 
 ``python -m repro audit --compare-engines`` drives this and is what the
 CI ``engine-equivalence`` job and the nightly scaling workflow gate on

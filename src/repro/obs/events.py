@@ -108,8 +108,8 @@ def _wall_now_block(n: int) -> tuple[float, float]:
     recover per-decision times, so the whole block shares one
     ``perf_counter`` reading (``step`` 0) — ordering is preserved and
     stamps stay non-decreasing across blocks.  :func:`logical_time`
-    swaps this for a tick-per-event variant so buffered emission stays
-    byte-identical to the per-object path.
+    swaps this for a tick-per-event variant, so a block expands to the
+    stamps one event object per decision would have carried.
     """
     return now(), 0.0
 
@@ -991,7 +991,7 @@ def iter_block_events(block: RoundBlock) -> Iterator[Event]:
 class ColumnarRoundBuffer:
     """Preallocated struct-of-arrays ring for hot-loop round emission.
 
-    The mechanism's tight loop appends one row per round with scalar
+    AGT-RAM's clearing loop appends one row per round with scalar
     writes (:meth:`stage` the pre-commit bid vectors, then
     :meth:`commit` / :meth:`close` the round scalars) and flushes the
     ring into the active sink once it fills — or once at run end.  All
@@ -1000,9 +1000,9 @@ class ColumnarRoundBuffer:
     handful of array stores.
 
     numpy-backed when available; otherwise flat :mod:`array`-module
-    columns (same layout, scalar python writes).  The hot path may bind
-    the column attributes locally and maintain :attr:`n` itself — the
-    arrays, not the methods, are the interface the tight loop relies on.
+    columns (same layout, scalar python writes).  Callers may also write
+    row :attr:`n` of a column directly — the clearing loop fills
+    :attr:`n_bids` itself (see :attr:`staged_n_bids`).
     """
 
     def __init__(
@@ -1230,7 +1230,7 @@ class EventSink:
 
         The default expands the block through :func:`iter_block_events`
         into the ordinary :meth:`emit` stream, so every existing sink
-        sees events identical to the per-object path.  Block-aware sinks
+        sees one event object per decision.  Block-aware sinks
         (:class:`ColumnarSink`) override this to keep the columnar form
         and skip object materialization entirely.
         """

@@ -1,12 +1,15 @@
-"""Emission-path equivalence and overhead measurement: the obs gate.
+"""Emission equivalence and overhead measurement: the obs gate.
 
 The columnar pipeline's contract (docs/observability.md) is twofold:
 
-* **Byte-equivalence** — with a sink active, the buffered columnar path
-  must produce, after block expansion, exactly the event stream the
-  legacy per-object path produces: same kinds, same field values, same
-  logical timestamps.  This is deterministic and is the hard half of
-  the gate.
+* **Byte-equivalence** — with a sink active, AGT-RAM's columnar stream
+  must, after block expansion, be exactly the event stream its own
+  ``MechanismAudit`` transcript implies: same kinds, same field values,
+  same logical timestamps.  The reference (:func:`replay_transcript`)
+  re-commits each recorded round on a fresh state under the state's OTC
+  tracker and builds one event object per decision, sharing no code
+  with the ring, its flush-time OTC ledger or block expansion.  This is
+  deterministic and is the hard half of the gate.
 * **Bounded overhead** — running the vectorized engine with eventing
   *on* (columnar) must cost only a few percent over eventing *off*.
   This half is a wall-clock measurement and therefore noisy on shared
@@ -38,6 +41,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.obs import events as ev
 
 __all__ = [
@@ -45,6 +50,7 @@ __all__ = [
     "compare_emission_paths",
     "default_overhead_budget",
     "format_emission_comparison",
+    "replay_transcript",
 ]
 
 #: Per-scale overhead budgets (percent) for the CI gate.  ``large`` is
@@ -67,15 +73,20 @@ def default_overhead_budget(scale: str) -> float:
 
 @dataclass
 class EmissionComparison:
-    """Outcome of one columnar-vs-legacy emission comparison."""
+    """Outcome of one emission-gate run on a preset."""
 
     scale: str
+    #: Rounds of the default (vectorized, cold) run.
     rounds: int = 0
+    #: Events compared, summed over every identity configuration.
     n_events: int = 0
-    #: Buffered columnar stream == legacy per-object stream, field for
-    #: field under logical time.
+    #: Configurations the identity pass covered, by label.
+    configs: list[str] = field(default_factory=list)
+    #: Every configuration's columnar stream == its transcript replay,
+    #: field for field under logical time, and the same final placement.
     identical: bool = False
-    #: Both streams pass the offline mechanism audit.
+    #: Every second-price configuration's stream passes the offline
+    #: mechanism audit.
     audit_ok: bool = False
     #: First few human-readable stream differences (empty when identical).
     mismatches: list[str] = field(default_factory=list)
@@ -106,17 +117,105 @@ def _event_dicts(events: Any) -> list[dict]:
     return [e.to_dict() for e in events]
 
 
-def _diff_streams(legacy: list[dict], columnar: list[dict]) -> list[str]:
+def _diff_streams(reference: list[dict], columnar: list[dict]) -> list[str]:
     out: list[str] = []
-    if len(legacy) != len(columnar):
-        out.append(f"event count {len(legacy)} (legacy) vs {len(columnar)} (columnar)")
-    for i, (a, b) in enumerate(zip(legacy, columnar)):
+    if len(reference) != len(columnar):
+        out.append(
+            f"event count {len(reference)} (replay) vs {len(columnar)} (columnar)"
+        )
+    for i, (a, b) in enumerate(zip(reference, columnar)):
         if a != b:
-            out.append(f"event {i}: legacy {a} != columnar {b}")
+            out.append(f"event {i}: replay {a} != columnar {b}")
             if len(out) >= 5:
                 out.append("... (further mismatches suppressed)")
                 break
     return out
+
+
+def replay_transcript(
+    instance: Any,
+    transcript: Any,
+    *,
+    payment_rule: str = "second_price",
+    initial_state: Any = None,
+) -> tuple[list[ev.Event], Any]:
+    """The event stream a single-winner, local-valuation AGT-RAM
+    transcript implies.
+
+    Re-commits each :class:`~repro.core.mechanism.RoundRecord` of
+    ``transcript`` on a copy of the start state (``initial_state``, or
+    the primaries) under the state's OTC tracker, building one event
+    object per decision — with the timestamps ``0.0, 1.0, …`` a run
+    captured under :func:`~repro.obs.events.logical_time` carries.
+    Returns the events and the replayed final state.
+    """
+    from repro.drp.cost import total_otc
+    from repro.drp.state import ReplicationState
+
+    state = (
+        initial_state.copy()
+        if initial_state is not None
+        else ReplicationState.primaries_only(instance)
+    )
+    state.begin_otc_tracking()
+    events: list[ev.Event] = []
+
+    def emit(cls: Any, *fields: Any) -> None:
+        events.append(cls(float(len(events)), *fields))
+
+    emit(ev.RunStart, "AGT-RAM")
+    committed = 0
+    for rnd, rec in enumerate(transcript.rounds):
+        emit(ev.RoundStart, rnd)
+        for agent in np.flatnonzero(np.isfinite(rec.reported)).tolist():
+            emit(
+                ev.BidEvent,
+                rnd,
+                agent,
+                int(rec.objects[agent]),
+                float(rec.reported[agent]),
+            )
+        if rec.winner >= 0:
+            winner, obj = int(rec.winner), int(rec.obj)
+            emit(
+                ev.WinnerEvent,
+                rnd,
+                winner,
+                obj,
+                float(rec.reported[winner]),
+                int(instance.sizes[obj]),
+                int(state.residual[winner]),
+            )
+            emit(ev.PaymentEvent, rnd, winner, float(rec.payment), payment_rule)
+            state.add_replica(winner, obj)
+            emit(ev.NNUpdateEvent, rnd, obj, instance.n_servers)
+            committed += 1
+        emit(ev.RoundEnd, rnd, int(rec.winner >= 0), state.tracked_otc())
+    emit(ev.RunEnd, "AGT-RAM", total_otc(state), committed)
+    return events, state
+
+
+def _identity_configs() -> list[tuple[str, dict[str, Any], bool]]:
+    """The identity pass's AGT-RAM configurations as ``(label, AGTRam
+    keyword arguments, warm)``: every engine, payment rule, strategic
+    reports and a warm start go through the same ring.  ``warm`` runs
+    resume from the default run's placement after half its rounds."""
+    from repro.core.strategies import OverProjection, UnderProjection
+
+    return [
+        ("vectorized", dict(engine="vectorized"), False),
+        ("naive", dict(engine="naive"), False),
+        ("first-price", dict(engine="vectorized", payment_rule="first_price"), False),
+        (
+            "strategies",
+            dict(
+                engine="vectorized",
+                strategies={0: OverProjection(3.0), 5: UnderProjection(0.5)},
+            ),
+            False,
+        ),
+        ("warm-start", dict(engine="vectorized"), True),
+    ]
 
 
 def compare_emission_paths(
@@ -124,18 +223,24 @@ def compare_emission_paths(
 ) -> EmissionComparison:
     """Prove byte-equivalence and measure eventing overhead on a preset.
 
-    Identity pass: AGT-RAM (vectorized engine) runs once per emission
-    path under :func:`~repro.obs.events.logical_time`; the expanded
-    columnar stream must equal the per-object stream field for field,
-    and both must pass the offline audit.  Timing pass: ``repeats``
-    interleaved (eventing-off, eventing-on) pairs timed with
-    ``process_time``; overhead is the minimum paired ratio (see module
-    docstring).  ``seed`` is reserved for preset parameterization.
+    Identity pass: AGT-RAM runs once per configuration of
+    :func:`_identity_configs` under
+    :func:`~repro.obs.events.logical_time` with ``record_audit``; the
+    expanded columnar stream must equal :func:`replay_transcript` of the
+    run's transcript field for field, the replay must end in the run's
+    placement, and every second-price stream must pass the offline
+    audit (first price is not truthful, which the audit flags by
+    design).  The warm start resumes from the default run's placement
+    after half its rounds.  Timing pass: ``repeats`` interleaved
+    (eventing-off, eventing-on) pairs of the vectorized engine timed
+    with ``process_time``; overhead is the minimum paired ratio (see
+    module docstring).  ``seed`` is reserved for preset
+    parameterization.
     """
     from repro.core.agt_ram import AGTRam
     from repro.experiments.instances import paper_instance
     from repro.obs.audit import audit_events
-    from repro.obs.events import ColumnarSink, RecordingSink
+    from repro.obs.events import ColumnarSink
     from repro.obs.report import bench_config
 
     if repeats < 1:
@@ -144,31 +249,36 @@ def compare_emission_paths(
     cmp = EmissionComparison(scale=scale)
 
     # -- identity pass (deterministic) ----------------------------------
-    with ev.logical_time():
-        with ev.capture(RecordingSink()) as legacy_sink:
-            legacy_result = AGTRam(engine="vectorized", emission="object").run(
-                instance
-            )
-    with ev.logical_time():
-        with ev.capture(ColumnarSink()) as columnar_sink:
-            columnar_result = AGTRam(
-                engine="vectorized", emission="columnar"
-            ).run(instance)
-    legacy = _event_dicts(legacy_sink.events)
-    columnar = _event_dicts(columnar_sink.iter_events())
-    cmp.rounds = legacy_result.rounds
-    cmp.n_events = len(legacy)
-    cmp.mismatches = _diff_streams(legacy, columnar)
-    if legacy_result.otc != columnar_result.otc:
-        cmp.mismatches.append(
-            f"result otc {legacy_result.otc!r} (legacy) vs "
-            f"{columnar_result.otc!r} (columnar)"
+    cmp.rounds = AGTRam(engine="vectorized").run(instance).rounds
+    warm = AGTRam(engine="vectorized", max_rounds=cmp.rounds // 2).run(instance).state
+    audit_ok = True
+    for label, config, from_warm in _identity_configs():
+        mech = AGTRam(**config)
+        start = warm if from_warm else None
+        with ev.logical_time():
+            with ev.capture(ColumnarSink()) as sink:
+                result = mech.run(
+                    instance,
+                    record_audit=True,
+                    initial_state=None if start is None else start.copy(),
+                )
+        columnar = _event_dicts(sink.iter_events())
+        reference, replayed = replay_transcript(
+            instance,
+            result.extra["audit"],
+            payment_rule=mech.payment_rule,
+            initial_state=start,
         )
+        found = _diff_streams(_event_dicts(reference), columnar)
+        if not np.array_equal(replayed.x, result.state.x):
+            found.append("replayed placement differs from the run's")
+        cmp.mismatches.extend(f"{label}: {m}" for m in found)
+        if mech.payment_rule == "second_price":
+            audit_ok = audit_ok and audit_events(sink.iter_events()).ok
+        cmp.n_events += len(columnar)
+        cmp.configs.append(label)
     cmp.identical = not cmp.mismatches
-    cmp.audit_ok = (
-        audit_events(legacy_sink.events).ok
-        and audit_events(columnar_sink.iter_events()).ok
-    )
+    cmp.audit_ok = audit_ok
 
     # -- timing pass (paired, in-process) -------------------------------
     def run_disabled() -> None:
@@ -176,7 +286,7 @@ def compare_emission_paths(
 
     def run_enabled() -> None:
         with ev.capture(ColumnarSink()):
-            AGTRam(engine="vectorized", emission="columnar").run(instance)
+            AGTRam(engine="vectorized").run(instance)
 
     run_disabled()
     run_enabled()  # warm caches and allocators on both paths
@@ -201,8 +311,9 @@ def compare_emission_paths(
 def format_emission_comparison(cmp: EmissionComparison) -> str:
     lines = [
         f"emission gate @ {cmp.scale}: {cmp.rounds} rounds, "
-        f"{cmp.n_events} events",
-        f"  byte-equivalence  {'PASS' if cmp.identical else 'FAIL'}",
+        f"{cmp.n_events} events compared",
+        f"  byte-equivalence  {'PASS' if cmp.identical else 'FAIL'} "
+        f"({', '.join(cmp.configs)})",
         f"  audit             {'PASS' if cmp.audit_ok else 'FAIL'}",
         f"  eventing off      {cmp.disabled_wall_s * 1e3:8.2f} ms (median)",
         f"  eventing on       {cmp.enabled_wall_s * 1e3:8.2f} ms (median)",

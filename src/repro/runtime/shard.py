@@ -113,6 +113,7 @@ from repro.runtime.messages import (
 )
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.timing import Timer
+from repro.utils.validation import check_nonnegative_int
 
 __all__ = [
     "PartitionWindow",
@@ -477,6 +478,8 @@ class ShardedAGTRam:
             raise ConfigurationError(
                 f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
             )
+        if self.max_rounds is not None:
+            self.max_rounds = check_nonnegative_int(self.max_rounds, "max_rounds")
 
     # -- helpers -----------------------------------------------------------
 

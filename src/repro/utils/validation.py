@@ -23,6 +23,15 @@ def check_positive_int(value, name: str) -> int:
     return int(value)
 
 
+def check_nonnegative_int(value, name: str) -> int:
+    """Validate that ``value`` is an integer >= 0 and return it as ``int``."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {value}")
+    return int(value)
+
+
 def check_index(value, name: str, bound: int) -> int:
     """Validate that ``value`` is an integer in ``[0, bound)`` and return it
     as ``int`` — no bools, no floats, no negative (wrap-around) indices."""

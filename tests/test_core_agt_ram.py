@@ -93,6 +93,56 @@ class TestConfiguration:
             AGTRam(max_rounds=-1)
 
 
+def _capped_runs(instance):
+    """Every entry point that takes a ``max_rounds`` cap, as ``cap -> run``."""
+    from repro.core.hierarchical import HierarchicalAGTRam
+    from repro.runtime.shard import ShardedAGTRam
+
+    return {
+        "AGTRam": lambda cap: AGTRam(max_rounds=cap).run(instance),
+        "run_agt_ram": lambda cap: run_agt_ram(instance, max_rounds=cap),
+        "HierarchicalAGTRam": lambda cap: HierarchicalAGTRam(
+            max_rounds=cap, seed=0
+        ).run(instance),
+        "ShardedAGTRam": lambda cap: ShardedAGTRam(max_rounds=cap, seed=0).run(
+            instance
+        ),
+    }
+
+
+ENTRY_POINTS = ("AGTRam", "run_agt_ram", "HierarchicalAGTRam", "ShardedAGTRam")
+NOT_COUNTS = [-1, 2.5, 3.0, True]
+
+
+class TestIntegerKnobs:
+    """``max_rounds`` and ``batch_size`` are counts: floats, bools and
+    negatives are configuration errors, numpy integers are counts."""
+
+    @pytest.mark.parametrize("bad", NOT_COUNTS, ids=repr)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_max_rounds_rejects_non_counts(self, tiny_instance, entry, bad):
+        with pytest.raises(ConfigurationError, match="max_rounds"):
+            _capped_runs(tiny_instance)[entry](bad)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_max_rounds_accepts_numpy_integers(self, tiny_instance, entry):
+        run = _capped_runs(tiny_instance)[entry]
+        res = run(np.int64(3))
+        assert 0 < res.rounds <= 3
+        assert res.state.x.tobytes() == run(3).state.x.tobytes()
+
+    @pytest.mark.parametrize("bad", NOT_COUNTS + [0, 4.0], ids=repr)
+    def test_batch_size_rejects_non_counts(self, bad):
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            AGTRam(batch_size=bad)
+
+    def test_batch_size_accepts_numpy_integers(self, tiny_instance):
+        res = AGTRam(batch_size=np.int64(4)).run(tiny_instance)
+        ref = AGTRam(batch_size=4).run(tiny_instance)
+        assert res.state.x.tobytes() == ref.state.x.tobytes()
+        assert res.rounds == ref.rounds
+
+
 class TestGlobalValuationAblation:
     def test_global_oracle_at_least_as_good(self, read_heavy_instance):
         local = run_agt_ram(read_heavy_instance, valuation="local")

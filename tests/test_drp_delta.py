@@ -182,6 +182,29 @@ class TestDeltaMatchesNaive:
         engine.resync()
         _assert_bests_exact(engine, tiny_instance, state)
 
+    @pytest.mark.parametrize("block_rows", [1, 5])
+    def test_blocked_sweeps_match_full_sweep(
+        self, tiny_instance, monkeypatch, block_rows
+    ):
+        """Full sweeps run a block of rows at a time; tiny fits one
+        block, so force several (5 rows leaves a partial last block at
+        M=16) at construction and on resync."""
+        monkeypatch.setattr(
+            DeltaBenefitEngine, "_BLOCK_CELLS", block_rows * tiny_instance.n_objects
+        )
+        state = ReplicationState.primaries_only(tiny_instance)
+        engine = DeltaBenefitEngine(tiny_instance, state)
+        assert engine._blockbuf.shape[0] == block_rows
+        _assert_bests_exact(engine, tiny_instance, state)
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            i = int(rng.integers(tiny_instance.n_servers))
+            k = int(rng.integers(tiny_instance.n_objects))
+            if state.can_host(i, k):
+                state.add_replica(i, k)
+        engine.resync()
+        _assert_bests_exact(engine, tiny_instance, state)
+
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**16),

@@ -1,6 +1,5 @@
 """Columnar pipeline tests: binary codec round-trips, JSONL rotation,
-windowed/streaming audit equivalence and buffered-vs-legacy emission
-identity.
+windowed/streaming audit equivalence and emission identity.
 
 The contracts under test (docs/observability.md):
 
@@ -11,8 +10,9 @@ The contracts under test (docs/observability.md):
   the logical path alone;
 * windowing the audit never changes its verdicts — only when partial
   reports surface;
-* the buffered columnar emission path is byte-equivalent to the legacy
-  per-object path on a real mechanism run.
+* a real mechanism run's columnar stream is byte-equivalent to the
+  stream its own audit transcript implies (one event object per
+  decision, replayed on a fresh state).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def tiny_events():
     instance = paper_instance(bench_config("tiny"))
     with ev.logical_time():
         with ev.capture(ev.ColumnarSink()) as sink:
-            AGTRam(engine="vectorized", emission="columnar").run(instance)
+            AGTRam(engine="vectorized").run(instance)
     return list(sink.iter_events())
 
 
@@ -449,30 +449,27 @@ class TestWindowedAudit:
             audit_stream(iter(tiny_events), window=-1)
 
 
-# -- buffered vs legacy emission ---------------------------------------------
+# -- columnar stream vs transcript replay ------------------------------------
 
 
 class TestEmissionIdentity:
     def test_same_seed_buffered_stream_is_byte_identical(self):
         from repro.core.agt_ram import AGTRam
         from repro.experiments.instances import paper_instance
+        from repro.obs.overhead import replay_transcript
         from repro.obs.report import bench_config
 
         instance = paper_instance(bench_config("tiny"))
         with ev.logical_time():
-            with ev.capture(ev.RecordingSink()) as legacy:
-                legacy_result = AGTRam(
-                    engine="vectorized", emission="object"
-                ).run(instance)
-        with ev.logical_time():
             with ev.capture(ev.ColumnarSink()) as columnar:
-                columnar_result = AGTRam(
-                    engine="vectorized", emission="columnar"
-                ).run(instance)
+                result = AGTRam(engine="vectorized").run(
+                    instance, record_audit=True
+                )
+        reference, replayed = replay_transcript(instance, result.extra["audit"])
         assert [e.to_dict() for e in columnar.iter_events()] == [
-            e.to_dict() for e in legacy.events
+            e.to_dict() for e in reference
         ]
-        assert columnar_result.otc == legacy_result.otc
+        assert replayed.x.tobytes() == result.state.x.tobytes()
 
     def test_compare_emission_paths_identity(self):
         from repro.obs.overhead import compare_emission_paths
@@ -480,6 +477,9 @@ class TestEmissionIdentity:
         cmp = compare_emission_paths("tiny", repeats=1)
         assert cmp.ok, cmp.mismatches
         assert cmp.n_events > 0 and cmp.rounds > 0
+        assert cmp.configs == [
+            "vectorized", "naive", "first-price", "strategies", "warm-start"
+        ]
 
 
 # -- buffer backends ---------------------------------------------------------

@@ -69,11 +69,18 @@ class TestRunBench:
         ]
         # Through the ReplicaPlacer adapter the mechanism spans nest under
         # baseline/AGT-RAM/, so match on the path suffix.
-        for phase in ("bid_sweep", "argmax", "payment", "nn_broadcast"):
-            suffix = f"mechanism/AGT-RAM/round/{phase}"
+        for phase in ("engine_init", "clear"):
+            suffix = f"mechanism/AGT-RAM/{phase}"
             assert any(
                 p.endswith(suffix) for p in record["spans"]
             ), f"missing phase span *{suffix}"
+        assert not any("/round/" in p for p in record["spans"])
+        (rounds,) = [
+            n
+            for p, n in record["counters"].items()
+            if p.endswith("mechanism/AGT-RAM/rounds")
+        ]
+        assert rounds == record["rounds"]
 
     def test_baseline_records_have_spans(self, tiny_doc):
         for name in ("Greedy", "Ae-Star"):

@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.utils.validation import (
     check_finite_array,
     check_fraction,
+    check_nonnegative_int,
     check_positive,
     check_positive_int,
     check_probability,
@@ -26,6 +27,18 @@ class TestCheckPositiveInt:
     def test_message_names_param(self):
         with pytest.raises(ConfigurationError, match="n_servers"):
             check_positive_int(-2, "n_servers")
+
+
+class TestCheckNonnegativeInt:
+    def test_accepts_zero_and_numpy_ints(self):
+        assert check_nonnegative_int(0, "x") == 0
+        value = check_nonnegative_int(np.int64(3), "x")
+        assert value == 3 and type(value) is int
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, 3.0, "3", True, None])
+    def test_rejects(self, bad):
+        with pytest.raises(ConfigurationError, match="max_rounds"):
+            check_nonnegative_int(bad, "max_rounds")
 
 
 class TestCheckPositive:
