@@ -13,6 +13,7 @@
 #   OBS_SCALE       ?= preset          scale for the emission-overhead gate
 #   OBS_RETRIES     ?= n               re-measure attempts for the obs gate
 #   OUT_DIR         ?= dir             where campaign artifacts land
+#   PR              ?= n               change number bench-record files under
 
 BENCH_SCALE ?= tiny
 BENCH_GATE ?= 0
@@ -26,8 +27,9 @@ OBS_RETRIES ?= 2
 OUT_DIR ?= out
 
 .PHONY: install test test-fast test-slow bench bench-json bench-compare \
-        equivalence obs-gate perfbench-check trace audit chaos adversary \
-        serve shard resilience resilience-smoke lint reproduce examples clean
+        bench-record equivalence obs-gate perfbench-check trace audit chaos \
+        adversary serve shard resilience resilience-smoke lint reproduce \
+        examples clean
 
 # Chaos campaign knobs (see docs/robustness.md).
 CHAOS_SEED ?= 5
@@ -79,6 +81,14 @@ bench-compare:
 		--tolerance $(BENCH_TOLERANCE) \
 		$(if $(filter 1,$(BENCH_GATE)),--fail-on-regression,)
 
+# The repository benchmark's trajectory file: every perfbench workload
+# at --trace 0 and --trace 1, each run's JSON summary kept unchanged, in
+# BENCH_<yyyymmdd>_PR$(PR).json with the commit, date and host.  Writes
+# nothing and fails when PR is unset or any run is not correct.
+bench-record:
+	@test -n "$(PR)" || { echo "bench-record: set PR=<n>" >&2; exit 2; }
+	python3 benchmarks/record_perfbench.py --pr $(PR)
+
 # Prove the naive and vectorized AGT-RAM engines are bit-for-bit
 # identical (winners, second prices, placements, full event stream) and
 # that the vectorized engine actually earns its keep.  The tiny leg is
@@ -112,16 +122,17 @@ perfbench-check:
 	python3 perfbench/run.py --workload resilience-composed --trace 1
 	python3 perfbench/run.py --workload serve-flashcrowd --trace 1
 
-# bench-json plus the full observability exports: JSONL event log,
-# Perfetto-loadable Chrome trace, OpenMetrics textfile.
+# bench-json plus the full observability exports: JSONL and binary (REVB)
+# event logs, Perfetto-loadable Chrome trace, OpenMetrics textfile.
 trace:
 	REPRO_BENCH_SCALE=$(BENCH_SCALE) python -m repro bench --out bench.json \
-		--events events.jsonl --chrome-trace trace.json \
-		--metrics-out metrics.prom
+		--events events.jsonl --events-binary events.rev \
+		--chrome-trace trace.json --metrics-out metrics.prom
 
-# Offline axiom verification of the recorded event log.
+# Offline axiom verification of the recorded event log, in both formats.
 audit:
 	python -m repro audit events.jsonl
+	python -m repro audit events.rev
 
 # Seeded fault-injection campaign: lossy channel + crash schedule +
 # central crashes, gated on OTC degradation, then audited offline.
@@ -217,7 +228,7 @@ examples:
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .ruff_cache \
-		.mypy_cache bench.json events.jsonl trace.json metrics.prom \
+		.mypy_cache bench.json events.jsonl events.rev trace.json metrics.prom \
 		out \
 		chaos_events.jsonl chaos_report.json chaos_faults.json \
 		adversary_events.jsonl adversary_report.json \

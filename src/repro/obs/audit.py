@@ -49,7 +49,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.obs.events import (
     AdversaryEvent,
@@ -233,7 +235,10 @@ class _Round:
     """Accumulated state of one in-flight round."""
 
     index: int
-    bids: dict[int, BidEvent] = field(default_factory=dict)
+    #: Each bidding agent's reported value and object, in bid order;
+    #: filled one bid at a time or a whole run of bids at once.
+    values: dict[int, float] = field(default_factory=dict)
+    objs: dict[int, int] = field(default_factory=dict)
     winners: list[WinnerEvent] = field(default_factory=list)
     payments: list[PaymentEvent] = field(default_factory=list)
     rejects: list[CapacityReject] = field(default_factory=list)
@@ -319,17 +324,20 @@ class _Auditor:
                 )
             self._round = _Round(index=event.round)
         elif isinstance(event, BidEvent):
-            if self._round is None:
+            rnd = self._round
+            if rnd is None:
                 self._flag(event.round, "structure", "bid outside any round")
                 return
-            if event.agent in self._round.bids:
+            agent = event.agent
+            if agent in rnd.values:
                 self._flag(
                     event.round,
                     "structure",
-                    f"agent {event.agent} bid twice in one round",
+                    f"agent {agent} bid twice in one round",
                 )
                 return
-            self._round.bids[event.agent] = event
+            rnd.values[agent] = event.value
+            rnd.objs[agent] = event.obj
             self.report.bids_seen += 1
         elif isinstance(event, WinnerEvent):
             if self._round is None:
@@ -350,7 +358,7 @@ class _Auditor:
                 self._flag(event.round, "structure", "timeout outside any round")
                 return
             for agent in event.agents:
-                if agent not in self._round.bids:
+                if agent not in self._round.values:
                     self._flag(
                         event.round,
                         "structure",
@@ -390,6 +398,35 @@ class _Auditor:
             self._round = None
             self.report.rounds_audited += 1
 
+    def feed_record(self, item: Any) -> None:
+        """:meth:`feed` for :func:`repro.obs.export.open_record_stream`'s
+        items: events, and packed runs of bid records."""
+        if type(item) is np.ndarray:
+            self._bid_run(item)
+        else:
+            self.feed(item)
+
+    def _bid_run(self, run: Any) -> None:
+        """Take a packed run of bid records into the open round whole —
+        or as one :class:`BidEvent` at a time when one of its bids would
+        be flagged (no open round, or an agent bidding twice), so
+        violations keep their per-bid kind, text and order."""
+        agents = run["agent"].tolist()
+        values = dict(zip(agents, run["value"].tolist()))
+        rnd = self._round
+        if (
+            rnd is not None
+            and len(values) == len(agents)
+            and rnd.values.keys().isdisjoint(values)
+        ):
+            rnd.values.update(values)
+            rnd.objs.update(zip(agents, run["obj"].tolist()))
+            self.report.bids_seen += len(agents)
+            return
+        names = run.dtype.names[2:]  # past the record header
+        for bid in map(BidEvent, *(run[name].tolist() for name in names)):
+            self.feed(bid)
+
     # -- the three axioms --------------------------------------------------
 
     def _verify_round(self, rnd: _Round, end: RoundEnd) -> None:
@@ -403,12 +440,22 @@ class _Auditor:
         # Bids declared lost by a TimeoutEvent never reached the central
         # body, and bids a ValidationEvent declared rejected never
         # entered the decision, so the argmax/second-price invariants
-        # hold over the *delivered, accepted* reports only.
+        # hold over the *delivered, accepted* reports only.  An accepted
+        # NaN report has no place in that order (every comparison with
+        # it is false): it is flagged and left out.
+        excluded = rnd.missing | rnd.rejected
         values = {
-            a: b.value
-            for a, b in rnd.bids.items()
-            if a not in rnd.missing and a not in rnd.rejected
+            a: v for a, v in rnd.values.items() if v == v and a not in excluded
         }
+        if len(values) + len(excluded & rnd.values.keys()) < len(rnd.values):
+            for a, v in rnd.values.items():
+                if v != v and a not in excluded:
+                    self._flag(
+                        rnd.index,
+                        "structure",
+                        f"agent {a}'s accepted bid is NaN — left out of the "
+                        f"argmax and the price",
+                    )
         best = max(values.values()) if values else float("-inf")
         winner_agents = {w.agent for w in rnd.winners}
 
@@ -450,21 +497,21 @@ class _Auditor:
         values: dict[int, float],
         best: float,
     ) -> None:
-        bid = rnd.bids.get(w.agent)
-        if bid is None:
+        if w.agent not in rnd.values:
             self._flag(
                 rnd.index,
                 "winner",
                 f"winner {w.agent} never bid this round",
             )
             return
-        if not (_close(bid.value, w.value) and bid.obj == w.obj):
+        bid_value, bid_obj = rnd.values[w.agent], rnd.objs[w.agent]
+        if not (_close(bid_value, w.value) and bid_obj == w.obj):
             self._flag(
                 rnd.index,
                 "winner",
                 f"winner record (obj {w.obj}, value {w.value}) does not "
-                f"match agent {w.agent}'s bid (obj {bid.obj}, value "
-                f"{bid.value})",
+                f"match agent {w.agent}'s bid (obj {bid_obj}, value "
+                f"{bid_value})",
             )
         # Argmax (allowing ties in batched rounds, where every winner
         # must still be at least as good as every non-winner).
@@ -585,13 +632,26 @@ def audit_stream(
     never changes the verdict — the same auditor sees the same events
     in the same order; the callback is a read-only checkpoint.
     """
+    return _audit(events, window, on_window, runs=False)
+
+
+def _audit(
+    items: Iterable[Any],
+    window: int,
+    on_window: Optional[Callable[[int, AuditReport], None]],
+    *,
+    runs: bool,
+) -> AuditReport:
+    """:func:`audit_stream` over events, or with ``runs`` over
+    :func:`repro.obs.export.open_record_stream`'s items."""
     if window < 0:
         raise ValueError("window must be >= 0")
     auditor = _Auditor()
     report = auditor.report
+    feed = auditor.feed_record if runs else auditor.feed
     next_mark = window if window else 0
-    for event in events:
-        auditor.feed(event)
+    for item in items:
+        feed(item)
         if window and report.rounds_audited >= next_mark:
             if on_window is not None:
                 on_window(report.rounds_audited, report)
@@ -623,22 +683,23 @@ def audit_files(
     of a rotated chunk set (``events.jsonl`` standing for
     ``events.part00000.jsonl`` …) — resolution and format sniffing via
     :func:`~repro.obs.export.event_log_chunks` /
-    :func:`~repro.obs.export.open_event_stream`.  Files are decoded
+    :func:`~repro.obs.export.open_record_stream`.  Files are decoded
     record-by-record and chained into one stream, so a multi-file,
     multi-gigabyte log audits in bounded memory with verdicts identical
-    to a whole-log audit.
+    to a whole-log audit.  A binary log's runs of bid records reach the
+    auditor as packed record arrays, with no event object per bid.
     """
-    from repro.obs.export import event_log_chunks, open_event_stream
+    from repro.obs.export import event_log_chunks, open_record_stream
 
     resolved: list[Path] = []
     for p in paths:
         resolved.extend(event_log_chunks(p))
 
-    def chained() -> Iterable[Event]:
+    def chained() -> Iterable[Any]:
         for path in resolved:
-            yield from open_event_stream(path)
+            yield from open_record_stream(path)
 
-    return audit_stream(chained(), window=window, on_window=on_window)
+    return _audit(chained(), window, on_window, runs=True)
 
 
 def audit_file(path: str | Path) -> AuditReport:

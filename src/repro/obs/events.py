@@ -80,6 +80,7 @@ __all__ = [
     "NullSink",
     "RecordingSink",
     "ColumnarSink",
+    "EventStream",
     "NULL_SINK",
     "current",
     "install",
@@ -1263,6 +1264,51 @@ class RecordingSink(EventSink):
         return len(self.events)
 
 
+def _expand_items(items: Iterable[Any]) -> Iterator[Event]:
+    for item in items:
+        if isinstance(item, RoundBlock):
+            yield from iter_block_events(item)
+        else:
+            yield item
+
+
+class EventStream:
+    """One pass over a :class:`ColumnarSink`'s stream, blocks expanded
+    lazily.
+
+    Iterating yields the events in emission order; ``iter()`` hands out
+    the expanding generator itself, so a consumer pulls events at
+    generator speed.  A bulk consumer that gets the stream before anyone
+    has iterated it may claim the raw items instead
+    (:meth:`take_items`) — :func:`repro.obs.export.write_events_binary`
+    encodes blocks straight from their columns that way.  Either way the
+    stream is consumed once, like a generator.
+    """
+
+    __slots__ = ("_items", "_it")
+
+    def __init__(self, items: list[Any]) -> None:
+        self._items = items
+        self._it: Optional[Iterator[Event]] = None
+
+    def __iter__(self) -> Iterator[Event]:
+        if self._it is None:
+            self._it = _expand_items(self._items)
+        return self._it
+
+    def __next__(self) -> Event:
+        return next(iter(self))
+
+    def take_items(self) -> Optional[list[Any]]:
+        """The raw items — loose events and :class:`RoundBlock`\\ s, in
+        order — if iteration has not started, else None.  Taking them
+        consumes the stream."""
+        if self._it is not None:
+            return None
+        self._it = iter(())
+        return self._items
+
+
 class ColumnarSink(EventSink):
     """Block-aware recording sink: stores flushed :class:`RoundBlock`\\ s
     raw and interleaves them, in order, with loose events.
@@ -1297,13 +1343,9 @@ class ColumnarSink(EventSink):
         a flat per-object estimate for loose events."""
         return self._nbytes
 
-    def iter_events(self) -> Iterator[Event]:
+    def iter_events(self) -> EventStream:
         """The full stream in emission order, blocks expanded lazily."""
-        for item in self._items:
-            if isinstance(item, RoundBlock):
-                yield from iter_block_events(item)
-            else:
-                yield item
+        return EventStream(self._items)
 
     @property
     def events(self) -> list[Event]:

@@ -15,7 +15,9 @@ Four targets:
   2x smaller than JSONL on mechanism logs (1.98x tiny, 2.10x small,
   2.26x on the ``showcase`` scenario) and decodable in bounded memory.
   Each kind's record layout is compiled once per file into ``struct``
-  runs.  Format spec in docs/observability.md.
+  runs.  Columnar round blocks are encoded straight from their arrays,
+  and runs of bid records decode as packed record arrays; the bytes are
+  the same either way.  Format spec in docs/observability.md.
 * **Chrome trace-event JSON** — loadable in Perfetto / ``chrome://tracing``;
   runs and rounds become duration ("X") slices on the central track,
   bids/winners/payments become instant events on per-agent tracks.
@@ -32,12 +34,15 @@ log format interchangeably.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import fields
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
@@ -48,6 +53,7 @@ from repro.obs.events import (
     CheckpointEvent,
     ElectionEvent,
     Event,
+    EventStream,
     FailoverEvent,
     FaultEvent,
     HealEvent,
@@ -63,6 +69,7 @@ from repro.obs.events import (
     RecoveryEvent,
     RequestEvent,
     RequestTimeout,
+    RoundBlock,
     RoundEnd,
     RoundStart,
     RunEnd,
@@ -73,6 +80,7 @@ from repro.obs.events import (
     TimeoutEvent,
     ValidationEvent,
     WinnerEvent,
+    iter_block_events,
     parse_event,
 )
 
@@ -305,11 +313,19 @@ _HEADER = struct.Struct("<BI")
 #: The writer flushes its record buffer once it holds this many bytes;
 #: the reader decodes from chunks of this size.
 _IO_CHUNK = 1 << 16
+#: Bid records a block is encoded in per step (~1.7 MB of records), so
+#: the encoder's working set stays bounded however large a block is.
+_ENCODE_BIDS = 1 << 15
 
 #: ``struct`` code per fixed-width field annotation.  Annotations are
 #: matched as strings (``from __future__ import annotations`` keeps
 #: them so).
 _FIXED_CODES = {"float": "d", "int": "q", "bool": "?"}
+#: numpy type per ``struct`` code of a fixed-width record.
+_NUMPY_CODES = {"B": "u1", "I": "<u4", "d": "<f8", "q": "<i8", "?": "?"}
+#: The record header alone, as a numpy layout: a strided view of it over
+#: consecutive records checks their kinds and lengths in one step.
+_HEADER_DTYPE = np.dtype([("#kind", "u1"), ("#length", "<u4")])
 #: Variable-width annotations -> bytes per counted item: a u32 count,
 #: then that many UTF-8 bytes, i64s or i64 pairs.  Every event field is
 #: one of these six shapes; a new shape is a hard error when the codec
@@ -331,7 +347,9 @@ class _KindCodec:
     (:attr:`record`): writing a record is then one ``pack`` and reading
     one is one ``unpack_from`` plus the class's positional constructor.
 
-    ``pack(*values(event))`` is the whole record, header included.
+    ``pack(*values(event))`` is the whole record, header included.  An
+    all-fixed-width kind also gets :attr:`dtype`, the same record as a
+    packed numpy layout, for encoding and decoding many records at once.
     """
 
     def __init__(self, index: int, cls: type[Event]) -> None:
@@ -364,6 +382,9 @@ class _KindCodec:
             self.segments.append((first, "", struct.Struct("<" + run)))
         #: Header + payload struct of an all-fixed-width kind, else None.
         self.record: Optional[struct.Struct] = None
+        #: :attr:`record` as a packed numpy layout: ``#kind``,
+        #: ``#length``, then the event's fields by name.
+        self.dtype: Optional[np.dtype] = None
         self.payload_size = 0
         if len(self.segments) == 1 and self.segments[0][2] is not None:
             only = self.segments[0][2]
@@ -371,6 +392,11 @@ class _KindCodec:
             self.payload_size = only.size
             self.pack: Callable[..., bytes] = partial(
                 self.record.pack, index, only.size
+            )
+            names = ["#kind", "#length"] + [f.name for f in fields(cls)]
+            codes = self.record.format[1:]
+            self.dtype = np.dtype(
+                [(n, _NUMPY_CODES[c]) for n, c in zip(names, codes)]
             )
         else:
             self.pack = self._pack_segments
@@ -443,6 +469,94 @@ class _KindCodec:
         return self.cls(*values)
 
 
+def _block_records(
+    block: RoundBlock, bid: _KindCodec, encode: Callable[[Event], bytes]
+) -> Iterator[bytearray]:
+    """The v1 records of ``iter_block_events(block)``, in pieces.
+
+    A numpy-backed block is encoded from its columns ``_ENCODE_BIDS``
+    bid records at a time: the step's bid records are filled in as one
+    packed record array (``bid.dtype``), and the few other records per
+    round are packed one event at a time with ``encode``.  Timestamps
+    follow the expansion's running sum ``t += t_step`` (``np.cumsum``
+    adds in the same order), never ``t0 + j * t_step``.  An
+    :mod:`array`-backed block, and one whose clock is not finite (which
+    NaN an addition of two NaNs returns is the compiled code's choice),
+    is encoded one expanded event at a time.
+    """
+    if not (
+        isinstance(block.bid_vals, np.ndarray)
+        and math.isfinite(block.t0)
+        and math.isfinite(block.t_step)
+    ):
+        out = bytearray()
+        for event in iter_block_events(block):
+            out += encode(event)
+            if len(out) >= _IO_CHUNK:
+                yield out
+                out = bytearray()
+        yield out
+        return
+    assert bid.dtype is not None
+    size = bid.dtype.itemsize
+    m = block.n_agents
+    rule = block.payment_rule
+    step = block.t_step
+    t = block.t0  # the next event's stamp
+    span = max(1, _ENCODE_BIDS // m)
+    for r0 in range(0, block.rounds, span):
+        r1 = min(r0 + span, block.rounds)
+        vals = block.bid_vals[r0:r1]
+        finite = np.isfinite(vals)
+        rows, agents = np.nonzero(finite)
+        counts = np.count_nonzero(finite, axis=1)
+        winners = np.asarray(block.winners[r0:r1])
+        # Events per round: start, bids, winner/payment/nn_update, end.
+        per_row = counts + 2 + 3 * (winners >= 0)
+        firsts = np.cumsum(per_row) - per_row
+        bid_firsts = np.cumsum(counts) - counts
+        steps = np.full(int(per_row.sum()), step, dtype=np.float64)
+        steps[0] = t
+        with np.errstate(all="ignore"):  # overflow to inf, as floats do
+            stamps = np.cumsum(steps)
+            t = stamps[-1] + step
+        bid_at = firsts[rows] + 1 + np.arange(len(rows)) - bid_firsts[rows]
+        recs = np.empty(len(rows), dtype=bid.dtype)
+        recs["#kind"] = bid.index
+        recs["#length"] = bid.payload_size
+        recs["t"] = stamps[bid_at]
+        recs["round"] = block.base_round + r0 + rows
+        recs["agent"] = agents
+        recs["obj"] = block.bid_objs[r0:r1][finite]
+        recs["value"] = vals[finite]
+        recs["region"] = BidEvent.region
+        bids = memoryview(recs.tobytes())
+        others = np.ones(len(stamps), dtype=bool)
+        others[bid_at] = False
+        stamp = iter(stamps[others].tolist()).__next__
+
+        out = bytearray()
+        for i, (w, n, b) in enumerate(
+            zip(winners.tolist(), counts.tolist(), bid_firsts.tolist())
+        ):
+            rnd = block.base_round + r0 + i
+            out += encode(RoundStart(stamp(), rnd))
+            out += bids[b * size : (b + n) * size]
+            j = r0 + i
+            if w >= 0:
+                obj = int(block.objs[j])
+                value = float(vals[i, w])
+                size_j, residual = int(block.obj_sizes[j]), int(block.residuals[j])
+                out += encode(
+                    WinnerEvent(stamp(), rnd, w, obj, value, size_j, residual)
+                )
+                payment = float(block.payments[j])
+                out += encode(PaymentEvent(stamp(), rnd, w, payment, rule))
+                out += encode(NNUpdateEvent(stamp(), rnd, obj, m))
+            out += encode(RoundEnd(stamp(), rnd, int(w >= 0), float(block.otcs[j])))
+        yield out
+
+
 def write_events_binary(events: Iterable[Event], path: str | Path) -> Path:
     """Write the stream in the length-prefixed binary format.
 
@@ -454,22 +568,42 @@ def write_events_binary(events: Iterable[Event], path: str | Path) -> Path:
     fields in declaration order under the per-annotation codecs.
     Records collect in a buffer written out every ~64 KiB.  Returns the
     path written.
+
+    An :class:`~repro.obs.events.EventStream` that nobody has iterated
+    yet is written from its raw items, each
+    :class:`~repro.obs.events.RoundBlock` straight from its columns
+    (:func:`_block_records`) — the bytes its expanded events would give.
+    Any other iterable is encoded one event at a time.
     """
     out = Path(path)
     buf = bytearray(BINARY_MAGIC)
     buf += _U8.pack(BINARY_VERSION)
     buf += _U16.pack(len(EVENT_TYPES))
-    encoders = {}
+    codecs = {}
     for index, (tag, cls) in enumerate(EVENT_TYPES.items()):
         raw = tag.encode("utf-8")
         buf += _U8.pack(len(raw))
         buf += raw
-        codec = _KindCodec(index, cls)
-        encoders[tag] = (codec.pack, codec.values)
+        codecs[tag] = _KindCodec(index, cls)
+    encoders = {tag: (c.pack, c.values) for tag, c in codecs.items()}
+    by_class = {c.cls: (c.pack, c.values) for c in codecs.values()}
+
+    def encode(event: Event) -> bytes:
+        pack, values = encoders[event.type]
+        return pack(*values(event))
+
+    items = events.take_items() if isinstance(events, EventStream) else None
     with open(out, "wb") as f:
-        for event in events:
-            pack, values = encoders[event.type]
-            buf += pack(*values(event))
+        for item in events if items is None else items:
+            enc = by_class.get(type(item))
+            if enc is None and isinstance(item, RoundBlock):
+                f.write(buf)
+                buf.clear()
+                for records in _block_records(item, codecs[BidEvent.type], encode):
+                    f.write(records)
+                continue
+            pack, values = enc or encoders[item.type]
+            buf += pack(*values(item))
             if len(buf) >= _IO_CHUNK:
                 f.write(buf)
                 buf.clear()
@@ -496,18 +630,19 @@ def _refill(
     return buf, 0, len(buf)
 
 
-def iter_events_binary(path: str | Path) -> Iterator[Event]:
-    """Lazily decode a binary event log in bounded memory.
+def _iter_binary_records(path: str | Path, *, runs: bool) -> Iterator[Any]:
+    """Lazily decode a binary event log in bounded memory, one event per
+    record — except, with ``runs``, that each maximal run of consecutive
+    bid records in the current read chunk comes out whole, as one packed
+    record array (``np.frombuffer`` with the bid codec's
+    :attr:`_KindCodec.dtype`; fields ``t``, ``round``, ``agent``,
+    ``obj``, ``value``, ``region``).
 
-    The file is read in ~64 KiB chunks and decoded from an offset into
-    the current chunk, so memory holds one chunk plus at most one record
-    straddling its end (a record longer than a chunk is read whole).
-
-    Raises ``ValueError`` on bad magic, an unsupported container
-    version, an unknown kind tag, an out-of-range kind index, a record
-    truncated in its header or payload, or a record whose declared
-    payload length disagrees with its kind's fields (too short or too
-    long).
+    A run holds only records whose kind byte and declared length are a
+    well-formed bid's; any other record, and a bid record straddling the
+    chunk's end, decodes one at a time, so a run may split at a chunk
+    boundary.  Raises ``ValueError`` as :func:`iter_events_binary`
+    documents.
     """
     with open(path, "rb") as f:
         if f.read(len(BINARY_MAGIC)) != BINARY_MAGIC:
@@ -533,6 +668,10 @@ def iter_events_binary(path: str | Path) -> Iterator[Event]:
         sizes = [c.payload_size for c in codecs]
         lengths = [_HEADER.size + c.payload_size for c in codecs]
         classes = [c.cls for c in codecs]
+        bid_kind, run_dtype = -1, None  # -1: no kind index matches
+        for c in codecs:
+            if runs and c.cls is BidEvent:
+                bid_kind, run_dtype = c.index, c.dtype
         buf = f.read(_IO_CHUNK)
         off, end = 0, len(buf)
         while True:
@@ -544,6 +683,17 @@ def iter_events_binary(path: str | Path) -> Iterator[Event]:
             kind = buf[off]
             if kind >= n_kinds:
                 raise ValueError(f"record kind index {kind} out of range")
+            if kind == bid_kind:
+                step = lengths[kind]
+                heads = np.ndarray(
+                    ((end - off) // step,), _HEADER_DTYPE, buf, off, (step,)
+                )
+                ok = (heads["#kind"] == kind) & (heads["#length"] == sizes[kind])
+                n = int(ok.argmin()) if not ok.all() else len(ok)
+                if n:
+                    yield np.frombuffer(buf, run_dtype, n, off)
+                    off += n * step
+                    continue
             record = records[kind]
             if record is not None and end - off >= lengths[kind]:
                 values = record.unpack_from(buf, off)
@@ -564,19 +714,50 @@ def iter_events_binary(path: str | Path) -> Iterator[Event]:
             yield codecs[kind].decode(buf, start, off)
 
 
+def iter_events_binary(path: str | Path) -> Iterator[Event]:
+    """Lazily decode a binary event log in bounded memory.
+
+    The file is read in ~64 KiB chunks and decoded from an offset into
+    the current chunk, so memory holds one chunk plus at most one record
+    straddling its end (a record longer than a chunk is read whole).
+
+    Raises ``ValueError`` on bad magic, an unsupported container
+    version, an unknown kind tag, an out-of-range kind index, a record
+    truncated in its header or payload, or a record whose declared
+    payload length disagrees with its kind's fields (too short or too
+    long).
+    """
+    return _iter_binary_records(path, runs=False)
+
+
 def read_events_binary(path: str | Path) -> list[Event]:
     """Decode a whole binary event log back into typed events."""
     return list(iter_events_binary(path))
+
+
+def _is_binary_log(path: str | Path) -> bool:
+    with open(path, "rb") as f:
+        return f.read(len(BINARY_MAGIC)) == BINARY_MAGIC
 
 
 def open_event_stream(path: str | Path) -> Iterator[Event]:
     """Lazy event iterator over either log format, sniffed by magic:
     files starting with ``REVB`` decode as binary, anything else parses
     as JSONL."""
-    with open(path, "rb") as f:
-        magic = f.read(len(BINARY_MAGIC))
-    if magic == BINARY_MAGIC:
+    if _is_binary_log(path):
         return iter_events_binary(path)
+    return iter_events_jsonl(path)
+
+
+def open_record_stream(path: str | Path) -> Iterator[Any]:
+    """:func:`open_event_stream`, except that a binary log's runs of bid
+    records come out as packed record arrays (see
+    :func:`_iter_binary_records`) — the form the mechanism audit
+    consumes without building a :class:`BidEvent` per bid.  Expanding
+    a run costs what decoding its records does (a ``BidEvent`` per bid
+    either way), so the event readers decode record by record."""
+    if _is_binary_log(path):
+        return _iter_binary_records(path, runs=True)
     return iter_events_jsonl(path)
 
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import events as ev
-from repro.obs.audit import audit_events, audit_file
-from repro.obs.export import write_events_jsonl
+from repro.obs.audit import audit_events, audit_file, audit_files, audit_stream
+from repro.obs.export import write_events_binary, write_events_jsonl
 
 
 def clean_round(
@@ -330,3 +334,239 @@ class TestCli:
         ]
         bad = write_events_jsonl(corrupted, tmp_path / "bad.jsonl")
         assert main(["audit", str(bad)]) == 1
+
+
+# -- the NaN rule ------------------------------------------------------------
+
+NAN = float("nan")
+
+
+def nan_round(order=(0, 1, 2), *, declared=None, first=NAN) -> list[ev.Event]:
+    """Agent 2 (bid 1.0) declared winner and paid 0.0, while agent 0 bid
+    ``first`` and agent 1 bid 5.0; ``declared`` marks agent 0's bid
+    ``"rejected"`` or ``"lost"``."""
+    bids = {0: first, 1: 5.0, 2: 1.0}
+    events: list[ev.Event] = [ev.RoundStart(t=1.0, round=0)]
+    events += [
+        ev.BidEvent(t=1.0, round=0, agent=a, obj=3, value=bids[a]) for a in order
+    ]
+    if declared == "rejected":
+        events.append(
+            ev.ValidationEvent(
+                t=1.0, round=0, agent=0, kind="schema", obj=3, value=first,
+                detail="rejected",
+            )
+        )
+    elif declared == "lost":
+        events.append(
+            ev.TimeoutEvent(
+                t=1.0, round=0, agents=(0,), expected=3, received=2,
+                quorum_met=True,
+            )
+        )
+    events += [
+        ev.WinnerEvent(
+            t=1.0, round=0, agent=2, obj=3, value=1.0, obj_size=2,
+            residual_before=10,
+        ),
+        ev.PaymentEvent(t=1.0, round=0, agent=2, amount=0.0),
+        ev.NNUpdateEvent(t=1.0, round=0, obj=3, agents=3),
+        ev.RoundEnd(t=1.0, round=0, committed=1, otc=100.0),
+    ]
+    return events
+
+
+class TestNanBids:
+    @pytest.mark.parametrize(
+        "order", [(0, 1, 2), (1, 0, 2), (1, 2, 0)], ids=["first", "middle", "last"]
+    )
+    def test_accepted_nan_is_flagged_and_hides_nothing(self, order):
+        report = audit_events(wrap_run(nan_round(order)))
+        assert [v.kind for v in report.violations] == [
+            "structure", "winner", "payment"
+        ]
+        assert "NaN" in report.violations[0].detail
+        assert report.violations == audit_events(wrap_run(nan_round())).violations
+
+    def test_forged_round_without_the_nan_gets_the_same_findings(self):
+        no_nan = wrap_run(
+            [e for e in nan_round() if not (isinstance(e, ev.BidEvent) and e.agent == 0)]
+        )
+        report = audit_events(no_nan)
+        assert [v.kind for v in report.violations] == ["winner", "payment"]
+        assert report.violations == audit_events(wrap_run(nan_round())).violations[1:]
+
+    def test_positive_infinity_flags_only_the_winner(self):
+        report = audit_events(wrap_run(nan_round(first=float("inf"))))
+        assert [v.kind for v in report.violations] == ["winner"]
+
+    @pytest.mark.parametrize("declared", ["rejected", "lost"])
+    def test_declared_nan_is_not_flagged(self, declared):
+        report = audit_events(wrap_run(nan_round(declared=declared)))
+        assert [v.kind for v in report.violations] == ["winner", "payment"]
+
+
+# -- binary audit: the same verdicts from packed bid runs --------------------
+
+
+def _first(events, cls) -> int:
+    return next(i for i, e in enumerate(events) if isinstance(e, cls))
+
+
+def _inserted(events, index, event) -> list[ev.Event]:
+    out = list(events)
+    out.insert(index, event)
+    return out
+
+
+def _violation_logs() -> dict[str, list[ev.Event]]:
+    """Every log of TestViolations and TestByzantineAudit, plus the NaN
+    logs above."""
+    base = wrap_run(clean_round())
+    pay, win, end = (
+        _first(base, ev.PaymentEvent),
+        _first(base, ev.WinnerEvent),
+        _first(base, ev.RoundEnd),
+    )
+    bid = _first(base, ev.BidEvent)
+    reject = ev.CapacityReject(
+        t=1.0, round=0, agent=2, obj=3, obj_size=2, residual=10
+    )
+    byz = TestByzantineAudit().rejected_round()
+    byz_win = _first(wrap_run(byz), ev.WinnerEvent)
+    logs = {
+        "corrupted-payment": replace_event(base, pay, amount=4.99),
+        "wrong-winner": wrap_run(clean_round(winner=1)),
+        "winner-mismatch": replace_event(base, win, obj=7),
+        "capacity": replace_event(base, win, obj_size=11, residual_before=10),
+        "residual-discontinuity": wrap_run(
+            clean_round(round=0, t=1.0) + clean_round(round=1, t=2.0)
+        ),
+        "unjustified-reject": _inserted(base, -2, reject),
+        "duplicate-reason-reject": _inserted(
+            base, -2, dataclasses.replace(reject, reason="duplicate")
+        ),
+        "first-price": replace_event(base, pay, rule="first_price", amount=5.0),
+        "non-winner-payment": _inserted(
+            base, end, ev.PaymentEvent(t=1.0, round=0, agent=2, amount=1.0)
+        ),
+        "duplicate-bid": _inserted(base, bid, base[bid]),
+        "committed-mismatch": replace_event(base, end, committed=2),
+        "truncated": base[:-3],
+        "rejected-bid": wrap_run(byz),
+        "rejected-winner": replace_event(wrap_run(byz), byz_win, agent=0, value=5.0),
+        "tainted": wrap_run(
+            clean_round(round=0, winner=0)
+            + [
+                ev.RoundStart(t=2.0, round=1),
+                ev.BidEvent(t=2.0, round=1, agent=0, obj=4, value=3.0),
+                ev.QuarantineEvent(
+                    t=2.0, round=1, agent=1, action="quarantine",
+                    strikes=3, until_round=22,
+                ),
+                ev.WinnerEvent(
+                    t=2.0, round=1, agent=0, obj=4, value=3.0,
+                    obj_size=2, residual_before=8,
+                ),
+                ev.PaymentEvent(t=2.0, round=1, agent=0, amount=0.0),
+                ev.NNUpdateEvent(t=2.0, round=1, obj=4, agents=3),
+                ev.RoundEnd(t=2.0, round=1, committed=1, otc=95.0),
+            ]
+        ),
+        "pre-quarantine": wrap_run(
+            [
+                ev.QuarantineEvent(
+                    t=0.5, round=0, agent=1, action="quarantine",
+                    strikes=3, until_round=1,
+                ),
+            ]
+            + clean_round(round=2, winner=0, t=2.0)
+        ),
+        "bid-outside-round": [base[bid]] + base,
+        "bid-in-later-round": wrap_run(
+            clean_round(round=0) + [dataclasses.replace(base[bid], round=1)]
+            + clean_round(round=1, t=2.0)[1:]
+        ),
+    }
+    for order, name in (((0, 1, 2), "first"), ((1, 0, 2), "middle"), ((1, 2, 0), "last")):
+        logs[f"nan-{name}"] = wrap_run(nan_round(order))
+    for declared in ("rejected", "lost"):
+        logs[f"nan-{declared}"] = wrap_run(nan_round(declared=declared))
+    return logs
+
+
+def _window_marks(audit, window: int) -> list:
+    marks: list = []
+    audit(
+        window=window,
+        on_window=lambda rounds, rep: marks.append((rounds, copy.deepcopy(rep))),
+    )
+    return marks
+
+
+def assert_same_verdicts(events, path) -> None:
+    """``audit_file`` on the REVB file of ``events`` reports what
+    ``audit_events`` reports, and ``on_window`` fires at the same points
+    with the same reports."""
+    write_events_binary(events, path)
+    assert audit_file(path) == audit_events(events)
+    for window in (1, 5, 64):
+        from_events = _window_marks(partial(audit_stream, events), window)
+        from_file = _window_marks(partial(audit_files, [path]), window)
+        assert from_file == from_events
+
+
+@pytest.fixture(scope="module")
+def tiny_run_events(tiny_instance) -> list[ev.Event]:
+    from repro.core.agt_ram import run_agt_ram
+
+    with ev.logical_time(), ev.capture(ev.ColumnarSink()) as sink:
+        run_agt_ram(tiny_instance)
+    return list(sink.iter_events())
+
+
+def _tampered(value, data):
+    """``value`` with one field-shaped perturbation drawn from ``data``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + data.draw(st.sampled_from([-2, -1, 1, 2]))
+    if isinstance(value, float):
+        return data.draw(
+            st.sampled_from([value + 1.0, value - 1e-3, -value, NAN, float("inf")])
+        )
+    if isinstance(value, str):
+        return value + "x"
+    return value[1:] if value else (0,)
+
+
+class TestBinaryVerdicts:
+    @pytest.mark.parametrize("name", list(_violation_logs()))
+    def test_violation_log(self, name, tmp_path):
+        assert_same_verdicts(_violation_logs()[name], tmp_path / "log.rev")
+
+    def test_real_run(self, tiny_run_events, tmp_path):
+        assert audit_events(tiny_run_events).ok
+        assert_same_verdicts(tiny_run_events, tmp_path / "log.rev")
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tampered_real_run(self, tiny_run_events, data, tmp_path_factory):
+        events = list(tiny_run_events)
+        how = data.draw(st.sampled_from(["perturb", "drop", "duplicate-bid"]))
+        if how == "duplicate-bid":
+            bids = [i for i, e in enumerate(events) if isinstance(e, ev.BidEvent)]
+            i = data.draw(st.sampled_from(bids))
+            j = data.draw(st.integers(0, len(events)))
+            events.insert(j, events[i])
+        else:
+            i = data.draw(st.integers(0, len(events) - 1))
+            if how == "drop":
+                del events[i]
+            else:
+                names = [f.name for f in dataclasses.fields(events[i])]
+                name = data.draw(st.sampled_from(names))
+                new = _tampered(getattr(events[i], name), data)
+                events[i] = dataclasses.replace(events[i], **{name: new})
+        path = tmp_path_factory.mktemp("tampered") / "log.rev"
+        assert_same_verdicts(events, path)

@@ -563,3 +563,297 @@ class TestBufferBackends:
 
     def test_empty_flush_is_none(self):
         assert ColumnarRoundBuffer(2, [1, 1]).flush() is None
+
+
+# -- bulk export: a sink's stream written from its blocks --------------------
+
+
+@pytest.fixture(scope="module")
+def bulk_setups():
+    """Per scale: the instance and its warm start state, as
+    tests/test_core_agt_ram_pinned.py builds them."""
+    from repro.core.agt_ram import AGTRam
+    from repro.experiments.instances import paper_instance
+    from repro.obs.report import bench_config
+
+    out = {}
+    for scale in ("tiny", "small"):
+        instance = paper_instance(bench_config(scale))
+        rounds = AGTRam().run(instance).rounds
+        warm = AGTRam(max_rounds=rounds // 2).run(instance).state
+        out[scale] = (instance, warm)
+    return out
+
+
+def _bulk_cases() -> list[tuple[str, str, str]]:
+    from test_core_agt_ram_pinned import CONFIGS
+
+    cases = [("tiny", config, start) for config in CONFIGS for start in ("cold", "warm")]
+    return cases + [("small", "default", start) for start in ("cold", "warm")]
+
+
+def _stream_and_list_bytes(sink, tmp_path) -> tuple[bytes, bytes]:
+    """``(sink.iter_events() written straight, its event list written)``."""
+    bulk = write_events_binary(sink.iter_events(), tmp_path / "bulk.rev")
+    ref = write_events_binary(list(sink.iter_events()), tmp_path / "ref.rev")
+    return bulk.read_bytes(), ref.read_bytes()
+
+
+class TestBulkExport:
+    @pytest.mark.parametrize("clock", ["logical", "wall"])
+    @pytest.mark.parametrize(
+        "scale,config,start", _bulk_cases(), ids=["/".join(c) for c in _bulk_cases()]
+    )
+    def test_stream_writes_the_bytes_of_its_events(
+        self, bulk_setups, scale, config, start, clock, tmp_path
+    ):
+        from contextlib import nullcontext
+
+        from repro.core.agt_ram import AGTRam
+        from test_core_agt_ram_pinned import CONFIGS
+
+        instance, warm = bulk_setups[scale]
+        kwargs = {"initial_state": warm.copy()} if start == "warm" else {}
+        with ev.logical_time() if clock == "logical" else nullcontext():
+            with ev.capture(ev.ColumnarSink()) as sink:
+                AGTRam(**CONFIGS[config]).run(instance, **kwargs)
+        bulk, ref = _stream_and_list_bytes(sink, tmp_path)
+        assert bulk == ref
+
+    def test_tiny_run_pin_holds_written_from_the_stream(self, tmp_path):
+        from repro.core.agt_ram import AGTRam
+        from repro.experiments.instances import paper_instance
+        from repro.obs.report import bench_config
+
+        instance = paper_instance(bench_config("tiny"))
+        with ev.logical_time():
+            with ev.capture(ev.ColumnarSink()) as sink:
+                AGTRam(engine="vectorized").run(instance)
+        assert sink.blocks(), "the run emitted no columnar block"
+        path = write_events_binary(sink.iter_events(), tmp_path / "tiny.rev")
+        assert _sha256(path) == TINY_RUN_SHA256
+
+    def test_stream_is_consumed_once(self, tiny_events):
+        sink = ev.ColumnarSink()
+        for event in tiny_events[:3]:
+            sink.emit(event)
+        stream = sink.iter_events()
+        assert next(stream) == tiny_events[0]
+        assert stream.take_items() is None
+        assert list(stream) == tiny_events[1:3]
+        fresh = sink.iter_events()
+        assert fresh.take_items() == tiny_events[:3]
+        assert list(fresh) == []
+
+
+#: Reports a bid row may hold: finite, ±inf, NaN and −0.0.
+_REPORTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _sink_scripts(draw):
+    """A script for a ColumnarSink: blocks staged through a
+    ColumnarRoundBuffer (terminal and bid-less rows included), loose
+    events between them, and arbitrary block clocks."""
+    m = draw(st.integers(1, 5))
+    script = {
+        "m": m,
+        "rule": draw(st.sampled_from(["second_price", "", "r", "区域-ü", "uniform" * 5])),
+        "capacity": draw(st.integers(1, 6)),
+        "base_round": draw(st.integers(0, 10_000)),
+        "rows": [],
+        "clocks": [],
+        "loose": [],
+    }
+    for _ in range(draw(st.integers(1, 12))):
+        vals = draw(st.lists(_REPORTS, min_size=m, max_size=m))
+        objs = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
+        if draw(st.booleans()):
+            commit = (
+                draw(st.integers(0, m - 1)),
+                draw(st.integers(0, 5)),
+                draw(st.integers(-(2**40), 2**40)),
+                draw(st.floats()),
+                draw(st.floats()),
+            )
+        else:
+            commit = draw(st.floats())
+        script["rows"].append((vals, objs, commit))
+    n_blocks = -(-len(script["rows"]) // script["capacity"])
+    for _ in range(n_blocks):
+        script["clocks"].append((draw(st.floats()), draw(st.floats())))
+    for _ in range(n_blocks + 1):
+        script["loose"].append(draw(arbitrary_events.map(lambda e: e[:3])))
+    return script
+
+
+def _play(script, backend: str) -> ev.ColumnarSink:
+    """Emit ``script`` into a fresh ColumnarSink on ``backend`` blocks."""
+    buffer = ColumnarRoundBuffer(
+        script["m"],
+        [3, 1, 4, 1, 5, 9],
+        capacity=script["capacity"],
+        base_round=script["base_round"],
+        payment_rule=script["rule"],
+        backend=backend,
+    )
+    blocks = []
+    for vals, objs, commit in script["rows"]:
+        buffer.stage(vals, objs)
+        if isinstance(commit, tuple):
+            buffer.commit(*commit)
+        else:
+            buffer.close(commit)
+        if buffer.full:
+            blocks.append(buffer.flush())
+    if buffer.n:
+        blocks.append(buffer.flush())
+    sink = ev.ColumnarSink()
+    for block, clock, loose in zip(blocks, script["clocks"], script["loose"]):
+        for event in loose:
+            sink.emit(event)
+        sink.emit_block(replace(block, t0=clock[0], t_step=clock[1]))
+    for event in script["loose"][-1]:
+        sink.emit(event)
+    return sink
+
+
+class TestBulkExportProperties:
+    @given(script=_sink_scripts(), encode_bids=st.integers(1, 8), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_encode_to_the_bytes_of_their_events(
+        self, script, encode_bids, data, tmp_path_factory
+    ):
+        from unittest import mock
+
+        tmp = tmp_path_factory.mktemp("bulk")
+        sink = _play(script, "numpy")
+        assert sink.blocks()
+        # Small encode steps split blocks, so the clock and the bid
+        # records carry across steps.
+        with mock.patch.object(export, "_ENCODE_BIDS", encode_bids):
+            bulk, ref = _stream_and_list_bytes(sink, tmp)
+            assert bulk == ref
+            array = _play(script, "array")
+            path = write_events_binary(array.iter_events(), tmp / "array.rev")
+            assert path.read_bytes() == bulk
+            # A stream someone started writes only what is left.
+            events = list(sink.iter_events())
+            k = data.draw(st.integers(0, len(events)))
+            stream = sink.iter_events()
+            for _ in range(k):
+                next(stream)
+            rest = write_events_binary(stream, tmp / "rest.rev")
+            whole = write_events_binary(events[k:], tmp / "whole.rev")
+            assert rest.read_bytes() == whole.read_bytes()
+
+
+# -- run-aware reader --------------------------------------------------------
+
+
+def _straddling_events() -> list:
+    """The log of test_records_straddling_every_chunk_boundary_round_trip."""
+    events = []
+    for i in range(3000):
+        events.append(RoundStart(t=float(i), round=i))
+        events.append(BidEvent(t=float(i), round=i, agent=i % 7, value=0.5 * i))
+        events.append(PaymentEvent(t=float(i), round=i, rule="r" * (i % 11)))
+    return events
+
+
+def _bid_record(agent: int, tmp_path) -> tuple[bytes, bytes]:
+    return _one_record_log(
+        BidEvent(t=1.0, round=0, agent=agent, obj=3, value=2.0), tmp_path
+    )
+
+
+def _corrupt_logs(tmp_path, tiny_log: bytes) -> dict[str, tuple[bytes, str]]:
+    """Every corruption of TestBinaryCodec/TestChunkedReader, plus a bid
+    record with a wrong declared length in the middle of a bid run:
+    ``name -> (file bytes, the error's pattern)``."""
+    head, _ = _reference_records([])
+    _, bid0 = _bid_record(0, tmp_path)
+    _, bid1 = _bid_record(1, tmp_path)
+    _, bid2 = _bid_record(2, tmp_path)
+    _, partition = _one_record_log(
+        PartitionEvent(t=0.0, round=4, islands=(0, 1)), tmp_path
+    )
+    _, start = _one_record_log(RoundStart(t=0.0, round=1), tmp_path)
+    _, tail = _one_record_log(BidEvent(t=2.0, round=1), tmp_path)
+    short = bid1[:1] + struct.pack("<I", 40) + bid1[5:45]
+    long = bid1[:1] + struct.pack("<I", 56) + bid1[5:] + bytes(8)
+    tag = b"martian"
+    mismatch = "record payload length mismatch"
+    return {
+        "newer-version": (
+            BINARY_MAGIC + bytes([99]) + b"\x00\x00",
+            "newer than supported",
+        ),
+        "unknown-kind-tag": (
+            BINARY_MAGIC + bytes([1]) + b"\x01\x00" + bytes([len(tag)]) + tag,
+            "unknown event kind",
+        ),
+        "truncated-run": (tiny_log[:-3], "truncated"),
+        "payload-short": (head + short, mismatch),
+        "tuple-count-overrun": (
+            head + partition[:21] + struct.pack("<I", 9) + partition[25:],
+            mismatch,
+        ),
+        "payload-long": (
+            head + start[:1] + struct.pack("<I", 24 + 8) + start[5:] + bytes(8),
+            "24 decoded of 32",
+        ),
+        "kind-out-of-range": (
+            head + struct.pack("<BI", len(EVENT_TYPES), 0),
+            "out of range",
+        ),
+        "header-kind-only": (head + tail + tail[:1], "truncated"),
+        "header-mid-length": (head + tail + tail[:3], "truncated"),
+        "payload-cut": (head + tail + tail[:25], "truncated"),
+        "mid-run-short": (head + bid0 + short + bid2, mismatch),
+        "mid-run-long": (head + bid0 + long + bid2, "48 decoded of 56"),
+    }
+
+
+class TestRunReader:
+    def test_straddling_log_audits_the_same(self, tmp_path):
+        events = _straddling_events()
+        path = write_events_binary(events, tmp_path / "long.rev")
+        assert audit_files([path]) == audit_events(events)
+
+    def test_bid_runs_expand_to_the_recorded_events(self, tiny_events, tmp_path):
+        path = write_events_binary(tiny_events, tmp_path / "tiny.rev")
+        items = list(export.open_record_stream(path))
+        runs = [i for i in items if not isinstance(i, ev.Event)]
+        assert runs and sum(len(r) for r in runs) == sum(
+            isinstance(e, BidEvent) for e in tiny_events
+        )
+        assert read_events_binary(path) == tiny_events
+
+    def test_every_corruption_raises_the_same_error_through_the_audit(
+        self, tiny_events, tmp_path
+    ):
+        from repro.obs.audit import audit_file
+
+        tiny_log = write_events_binary(tiny_events, tmp_path / "t.rev").read_bytes()
+        for name, (data, pattern) in _corrupt_logs(tmp_path, tiny_log).items():
+            p = tmp_path / f"{name}.rev"
+            p.write_bytes(data)
+            with pytest.raises(ValueError, match=pattern) as decoded:
+                list(iter_events_binary(p))
+            with pytest.raises(ValueError, match=pattern) as audited:
+                audit_file(p)
+            assert str(audited.value) == str(decoded.value), name
+
+    def test_file_without_the_magic_is_read_as_jsonl(self, tmp_path):
+        from repro.obs.audit import audit_file
+
+        p = tmp_path / "bogus.rev"
+        p.write_bytes(b"NOPE" + b"\x00" * 16)
+        with pytest.raises(ValueError, match="binary event log"):
+            list(iter_events_binary(p))
+        with pytest.raises(ValueError):
+            audit_file(p)
