@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.drp.cost import otc_of_matrix
+from repro.drp.cost import otc_from_read_terms, read_cost_terms
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
@@ -132,7 +132,9 @@ def reauction_objects(
     ``otc_before`` / ``otc_after`` are evaluated against the demand the
     re-auction optimized for (the overrides when given), so
     :attr:`ReauctionOutcome.improved` measures the gain on the demand
-    that actually triggered the re-auction.
+    that actually triggered the re-auction.  They equal
+    :func:`~repro.drp.cost.otc_of_matrix` of the two schemes bit for
+    bit; only the re-auctioned objects' read terms are computed twice.
     """
     ks = _affected(instance, objects)
     sub = build_sub_instance(
@@ -157,6 +159,14 @@ def reauction_objects(
 
     merged = state.copy()
     merged.replace_columns(ks, sub_result.state.x)
+    # ``merged`` differs from ``state`` only in the re-auctioned
+    # columns, so every other object's read term is shared.
+    cols = ks.tolist()
+    terms = read_cost_terms(eval_instance, state.x, range(instance.n_objects))
+    otc_before = otc_from_read_terms(eval_instance, state.x, terms)
+    for k, term in zip(cols, read_cost_terms(eval_instance, merged.x, cols)):
+        terms[k] = term
+    otc_after = otc_from_read_terms(eval_instance, merged.x, terms)
 
     was, now = state.x[:, ks], sub_result.state.x
     add_srv, add_col = np.nonzero(now & ~was)
@@ -172,8 +182,8 @@ def reauction_objects(
         objects=tuple(int(k) for k in ks),
         added=added,
         removed=removed,
-        otc_before=otc_of_matrix(eval_instance, state.x),
-        otc_after=otc_of_matrix(eval_instance, merged.x),
+        otc_before=otc_before,
+        otc_after=otc_after,
         rounds=sub_result.rounds,
         sub_result=sub_result,
     )

@@ -18,6 +18,7 @@ is a handful of (M, N) array operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -114,31 +115,44 @@ def primary_only_otc(instance: DRPInstance) -> float:
     return float(np.einsum("ik,ki,k->", traffic, cp, instance.sizes.astype(np.float64)))
 
 
-def otc_of_matrix(instance: DRPInstance, x: np.ndarray) -> float:
-    """OTC of an arbitrary boolean replication matrix, computed directly.
+def read_cost_terms(
+    instance: DRPInstance, x: np.ndarray, objects: Iterable[int]
+) -> list[float]:
+    """Eq. 1 read cost of each of ``objects`` under the scheme ``x``.
 
-    Avoids building a full :class:`ReplicationState` (no NN-server
-    argmins), which makes it the fitness oracle for population-based
-    baselines that evaluate thousands of candidate X matrices.  Primaries
-    must be present in ``x``.  O(M · Σ_k |R_k|) for the read part plus a
-    few (M, N) products for the write part.
+    One python float per object, in the order given:
+    ``o_k * Σ_i r_ik c(i, NN_ik)``, the term :func:`otc_of_matrix` adds
+    up over all N objects.  An object's term reads only column k of
+    ``x``, so a caller comparing two schemes that differ in a few
+    columns recomputes only those columns' terms
+    (:func:`repro.core.reauction.reauction_objects`).
     """
-    x = np.asarray(x, dtype=bool)
-    m, n = instance.n_servers, instance.n_objects
-    if x.shape != (m, n):
-        raise ValueError(f"x must have shape ({m}, {n}), got {x.shape}")
-    if not x[instance.primaries, np.arange(n)].all():
-        raise ValueError("primary copies may not be de-allocated")
     o = instance.sizes.astype(np.float64)
     c = instance.cost
-
-    read_cost = 0.0
     reads = instance.reads
-    for k in range(n):
+    terms = []
+    for k in objects:
         reps = np.flatnonzero(x[:, k])
         d = c[:, reps[0]] if len(reps) == 1 else c[:, reps].min(axis=1)
-        read_cost += float(o[k]) * float(reads[:, k] @ d)
+        terms.append(float(o[k]) * float(reads[:, k] @ d))
+    return terms
 
+
+def otc_from_read_terms(
+    instance: DRPInstance, x: np.ndarray, terms: Sequence[float]
+) -> float:
+    """OTC of the boolean scheme ``x`` whose per-object read terms
+    (:func:`read_cost_terms`, all N in object order) are ``terms``.
+
+    The terms are added up left to right in a plain loop — not
+    ``sum()``, which compensates float sums from CPython 3.12 on — so
+    the result has the bits of :func:`otc_of_matrix` on every version.
+    """
+    read_cost = 0.0
+    for term in terms:
+        read_cost += term
+
+    o = instance.sizes.astype(np.float64)
     cp = instance.primary_cost_rows()  # (N, M)
     b = np.einsum("ik,ki->k", x, cp)
     w_total = instance.total_write_counts().astype(np.float64)
@@ -146,3 +160,22 @@ def otc_of_matrix(instance: DRPInstance, x: np.ndarray) -> float:
     broadcast = float((w_total * b * o).sum())
     own_copy_refund = np.einsum("ik,ik,ki,k->", instance.writes, x, cp, o)
     return read_cost + float(to_primary + broadcast - own_copy_refund)
+
+
+def otc_of_matrix(instance: DRPInstance, x: np.ndarray) -> float:
+    """OTC of an arbitrary boolean replication matrix, computed directly.
+
+    Avoids building a full :class:`ReplicationState` (no NN-server
+    argmins), which makes it the fitness oracle for population-based
+    baselines that evaluate thousands of candidate X matrices.  Primaries
+    must be present in ``x``.  O(M · Σ_k |R_k|) for the read part
+    (:func:`read_cost_terms`) plus a few (M, N) products for the write
+    part.
+    """
+    x = np.asarray(x, dtype=bool)
+    m, n = instance.n_servers, instance.n_objects
+    if x.shape != (m, n):
+        raise ValueError(f"x must have shape ({m}, {n}), got {x.shape}")
+    if not x[instance.primaries, np.arange(n)].all():
+        raise ValueError("primary copies may not be de-allocated")
+    return otc_from_read_terms(instance, x, read_cost_terms(instance, x, range(n)))

@@ -37,7 +37,7 @@ Document layout (``SCHEMA_VERSION`` = 3)::
                      "parallel_round_work": [...],
                      "serial_round_work": [...]},
           # protocol scenario only:
-          "messages": ..., "bytes": ..., "parallel_speedup": ...
+          "messages": ..., "bytes": ..., "modelled_parallel_speedup": ...
         }, ...
       ]
     }
@@ -261,7 +261,8 @@ def _protocol_record(
         "rounds": best.rounds,
         "messages": summary["messages"],
         "bytes": summary["bytes"],
-        "parallel_speedup": summary["parallel_speedup"],
+        # total / critical-path PARFOR work: a model, not a timing
+        "modelled_parallel_speedup": summary["parallel_speedup"],
         "spans": snap["spans"],
         "counters": snap["counters"],
         **_obs_fields(sink, events_before, bytes_before),

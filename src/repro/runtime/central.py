@@ -130,17 +130,34 @@ class CentralBody:
             return RoundOutcome(
                 decision=Decision.DO_NOT_REPLICATE, rejected=rejected_t
             )
+        return self.clear(values, objs, rejected_t)
+
+    def clear(
+        self,
+        values: np.ndarray,
+        objs: np.ndarray,
+        rejected: tuple[int, ...] = (),
+    ) -> RoundOutcome:
+        """Decide one round from its report vectors.
+
+        ``values[i]`` is agent ``i``'s report (``-inf`` when it sent
+        none) and ``objs[i]`` the object it bid for.  The first-index
+        argmax wins when its report is finite and positive, and pays
+        what the payment rule charges; otherwise the answer is (0) do
+        not replicate.  :meth:`decide` calls this once its screening
+        has settled the surviving bids; a caller that already holds
+        unscreened reports as arrays calls it directly.
+        """
         winner = int(np.argmax(values))
         best = float(values[winner])
         if not np.isfinite(best) or best <= 0.0:
             return RoundOutcome(
-                decision=Decision.DO_NOT_REPLICATE, rejected=rejected_t
+                decision=Decision.DO_NOT_REPLICATE, rejected=rejected
             )
-        payment = self._pay(values, winner)
         return RoundOutcome(
             decision=Decision.REPLICATE,
             winner=winner,
             obj=int(objs[winner]),
-            payment=payment,
-            rejected=rejected_t,
+            payment=self._pay(values, winner),
+            rejected=rejected,
         )

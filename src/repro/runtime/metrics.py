@@ -50,7 +50,12 @@ class RuntimeMetrics:
 
     @property
     def parallel_speedup(self) -> float:
-        """Ideal speedup of the PARFOR over a serial evaluation."""
+        """Ideal speedup of the PARFOR over a serial evaluation.
+
+        A model, not a measurement: total work over critical-path work,
+        counted in object evaluations, not timed.  ``repro bench``
+        reports it as ``modelled_parallel_speedup``.
+        """
         cp = self.critical_path_work
         return self.total_work / cp if cp else 1.0
 

@@ -7,6 +7,14 @@ vectorized engine cannot, and — by construction — the *same final
 replication scheme* as :class:`~repro.core.agt_ram.AGTRam` under
 truthful agents (a tested equivalence).
 
+A round whose bids nothing on the way can drop, corrupt or screen (no
+fault plan, adversary or quarantine) clears on the central's report
+vectors through :meth:`CentralBody.clear`; its messages and events are
+the ones the bid-by-bid round would record.  Rounds behind the fault
+channel or the trust boundary send each bid as a message and go
+through :meth:`CentralBody.decide`'s screening, which ends in the same
+``clear`` step.
+
 Fault injection (:mod:`repro.runtime.faults`) layers realistic failure
 modes on top of the faithful protocol: agent crash/recover intervals,
 central-body crashes with checkpoint recovery, stragglers, and a lossy
@@ -311,6 +319,9 @@ class SemiDistributedSimulator:
             if (self.adversary is not None or self.quarantine is not None)
             else None
         )
+        # Bids travel as messages only where something on the way can
+        # drop, corrupt or screen them; otherwise rounds clear on arrays.
+        per_message = injector is not None or boundary is not None
 
         agents = []
         for i in range(m):
@@ -476,121 +487,166 @@ class SemiDistributedSimulator:
                 # are finite, so a truthful agent's dominant report is
                 # the engine's cached first-index argmax of its row (-inf
                 # when L_i is empty); strategic agents evaluate theirs.
+                # The reports land in the central's (M,) vectors: -inf
+                # for agents that send nothing.
                 t0 = perf_counter() if traced else 0.0
+                idx = np.array(ordered, dtype=np.intp)
                 vals, objs = engine.best_per_server()
-                bids: dict[int, Optional[Bid]] = {
-                    i: None if value == NEG_INF else Bid(i, obj, value)
-                    for i, obj, value in zip(
-                        ordered, objs[ordered].tolist(), vals[ordered].tolist()
-                    )
-                }
+                values = np.full(m, NEG_INF)
+                bid_objs = np.full(m, -1, dtype=np.int64)
+                values[idx] = vals[idx]
+                bid_objs[idx] = objs[idx]
                 strategic = [i for i in ordered if i in self.strategies]
                 if strategic:
                     deviators = [agents[i] for i in strategic]
-                    bids.update(
-                        zip(strategic, evaluator.evaluate(deviators, engine))
-                    )
+                    for i, bid in zip(
+                        strategic, evaluator.evaluate(deviators, engine)
+                    ):
+                        if bid is None:
+                            values[i] = NEG_INF
+                        else:
+                            values[i] = bid.value
+                            bid_objs[i] = bid.obj
                 if traced:
                     tracer.add("round/bid_sweep", perf_counter() - t0)
 
                 # Per-agent work this round = |L_i| object evaluations.
-                metrics.record_round_work(
-                    engine.eligible_counts(np.asarray(ordered)).tolist()
-                )
+                metrics.record_round_work(engine.eligible_counts(idx).tolist())
 
-                honest: dict[int, Bid] = {}
-                for agent_id, bid in bids.items():
-                    if bid is None:
-                        # Empty L_i: the agent leaves the game (line 18).
-                        active.discard(agent_id)
-                    else:
-                        honest[agent_id] = bid
-                if adv is not None:
-                    # Byzantine corruption happens at the (lying) agent,
-                    # before the lossy channel sees the traffic.
-                    sends = adv.corrupt_round(round_idx, honest, state, instance)
-                else:
-                    sends = {a: [(b.obj, b.value)] for a, b in honest.items()}
+                # Empty L_i: the agent leaves the game (line 18).
+                bidding = values[idx] != NEG_INF
+                active.difference_update(idx[~bidding].tolist())
+                senders = idx[bidding]
+                s_ids = senders.tolist()
+                s_objs = bid_objs[senders].tolist()
+                s_vals = values[senders].tolist()
 
-                bid_msgs: list[BidMessage] = []  # arrived at the central
                 missing: list[int] = []  # bids lost to the channel
-                n_senders = 0
-                for agent_id in sorted(sends):
-                    n_senders += 1
-                    arrived = False
-                    for si, (obj, value) in enumerate(sends[agent_id]):
-                        if injector is None:
-                            msg = BidMessage(
-                                sender=agent_id,
-                                receiver=acting_central,
-                                obj=obj,
-                                value=value,
-                                seq=si,
-                            )
-                            metrics.log.record(msg)
-                            bid_msgs.append(msg)
-                            arrived = True
-                        else:
-                            copies = injector.send_bid(
-                                rnd=pround,
-                                sender=agent_id,
-                                receiver=acting_central,
-                                obj=obj,
-                                value=value,
-                                log=metrics.log,
-                            )
-                            if copies:
-                                bid_msgs.extend(copies)
-                                arrived = True
-                    if not arrived:
-                        missing.append(agent_id)
-                    if eventing:
-                        obj, value = sends[agent_id][0]
-                        sink.emit(
-                            ev.BidEvent(
-                                t=ev.now(),
-                                round=round_idx,
-                                agent=agent_id,
-                                obj=obj,
-                                value=value,
-                            )
-                        )
-
-                if injector is not None and missing:
-                    # The bid deadline passed with reports still in
-                    # flight: degrade gracefully if a quorum arrived,
-                    # stall and retry otherwise.
-                    received = n_senders - len(missing)
-                    required = injector.quorum.required(n_senders)
-                    quorum_met = received >= required
-                    injector.summary["timeouts"] += 1
-                    if eventing:
-                        sink.emit(
-                            ev.TimeoutEvent(
-                                t=ev.now(),
-                                round=round_idx,
-                                agents=tuple(missing),
-                                expected=n_senders,
-                                received=received,
-                                quorum_met=quorum_met,
-                            )
-                        )
-                    if not quorum_met or received == 0:
-                        stall(otc_now())
-                        continue
-
-                t0 = perf_counter() if traced else 0.0
                 offended = False
-                if boundary is not None:
-                    # Validator + online detector + strike accounting in
-                    # front of the central body.
-                    bid_msgs, offended = boundary.screen(
-                        bid_msgs, state, engine, round_idx
+                if per_message:
+                    if adv is not None:
+                        # Byzantine corruption happens at the (lying)
+                        # agent, before the lossy channel sees the traffic.
+                        sends = adv.corrupt_round(
+                            round_idx,
+                            {
+                                a: Bid(a, obj, value)
+                                for a, obj, value in zip(s_ids, s_objs, s_vals)
+                            },
+                            state,
+                            instance,
+                        )
+                    else:
+                        sends = {
+                            a: [(obj, value)]
+                            for a, obj, value in zip(s_ids, s_objs, s_vals)
+                        }
+
+                    bid_msgs: list[BidMessage] = []  # arrived at the central
+                    n_senders = 0
+                    for agent_id in sorted(sends):
+                        n_senders += 1
+                        arrived = False
+                        for si, (obj, value) in enumerate(sends[agent_id]):
+                            if injector is None:
+                                msg = BidMessage(
+                                    sender=agent_id,
+                                    receiver=acting_central,
+                                    obj=obj,
+                                    value=value,
+                                    seq=si,
+                                )
+                                metrics.log.record(msg)
+                                bid_msgs.append(msg)
+                                arrived = True
+                            else:
+                                copies = injector.send_bid(
+                                    rnd=pround,
+                                    sender=agent_id,
+                                    receiver=acting_central,
+                                    obj=obj,
+                                    value=value,
+                                    log=metrics.log,
+                                )
+                                if copies:
+                                    bid_msgs.extend(copies)
+                                    arrived = True
+                        if not arrived:
+                            missing.append(agent_id)
+                        if eventing:
+                            obj, value = sends[agent_id][0]
+                            sink.emit(
+                                ev.BidEvent(
+                                    t=ev.now(),
+                                    round=round_idx,
+                                    agent=agent_id,
+                                    obj=obj,
+                                    value=value,
+                                )
+                            )
+
+                    if injector is not None and missing:
+                        # The bid deadline passed with reports still in
+                        # flight: degrade gracefully if a quorum arrived,
+                        # stall and retry otherwise.
+                        received = n_senders - len(missing)
+                        required = injector.quorum.required(n_senders)
+                        quorum_met = received >= required
+                        injector.summary["timeouts"] += 1
+                        if eventing:
+                            sink.emit(
+                                ev.TimeoutEvent(
+                                    t=ev.now(),
+                                    round=round_idx,
+                                    agents=tuple(missing),
+                                    expected=n_senders,
+                                    received=received,
+                                    quorum_met=quorum_met,
+                                )
+                            )
+                        if not quorum_met or received == 0:
+                            stall(otc_now())
+                            continue
+
+                    t0 = perf_counter() if traced else 0.0
+                    if boundary is not None:
+                        # Validator + online detector + strike accounting
+                        # in front of the central body.
+                        bid_msgs, offended = boundary.screen(
+                            bid_msgs, state, engine, round_idx
+                        )
+                    outcome = self.central.decide(bid_msgs, m, rnd=round_idx)
+                    offended = offended or bool(outcome.rejected)
+                    if traced:
+                        tracer.add("round/decision", perf_counter() - t0)
+                else:
+                    # Nothing on the way drops, corrupts or screens a
+                    # bid: every sender's report reaches the central as
+                    # sent, so the round clears on the vectors.
+                    metrics.log.record_fanout(
+                        lambda j: BidMessage(
+                            sender=s_ids[j],
+                            receiver=acting_central,
+                            obj=s_objs[j],
+                            value=s_vals[j],
+                        ),
+                        range(len(s_ids)),
                     )
-                outcome = self.central.decide(bid_msgs, m, rnd=round_idx)
-                offended = offended or bool(outcome.rejected)
-                if traced:
-                    tracer.add("round/decision", perf_counter() - t0)
+                    if eventing:
+                        for agent_id, obj, value in zip(s_ids, s_objs, s_vals):
+                            sink.emit(
+                                ev.BidEvent(
+                                    t=ev.now(),
+                                    round=round_idx,
+                                    agent=agent_id,
+                                    obj=obj,
+                                    value=value,
+                                )
+                            )
+                    t0 = perf_counter() if traced else 0.0
+                    outcome = self.central.clear(values, bid_objs)
+                    if traced:
+                        tracer.add("round/decision", perf_counter() - t0)
                 if outcome.decision is Decision.DO_NOT_REPLICATE:
                     if injector is not None and (missing or down):
                         # The quiet view may be an artifact of lost bids
@@ -623,17 +679,21 @@ class SemiDistributedSimulator:
                 stalled = 0
                 fruitless = 0
                 if eventing:
+                    if per_message:
+                        won_value = next(
+                            b.value for b in bid_msgs if b.sender == outcome.winner
+                        )
+                        n_bids = len({b.sender for b in bid_msgs})
+                    else:
+                        won_value = float(values[outcome.winner])
+                        n_bids = len(s_ids)
                     sink.emit(
                         ev.WinnerEvent(
                             t=ev.now(),
                             round=round_idx,
                             agent=outcome.winner,
                             obj=outcome.obj,
-                            value=next(
-                                b.value
-                                for b in bid_msgs
-                                if b.sender == outcome.winner
-                            ),
+                            value=won_value,
                             obj_size=int(instance.sizes[outcome.obj]),
                             residual_before=int(state.residual[outcome.winner]),
                         )
@@ -780,11 +840,9 @@ class SemiDistributedSimulator:
                     assert series is not None
                     series.append(
                         otc=state.tracked_otc(),
-                        best_bid=next(
-                            b.value for b in bid_msgs if b.sender == outcome.winner
-                        ),
+                        best_bid=won_value,
                         payment=outcome.payment,
-                        n_bids=len({b.sender for b in bid_msgs}),
+                        n_bids=n_bids,
                         messages=metrics.log.total_messages() - msgs_before,
                         bytes=metrics.log.bytes_total - bytes_before,
                     )

@@ -177,7 +177,10 @@ def serve(
     outage, a straggler answers ``straggler_factor`` slower.  ``state``
     is not mutated; re-auctions swap fresh states into the router.
     Event emission follows the repro.obs discipline — nothing is
-    recorded unless a sink is installed.
+    recorded unless a sink is installed.  A request whose ``kind`` is
+    not ``"read"``/``"write"`` or whose ``server``/``obj`` is out of
+    range raises :class:`~repro.errors.ConfigurationError` naming its
+    tick and field, before it is admitted or counted.
     """
     cfg = config or ServeConfig()
     plan = faults or FaultSchedule.null()
@@ -245,7 +248,25 @@ def serve(
             lat *= cfg.straggler_factor
         return lat
 
+    n_servers, n_objects = instance.n_servers, instance.n_objects
     for tick, req in enumerate(stream):
+        # A malformed request is the caller's error, reported before it
+        # moves any counter (plain comparisons: this runs per request).
+        if req.kind != "read" and req.kind != "write":
+            raise ConfigurationError(
+                f"request at tick {tick}: kind must be 'read' or 'write', "
+                f"got {req.kind!r}"
+            )
+        if not 0 <= req.server < n_servers:
+            raise ConfigurationError(
+                f"request at tick {tick}: server must be in "
+                f"[0, {n_servers}), got {req.server}"
+            )
+        if not 0 <= req.obj < n_objects:
+            raise ConfigurationError(
+                f"request at tick {tick}: obj must be in "
+                f"[0, {n_objects}), got {req.obj}"
+            )
         rnd = tick // cfg.requests_per_round
         if not bucket.admit():
             report.shed += 1

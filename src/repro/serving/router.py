@@ -17,28 +17,52 @@ re-auction runs.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable
 
 import numpy as np
 
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
+from repro.errors import ConfigurationError
 
 __all__ = ["RequestRouter"]
 
 
 class RequestRouter:
-    """Nearest-replica-first routing with failover ordering."""
+    """Nearest-replica-first routing with failover ordering.
+
+    Each object's replica list is read off the installed placement once,
+    on first use, and kept until :meth:`swap_state` installs another
+    one.  An installed state must therefore not be mutated in place:
+    install a new state instead (``serve`` installs private copies).
+    """
 
     def __init__(self, instance: DRPInstance, state: ReplicationState):
         self.instance = instance
         self.state = state
+        self._n_servers = instance.n_servers
+        self._n_objects = instance.n_objects
+        #: object -> its replica servers in ``state`` (python ints, ascending)
+        self._replicas: dict[int, list[int]] = {}
+        #: origin -> its row of the cost matrix (indexing yields python floats)
+        self._cost_rows: dict[int, array] = {}
 
     def swap_state(self, state: ReplicationState) -> ReplicationState:
         """Install a new placement; returns the one it replaced."""
         previous = self.state
         self.state = state
+        self._replicas = {}
         return previous
+
+    def _reject(self, origin: int, obj: int) -> None:
+        if not 0 <= origin < self._n_servers:
+            raise ConfigurationError(
+                f"origin server must be in [0, {self._n_servers}), got {origin}"
+            )
+        raise ConfigurationError(
+            f"object id must be in [0, {self._n_objects}), got {obj}"
+        )
 
     def read_candidates(
         self, origin: int, obj: int, *, exclude: Iterable[int] = ()
@@ -48,22 +72,33 @@ class RequestRouter:
         Ordered by link cost from ``origin`` (ties break to the lower
         server id, keeping the order deterministic); ``exclude`` drops
         servers the caller already knows are unusable (crashed,
-        unhealthy, or already tried).
+        unhealthy, or already tried).  Out-of-range ids raise
+        :class:`~repro.errors.ConfigurationError`.
         """
-        reps = self.state.replica_set(obj)
-        dropped = set(int(s) for s in exclude)
+        # Plain comparisons: this runs once per request.
+        if not (0 <= origin < self._n_servers and 0 <= obj < self._n_objects):
+            self._reject(origin, obj)
+        reps = self._replicas.get(obj)
+        if reps is None:
+            reps = np.flatnonzero(self.state.x[:, obj]).tolist()
+            self._replicas[obj] = reps
+        dropped = {int(s) for s in exclude}
         if dropped:
-            reps = np.array(
-                [s for s in reps if int(s) not in dropped], dtype=np.int64
-            )
-        if len(reps) == 0:
-            return []
-        costs = self.instance.cost[origin, reps]
-        order = np.lexsort((reps, costs))
-        return [int(s) for s in reps[order]]
+            reps = [s for s in reps if s not in dropped]
+        if len(reps) < 2:
+            return list(reps)
+        row = self._cost_rows.get(origin)
+        if row is None:
+            row = array("d", self.instance.cost[origin].tolist())
+            self._cost_rows[origin] = row
+        # A stable sort of the ascending ids: equal costs keep the lower
+        # server id first, the order ``np.lexsort((reps, costs))`` gives.
+        return sorted(reps, key=row.__getitem__)
 
     def write_target(self, obj: int) -> int:
         """Writes go to the primary (the cost model's update path)."""
+        if not 0 <= obj < self._n_objects:
+            self._reject(0, obj)
         return int(self.instance.primaries[obj])
 
     def route_read(

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import build_sub_instance, reauction_objects
+from repro.core.agt_ram import run_agt_ram
 from repro.drp.cost import otc_of_matrix
 from repro.drp.feasibility import check_state
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
 from repro.runtime.simulator import SemiDistributedSimulator
+
+from _strategies import drp_instances
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +180,66 @@ class TestReauctionObjects:
         before = placed.state.x.copy()
         reauction_objects(tiny_instance, placed.state, [0, 1])
         np.testing.assert_array_equal(placed.state.x, before)
+
+
+def reference_otc(instance, x):
+    """``otc_of_matrix`` as written before it was split into per-object
+    read terms: the read part accumulated inline, object by object."""
+    o = instance.sizes.astype(np.float64)
+    c = instance.cost
+    read_cost = 0.0
+    for k in range(instance.n_objects):
+        reps = np.flatnonzero(x[:, k])
+        d = c[:, reps[0]] if len(reps) == 1 else c[:, reps].min(axis=1)
+        read_cost += float(o[k]) * float(instance.reads[:, k] @ d)
+    cp = instance.primary_cost_rows()
+    b = np.einsum("ik,ki->k", x, cp)
+    w_total = instance.total_write_counts().astype(np.float64)
+    to_primary = np.einsum("ik,ki,k->", instance.writes, cp, o)
+    broadcast = float((w_total * b * o).sum())
+    own_copy_refund = np.einsum("ik,ik,ki,k->", instance.writes, x, cp, o)
+    return read_cost + float(to_primary + broadcast - own_copy_refund)
+
+
+class TestSharedOtcTerms:
+    """``otc_before`` / ``otc_after`` share every read term outside the
+    re-auctioned columns and must keep ``otc_of_matrix``'s bits."""
+
+    @given(instance=drp_instances(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equal_to_otc_of_matrix(self, instance, data):
+        m, n = instance.n_servers, instance.n_objects
+        # Several replicas per object after an auction, one before.
+        if data.draw(st.booleans(), label="auctioned"):
+            state = run_agt_ram(instance).state
+        else:
+            state = ReplicationState.primaries_only(instance)
+        # Unsorted, possibly repeated ids.
+        objects = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n),
+            label="objects",
+        )
+        reads = writes = None
+        if data.draw(st.booleans(), label="override"):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            reads = rng.uniform(0.0, 40.0, (m, n))
+            writes = rng.uniform(0.0, 8.0, (m, n))
+        out = reauction_objects(instance, state, objects, reads=reads, writes=writes)
+        evaluated = (
+            instance
+            if reads is None
+            else replace(instance, reads=reads, writes=writes)
+        )
+        assert out.otc_before == otc_of_matrix(evaluated, state.x)
+        assert out.otc_after == otc_of_matrix(evaluated, out.state.x)
+        assert out.otc_after == reference_otc(evaluated, out.state.x)
+
+    @given(instance=drp_instances(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_otc_of_matrix_keeps_its_bits(self, instance, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.random((instance.n_servers, instance.n_objects)) < 0.4
+        x[instance.primaries, np.arange(instance.n_objects)] = True
+        reads = rng.uniform(0.0, 40.0, x.shape)
+        evaluated = replace(instance, reads=reads)
+        assert otc_of_matrix(evaluated, x) == reference_otc(evaluated, x)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.obs import events as ev
 from repro.obs.audit import audit_events, audit_serving_events
 from repro.obs.export import write_events_jsonl
@@ -160,3 +164,33 @@ class TestEventStream:
             config=ServeConfig(), seed=11, n_requests=200,
         )
         assert report.served == 200
+
+
+class TestMalformedRequests:
+    """A request ``serve()`` cannot route is rejected, not reinterpreted:
+    no other kind served as a read, no wrapped-around negative id."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", "delete"),
+            ("server", -1),
+            ("server", "M"),
+            ("obj", -2),
+            ("obj", "N"),
+        ],
+        ids=["kind-delete", "server-negative", "server-M", "obj-negative", "obj-N"],
+    )
+    def test_rejected_before_any_counter_moves(self, served_instance, field, value):
+        instance, placement = served_instance
+        value = {"M": instance.n_servers, "N": instance.n_objects}.get(value, value)
+        requests = list(
+            itertools.islice(make_traffic("worldcup", instance, 20, seed=11).stream, 8)
+        )
+        requests[5] = replace(requests[5], **{field: value})
+        with ev.logical_time(), ev.capture() as sink:
+            with pytest.raises(ConfigurationError, match=f"tick 5: {field} "):
+                serve(instance, placement.state, iter(requests), seed=11)
+        # Ticks 0-4 were served and logged; tick 5 left no trace.
+        ticks = [e.tick for e in sink.events if hasattr(e, "tick")]
+        assert sorted(set(ticks)) == [0, 1, 2, 3, 4]
