@@ -1,17 +1,20 @@
 """Extension (paper §7): hierarchical/regional mechanisms.
 
 "This would enable the system to be less vulnerable to the failures of
-a single mechanism" — measured: the sequential two-level game exactly
-reproduces the flat mechanism; the concurrent regional game converges
-in far fewer global rounds for a small quality cost; and killing one
+a single mechanism" — measured: the concurrent regional game converges
+in far fewer global rounds for a small quality cost; §7's cooperative
+regional game prices whole regions' read rerouting; and killing one
 regional body degrades savings gracefully where the flat design would
 lose everything.
 """
 
+import numpy as np
+
 from _config import BENCH_BASE
 from repro.core.agt_ram import run_agt_ram
-from repro.core.hierarchical import HierarchicalAGTRam
 from repro.experiments.instances import paper_instance
+from repro.runtime.faults import FaultPlan, FaultSchedule
+from repro.runtime.shard import ShardedAGTRam, partition_by_proximity
 from repro.utils.tables import render_table
 
 N_REGIONS = 5
@@ -21,22 +24,23 @@ def run_all():
     instance = paper_instance(
         BENCH_BASE.with_(rw_ratio=0.95, capacity_fraction=0.45, name="hier")
     )
+    part = partition_by_proximity(instance, N_REGIONS, seed=1)
     flat = run_agt_ram(instance)
-    seq = HierarchicalAGTRam(n_regions=N_REGIONS, mode="sequential", seed=1).run(
-        instance
+    con = ShardedAGTRam(partition=part).run(instance)
+    coop = ShardedAGTRam(partition=part, valuation="regional").run(instance)
+    # Region 0's body is lost: its every agent is down for the whole run.
+    horizon = instance.n_servers * instance.n_objects
+    region_0_down = FaultPlan(
+        schedule=FaultSchedule(
+            agent_crashes={
+                int(a): ((0, horizon),) for a in np.flatnonzero(part == 0)
+            }
+        ),
+        checkpoint_period=0,
     )
-    con = HierarchicalAGTRam(n_regions=N_REGIONS, mode="concurrent", seed=1).run(
-        instance
-    )
-    coop = HierarchicalAGTRam(
-        n_regions=N_REGIONS, mode="concurrent", regional_game="cooperative", seed=1
-    ).run(instance)
-    one_down = HierarchicalAGTRam(
-        n_regions=N_REGIONS, mode="concurrent", seed=1, failed_regions=[0]
-    ).run(instance)
+    one_down = ShardedAGTRam(partition=part, faults=region_0_down).run(instance)
     return {
         "flat": flat,
-        "sequential": seq,
         "concurrent": con,
         "concurrent+cooperative": coop,
         "1-region-down": one_down,
@@ -57,16 +61,11 @@ def test_hierarchical_extension(benchmark, report):
             "[R/W=0.95, C=45%]",
         )
     )
-    flat, seq, con, down = (
+    flat, con, down = (
         results["flat"],
-        results["sequential"],
         results["concurrent"],
         results["1-region-down"],
     )
-    import numpy as np
-
-    # Sequential two-level game is allocation-identical to flat.
-    assert np.array_equal(seq.state.x, flat.state.x)
     # Concurrent autonomy: ~n_regions x fewer global rounds...
     assert con.rounds < flat.rounds * 0.6
     # ...at a bounded quality cost.

@@ -3,14 +3,14 @@
 Every mechanism round is a synchronization of the whole system, so
 deployments care about the rounds-vs-quality frontier.  Two variants
 trade intra-round staleness for fewer rounds: AGT-RAM's batched rounds
-(the paper's "list of objects" phrasing) and the hierarchical
-concurrent mode (§7).  This bench maps the frontier.
+(the paper's "list of objects" phrasing) and concurrent regional
+clearing (§7).  This bench maps the frontier.
 """
 
 from _config import BENCH_BASE
 from repro.core.agt_ram import AGTRam
-from repro.core.hierarchical import HierarchicalAGTRam
 from repro.experiments.instances import paper_instance
+from repro.runtime.shard import ShardedAGTRam
 from repro.utils.tables import render_table
 
 
@@ -22,9 +22,7 @@ def run_frontier():
         "Figure 2 (1/round)": AGTRam(),
         "batched B=4": AGTRam(batch_size=4),
         "batched B=16": AGTRam(batch_size=16),
-        "concurrent 5 regions": HierarchicalAGTRam(
-            n_regions=5, mode="concurrent", seed=2
-        ),
+        "concurrent 5 regions": ShardedAGTRam(n_regions=5, seed=2),
     }
     out = {}
     for label, mech in variants.items():

@@ -66,8 +66,6 @@ from repro.core import (
     RandomProjection,
     one_shot_utilities,
     full_run_utilities,
-    HierarchicalAGTRam,
-    partition_by_proximity,
     AdaptiveReplicator,
 )
 from repro.workload.drift import drifting_workloads
@@ -89,6 +87,7 @@ from repro.baselines import (
     make_placer,
 )
 from repro.runtime import SemiDistributedSimulator
+from repro.runtime.shard import ShardedAGTRam, partition_by_proximity
 from repro.experiments import (
     ExperimentConfig,
     SCALES,
@@ -149,8 +148,6 @@ __all__ = [
     "RandomProjection",
     "one_shot_utilities",
     "full_run_utilities",
-    "HierarchicalAGTRam",
-    "partition_by_proximity",
     "AdaptiveReplicator",
     "drifting_workloads",
     # io
@@ -170,6 +167,8 @@ __all__ = [
     "make_placer",
     # runtime
     "SemiDistributedSimulator",
+    "ShardedAGTRam",
+    "partition_by_proximity",
     # experiments
     "ExperimentConfig",
     "SCALES",

@@ -39,11 +39,6 @@ from repro.core.equilibrium import (
     full_run_utilities,
     truthfulness_gap,
 )
-from repro.core.hierarchical import (
-    HierarchicalAGTRam,
-    partition_by_proximity,
-    RegionStats,
-)
 from repro.core.adaptive import AdaptiveReplicator, EpochOutcome
 from repro.core.disposition import (
     run_with_declared_capacities,
@@ -80,9 +75,6 @@ __all__ = [
     "one_shot_utilities",
     "full_run_utilities",
     "truthfulness_gap",
-    "HierarchicalAGTRam",
-    "partition_by_proximity",
-    "RegionStats",
     "AdaptiveReplicator",
     "EpochOutcome",
     "run_with_declared_capacities",

@@ -227,7 +227,8 @@ class AGTRam(Mechanism):
         paying the uniform clearing price — the best *rejected* report —
         which stays independent of every winner's own bid.  Rounds drop
         ~B-fold; bids within a round are mutually stale, the same
-        trade-off as the concurrent hierarchical mode.
+        trade-off as the concurrent regional mechanism
+        (:class:`~repro.runtime.shard.ShardedAGTRam`).
     engine:
         Local-CoR oracle implementation: ``"naive"`` keeps the full
         (M, N) benefit matrix fresh and argmaxes it every round;

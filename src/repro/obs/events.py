@@ -164,8 +164,9 @@ class RoundStart(Event):
     """A mechanism round opens (Figure 2, top of the loop).
 
     ``region`` is ``-1`` for the flat single-central mechanism; the
-    hierarchical/sharded runtimes tag each regional sub-round with its
-    region id so per-shard streams can be demultiplexed
+    regional mechanism (:class:`~repro.runtime.shard.ShardedAGTRam`)
+    tags each regional sub-round with its region id so per-shard
+    streams can be demultiplexed
     (:func:`repro.obs.audit.audit_sharded_events`).
     """
 

@@ -1,19 +1,34 @@
-"""Partition-tolerant sharded central: the fault-tolerant §7 mechanism.
+"""Regional AGT-RAM: the paper's §7 mechanism, partition tolerant.
 
-:mod:`repro.core.hierarchical` shards the central body into regional
-sub-centrals; this module makes that sharding survive the failures the
-single central already tolerates (crash/election/checkpoint from
-:mod:`repro.runtime.faults`, Byzantine bids from
-:mod:`repro.runtime.adversary`) **plus** the failure only a sharded
-deployment can have: a network partition between the regional centrals.
+§7 proposes "regional autonomous, self-governed and self-repairing
+mechanisms" that leave the system "less vulnerable to the failures of
+a single mechanism".  :class:`ShardedAGTRam` is the library's one
+regional mechanism: it shards the central body into regional
+sub-centrals and survives the failures the single central already
+tolerates (crash/election/checkpoint from :mod:`repro.runtime.faults`,
+Byzantine bids from :mod:`repro.runtime.adversary`) **plus** the
+failure only a sharded deployment can have: a network partition
+between the regional centrals.
 
 Model
 -----
 
-* Regions clear **concurrently** (one sealed-bid regional round per
-  region per global round) on a shared replication state, exactly like
-  ``HierarchicalAGTRam(mode="concurrent")``, using the PR 7 benefit
-  engine selected by ``engine=``.
+* Servers join regions by cost-metric proximity
+  (:func:`partition_by_proximity`) or by an explicit region-id array
+  (e.g. transit-stub domains).
+* Regions clear **concurrently** on a shared replication state: one
+  sealed-bid round per region per global round, each winner paying its
+  regional second price.  NN updates propagate after every region has
+  committed, so a round's bids are mutually stale — the price of
+  autonomy, paid for with ~``k`` times fewer global rounds.  One region
+  is the flat mechanism bit for bit.
+* ``valuation="local"`` keeps the paper's private Eq. 5 CoR on the
+  engine ``engine=`` selects; ``"regional"`` is §7's cooperative game,
+  where a region's agents pool their books
+  (:class:`~repro.drp.global_engine.RegionalBenefitEngine`).
+* A lost regional body is a :class:`FaultPlan` that takes every agent
+  of the region down for the whole run: the region abstains while the
+  others keep allocating.
 * A seeded :class:`PartitionSchedule` declares half-open round windows
   ``[start, end)`` during which the regional centrals are split into
   *islands*.  At a window start every island forks the replication
@@ -75,7 +90,9 @@ target the flat central — sharded central crashes come from the
 checkpoint period compose unchanged, as does the full
 :class:`AdversaryPlan` pipeline (corruption at the lying agent, a
 validator + detector + quarantine boundary in front of every regional
-central).
+central) under the local valuation — the boundary re-prices bids through
+the engine's ``value_at``, which the cooperative regional engine does
+not offer, so ``valuation="regional"`` takes no adversary plan.
 """
 
 from __future__ import annotations
@@ -86,9 +103,9 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.agents import Bid
-from repro.core.hierarchical import RegionStats, partition_by_proximity
 from repro.drp.cost import total_otc
 from repro.drp.delta import ENGINE_NAMES, make_local_engine, resolve_engine
+from repro.drp.global_engine import RegionalBenefitEngine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
@@ -113,9 +130,11 @@ from repro.runtime.messages import (
 )
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.timing import Timer
-from repro.utils.validation import check_nonnegative_int
+from repro.utils.validation import check_nonnegative_int, check_positive_int
 
 __all__ = [
+    "partition_by_proximity",
+    "RegionStats",
     "PartitionWindow",
     "PartitionSchedule",
     "ShardAllocation",
@@ -125,10 +144,66 @@ __all__ = [
     "central_id",
 ]
 
+# -- regions -----------------------------------------------------------------
+
+
+def partition_by_proximity(
+    instance: DRPInstance, n_regions: int, *, seed: SeedLike = None
+) -> np.ndarray:
+    """Partition servers into regions by cost-metric proximity.
+
+    Farthest-point seeding (deterministic given ``seed``) followed by
+    nearest-seed assignment: pick a random first seed, then repeatedly
+    add the server farthest from all chosen seeds; finally each server
+    joins its nearest seed's region.
+
+    Returns an (M,) int array of region ids in [0, n_regions).
+    """
+    m = instance.n_servers
+    n_regions = check_positive_int(n_regions, "n_regions")
+    if n_regions > m:
+        raise ConfigurationError(
+            f"n_regions must be in [1, {m}], got {n_regions}"
+        )
+    rng = as_generator(seed)
+    seeds = [int(rng.integers(m))]
+    dist_to_seeds = instance.cost[:, seeds[0]].copy()
+    while len(seeds) < n_regions:
+        nxt = int(np.argmax(dist_to_seeds))
+        seeds.append(nxt)
+        dist_to_seeds = np.minimum(dist_to_seeds, instance.cost[:, nxt])
+    return np.asarray(instance.cost[:, seeds].argmin(axis=1), dtype=np.int64)
+
+
+@dataclass
+class RegionStats:
+    """Per-region accounting of a regional run."""
+
+    region: int
+    servers: int
+    allocations: int = 0
+    payments: float = 0.0
+
 
 def central_id(region: int) -> int:
     """Wire address of region ``r``'s central body: ``-(r + 1)``."""
     return -(int(region) + 1)
+
+
+def _gossip(
+    log: MessageLog, region: int, peers: Sequence[int], objs: tuple[int, ...]
+) -> None:
+    """Region ``region``'s central sends its commits ``objs`` to every
+    other central in ``peers`` (one :class:`StateSyncMessage` each)."""
+    log.record_fanout(
+        lambda c: StateSyncMessage(
+            sender=central_id(region), receiver=c, objs=objs
+        ),
+        [central_id(p) for p in peers if p != region],
+    )
+
+
+# -- partition schedule ------------------------------------------------------
 
 
 def _dense_islands(labels: Iterable[int]) -> tuple[int, ...]:
@@ -214,8 +289,9 @@ class PartitionSchedule:
     central_crashes: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n_regions < 1:
-            raise ConfigurationError("n_regions must be >= 1")
+        object.__setattr__(
+            self, "n_regions", check_positive_int(self.n_regions, "n_regions")
+        )
         windows = tuple(
             sorted(self.windows, key=lambda w: (w.start, w.end))
         )
@@ -276,6 +352,7 @@ class PartitionSchedule:
         region).  Sampling order is fixed, so the schedule is a pure
         function of the arguments.
         """
+        n_regions = check_positive_int(n_regions, "n_regions")
         if n_regions < 2 and partition_fraction > 0:
             raise ConfigurationError(
                 "partitioning needs at least 2 regions"
@@ -334,7 +411,7 @@ class PartitionSchedule:
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "PartitionSchedule":
         return cls(
-            n_regions=int(d.get("n_regions", 4)),
+            n_regions=d.get("n_regions", 4),
             windows=tuple(
                 PartitionWindow.from_dict(w) for w in d.get("windows", ())
             ),
@@ -437,9 +514,9 @@ class ShardedAGTRam:
     """Concurrent regional AGT-RAM under partitions, crashes and
     Byzantine bids.  See the module docstring for the model.
 
-    Parameters mirror :class:`~repro.core.hierarchical.HierarchicalAGTRam`
-    (``n_regions``/``partition``/``seed``/``engine``), plus:
-
+    n_regions / partition / seed:
+        ``n_regions`` proximity regions (partition seed ``seed``), or an
+        explicit (M,) integer region-id array, dense from 0.
     plan:
         The :class:`PartitionSchedule`; ``None`` means
         :meth:`PartitionSchedule.null` — the run is then byte-identical
@@ -460,6 +537,15 @@ class ShardedAGTRam:
         Optional :class:`~repro.runtime.adversary.QuarantinePolicy` for
         that shared boundary; ``None`` uses the defaults.  Only
         consulted when an adversary plan is supplied.
+    valuation / engine:
+        ``"local"`` (default) or ``"regional"``; ``engine`` picks the
+        local engine (``"auto"``, ``"naive"``, ``"vectorized"`` — the
+        same placements bit for bit).  The regional game has neither a
+        vectorized engine nor a trust boundary, so it takes no
+        ``engine="vectorized"`` and no adversary plan.
+    max_rounds / keep_messages:
+        Global round cap (``None``: ``M * N`` plus the partition
+        calendar); keep every message object, not only the tallies.
     """
 
     n_regions: int = 4
@@ -468,33 +554,57 @@ class ShardedAGTRam:
     faults: Optional[FaultPlan] = None
     adversary: Optional[AdversaryPlan] = None
     quarantine: Optional[QuarantinePolicy] = None
+    valuation: str = "local"
     engine: str = "auto"
     seed: SeedLike = None
     max_rounds: Optional[int] = None
     keep_messages: bool = False
 
     def __post_init__(self) -> None:
+        self.n_regions = check_positive_int(self.n_regions, "n_regions")
+        if self.valuation not in ("local", "regional"):
+            raise ConfigurationError(
+                "valuation must be 'local' or 'regional', "
+                f"got {self.valuation!r}"
+            )
         if self.engine not in ENGINE_NAMES:
             raise ConfigurationError(
                 f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
             )
+        if self.valuation == "regional":
+            if self.engine == "vectorized":
+                raise ConfigurationError(
+                    "the regional valuation has no vectorized engine; "
+                    "use engine='auto' or 'naive'"
+                )
+            if self.adversary is not None and not self.adversary.is_null:
+                raise ConfigurationError(
+                    "the regional valuation takes no adversary plan: the "
+                    "trust boundary prices bids with the local engine"
+                )
         if self.max_rounds is not None:
             self.max_rounds = check_nonnegative_int(self.max_rounds, "max_rounds")
 
     # -- helpers -----------------------------------------------------------
 
     def _regions(self, instance: DRPInstance) -> np.ndarray:
-        if self.partition is not None:
-            part = np.asarray(self.partition, dtype=np.int64)
-            if part.shape != (instance.n_servers,):
-                raise ConfigurationError(
-                    f"partition must have shape ({instance.n_servers},), "
-                    f"got {part.shape}"
-                )
-            if part.min() < 0:
-                raise ConfigurationError("region ids must be non-negative")
-            return part
-        return partition_by_proximity(instance, self.n_regions, seed=self.seed)
+        if self.partition is None:
+            return partition_by_proximity(
+                instance, self.n_regions, seed=self.seed
+            )
+        part = np.asarray(self.partition)
+        if part.dtype.kind not in "iu":
+            raise ConfigurationError(
+                f"partition must hold integer region ids, got dtype {part.dtype}"
+            )
+        if part.shape != (instance.n_servers,):
+            raise ConfigurationError(
+                f"partition must have shape ({instance.n_servers},), "
+                f"got {part.shape}"
+            )
+        if part.min() < 0:
+            raise ConfigurationError("region ids must be non-negative")
+        return part.astype(np.int64)
 
     # -- run ----------------------------------------------------------------
 
@@ -519,7 +629,16 @@ class ShardedAGTRam:
             raise ConfigurationError(
                 f"schedule covers {plan.n_regions} regions, partition has {k}"
             )
-        engine_name = resolve_engine(self.engine)
+        regional = self.valuation == "regional"
+        engine_name = "naive" if regional else resolve_engine(self.engine)
+
+        def make_engine(state: ReplicationState) -> Any:
+            """The engine for the start state, a partition fork or a heal."""
+            if regional:
+                return RegionalBenefitEngine(instance, state, part)
+            return make_local_engine(engine_name, instance, state)
+
+        label = "Sharded-AGT-RAM(regional)" if regional else "Sharded-AGT-RAM"
         rows = {r: [int(a) for a in np.flatnonzero(part == r)] for r in region_ids}
 
         schedule = self.faults.schedule if self.faults else FaultSchedule.null()
@@ -553,14 +672,14 @@ class ShardedAGTRam:
 
         state = ReplicationState.primaries_only(instance)
         if eventing:
-            sink.emit(ev.RunStart(t=ev.now(), algorithm="Sharded-AGT-RAM"))
+            sink.emit(ev.RunStart(t=ev.now(), algorithm=label))
             state.begin_otc_tracking()
         islands = [
             _Island(
                 index=0,
                 regions=list(region_ids),
                 state=state,
-                engine=make_local_engine(engine_name, instance, state),
+                engine=make_engine(state),
             )
         ]
         fork_base: Optional[ReplicationState] = None
@@ -645,16 +764,8 @@ class ShardedAGTRam:
                     }
                 )
             )
-            for r1 in region_ids:
-                for r2 in region_ids:
-                    if r1 == r2:
-                        continue
-                    log.record(
-                        StateSyncMessage(
-                            sender=central_id(r1), receiver=central_id(r2),
-                            objs=tuple(objs_by_region[r1]),
-                        )
-                    )
+            for r in region_ids:
+                _gossip(log, r, region_ids, tuple(objs_by_region[r]))
             for r in region_ids:
                 log.record_fanout(
                     lambda a, r=r: NNResyncMessage(
@@ -667,7 +778,7 @@ class ShardedAGTRam:
                     index=0,
                     regions=list(region_ids),
                     state=merged,
-                    engine=make_local_engine(engine_name, instance, merged),
+                    engine=make_engine(merged),
                 )
             ]
             fork_base = None
@@ -707,9 +818,7 @@ class ShardedAGTRam:
                         new_islands.append(
                             _Island(
                                 index=g, regions=regions_g, state=forked,
-                                engine=make_local_engine(
-                                    engine_name, instance, forked
-                                ),
+                                engine=make_engine(forked),
                             )
                         )
                 islands = new_islands
@@ -760,23 +869,8 @@ class ShardedAGTRam:
                     island.engine.refresh_object(c.obj)
                     island.engine.refresh_server(c.server)
                 digest = tuple(sorted(set(round_objs)))
-                for r1 in committed_regions:
-                    for r2 in island.regions:
-                        if r1 == r2:
-                            continue
-                        log.record(
-                            StateSyncMessage(
-                                sender=central_id(r1),
-                                receiver=central_id(r2),
-                                objs=tuple(
-                                    c.obj
-                                    for c in island.commits[
-                                        -len(committed_regions):
-                                    ]
-                                    if c.region == r1
-                                ),
-                            )
-                        )
+                for r, obj in zip(committed_regions, round_objs):
+                    _gossip(log, r, island.regions, (obj,))
                 # Quiescent regions defer their per-agent digest (the
                 # heal-time resync catches them up); a crashed region's
                 # recovery ends with its agents current, so it counts
@@ -811,7 +905,7 @@ class ShardedAGTRam:
         if eventing:
             sink.emit(
                 ev.RunEnd(
-                    t=ev.now(), algorithm="Sharded-AGT-RAM",
+                    t=ev.now(), algorithm=label,
                     otc=final.tracked_otc(), rounds=pround,
                 )
             )
@@ -822,7 +916,6 @@ class ShardedAGTRam:
             "region_stats": stats,
             "engine": engine_name,
             "schedule": plan.to_dict(),
-            "mode": "sharded",
             "messages": log.total_messages(),
             "message_bytes": log.bytes_total,
             "message_counts": dict(log.counts),
@@ -840,7 +933,7 @@ class ShardedAGTRam:
         if injector is not None:
             extra["adversary"] = injector.summary_dict()
         return PlacementResult(
-            algorithm="Sharded-AGT-RAM",
+            algorithm=label,
             state=final,
             otc=total_otc(final),
             runtime_s=0.0,
@@ -882,10 +975,10 @@ class ShardedAGTRam:
         their engine-cached best, the adversary corrupts at the sender,
         the trust boundary screens in front of the regional central,
         and :meth:`CentralBody.decide` arbitrates.  Round events are
-        only emitted when the region actually attempts an allocation
-        (matching ``HierarchicalAGTRam``'s silent skip of exhausted
-        regions), and only *accepted* bids are emitted, so the flat and
-        per-shard audits verify each regional round independently.
+        only emitted when the region actually attempts an allocation (an
+        exhausted region is skipped silently), and only *accepted* bids
+        are emitted, so the flat and per-shard audits verify each
+        regional round independently.
         """
         state = island.state
         rcid = central_id(r)

@@ -8,6 +8,7 @@ import pytest
 from repro.drp.instance import DRPInstance
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.instances import paper_instance
+from repro.runtime.faults import FaultPlan, FaultSchedule
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +51,26 @@ def write_heavy_instance() -> DRPInstance:
             name="write-heavy",
         )
     )
+
+
+@pytest.fixture(scope="session")
+def region_down():
+    """``region_down(instance, partition, *regions)`` builds the
+    :class:`FaultPlan` that loses those regional bodies: every agent of
+    the listed regions is down for the whole run (the default ``M * N``
+    round cap), with checkpointing off."""
+
+    def plan(instance: DRPInstance, partition: np.ndarray, *regions: int):
+        horizon = instance.n_servers * instance.n_objects
+        down = np.flatnonzero(np.isin(partition, regions))
+        return FaultPlan(
+            schedule=FaultSchedule(
+                agent_crashes={int(a): ((0, horizon),) for a in down}
+            ),
+            checkpoint_period=0,
+        )
+
+    return plan
 
 
 @pytest.fixture()

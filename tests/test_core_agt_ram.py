@@ -95,22 +95,18 @@ class TestConfiguration:
 
 def _capped_runs(instance):
     """Every entry point that takes a ``max_rounds`` cap, as ``cap -> run``."""
-    from repro.core.hierarchical import HierarchicalAGTRam
     from repro.runtime.shard import ShardedAGTRam
 
     return {
         "AGTRam": lambda cap: AGTRam(max_rounds=cap).run(instance),
         "run_agt_ram": lambda cap: run_agt_ram(instance, max_rounds=cap),
-        "HierarchicalAGTRam": lambda cap: HierarchicalAGTRam(
-            max_rounds=cap, seed=0
-        ).run(instance),
         "ShardedAGTRam": lambda cap: ShardedAGTRam(max_rounds=cap, seed=0).run(
             instance
         ),
     }
 
 
-ENTRY_POINTS = ("AGTRam", "run_agt_ram", "HierarchicalAGTRam", "ShardedAGTRam")
+ENTRY_POINTS = ("AGTRam", "run_agt_ram", "ShardedAGTRam")
 NOT_COUNTS = [-1, 2.5, 3.0, True]
 
 

@@ -1,12 +1,14 @@
-"""Tests for the hierarchical/regional mechanism (paper §7 extension)."""
+"""Tests for the regional mechanism (paper §7 extension): proximity
+partitions and :class:`~repro.runtime.shard.ShardedAGTRam`'s concurrent
+regional clearing, region loss and configuration."""
 
 import numpy as np
 import pytest
 
 from repro.core.agt_ram import run_agt_ram
-from repro.core.hierarchical import HierarchicalAGTRam, partition_by_proximity
 from repro.drp.feasibility import check_state
 from repro.errors import ConfigurationError
+from repro.runtime.shard import ShardedAGTRam, partition_by_proximity
 
 
 class TestPartition:
@@ -50,58 +52,23 @@ class TestPartition:
         assert intra < inter
 
 
-class TestSequentialMode:
-    def test_identical_to_flat(self, read_heavy_instance):
-        # One allocation per global round, root picks the global max —
-        # the allocation sequence must match flat AGT-RAM exactly.
-        flat = run_agt_ram(read_heavy_instance)
-        seq = HierarchicalAGTRam(n_regions=4, mode="sequential", seed=0).run(
-            read_heavy_instance
-        )
-        assert np.array_equal(flat.state.x, seq.state.x)
-        assert flat.rounds == seq.rounds
-
-    def test_payments_at_least_flat(self, read_heavy_instance):
-        # The hierarchical price is max(regional, root) second price, so
-        # total payments can only rise relative to flat.
-        flat = run_agt_ram(read_heavy_instance)
-        seq = HierarchicalAGTRam(n_regions=4, mode="sequential", seed=0).run(
-            read_heavy_instance
-        )
-        assert seq.extra["payments"].sum() >= flat.extra["payments"].sum() - 1e-6
-
-    def test_state_feasible(self, read_heavy_instance):
-        res = HierarchicalAGTRam(n_regions=3, mode="sequential", seed=1).run(
-            read_heavy_instance
-        )
-        check_state(res.state)
-
-
 class TestConcurrentMode:
     def test_fewer_rounds_than_flat(self, read_heavy_instance):
         flat = run_agt_ram(read_heavy_instance)
-        con = HierarchicalAGTRam(n_regions=4, mode="concurrent", seed=0).run(
-            read_heavy_instance
-        )
+        con = ShardedAGTRam(n_regions=4, seed=0).run(read_heavy_instance)
         assert con.rounds < flat.rounds
 
     def test_quality_close_to_flat(self, read_heavy_instance):
         flat = run_agt_ram(read_heavy_instance)
-        con = HierarchicalAGTRam(n_regions=4, mode="concurrent", seed=0).run(
-            read_heavy_instance
-        )
+        con = ShardedAGTRam(n_regions=4, seed=0).run(read_heavy_instance)
         assert con.savings_percent > 0.85 * flat.savings_percent
 
     def test_state_feasible(self, read_heavy_instance):
-        res = HierarchicalAGTRam(n_regions=4, mode="concurrent", seed=0).run(
-            read_heavy_instance
-        )
+        res = ShardedAGTRam(n_regions=4, seed=0).run(read_heavy_instance)
         check_state(res.state)
 
     def test_region_stats_sum_to_total(self, read_heavy_instance):
-        res = HierarchicalAGTRam(n_regions=4, mode="concurrent", seed=0).run(
-            read_heavy_instance
-        )
+        res = ShardedAGTRam(n_regions=4, seed=0).run(read_heavy_instance)
         stats = res.extra["region_stats"]
         assert sum(s.allocations for s in stats.values()) == (
             res.replicas_allocated
@@ -109,65 +76,71 @@ class TestConcurrentMode:
         assert sum(s.servers for s in stats.values()) == (
             read_heavy_instance.n_servers
         )
+        assert sum(s.payments for s in stats.values()) == pytest.approx(
+            res.extra["payments"].sum()
+        )
 
 
 class TestFailureResilience:
-    def test_failed_region_abstains(self, read_heavy_instance):
-        res = HierarchicalAGTRam(
-            n_regions=4, mode="concurrent", seed=0, failed_regions=[0]
+    def test_failed_region_abstains(self, read_heavy_instance, region_down):
+        part = partition_by_proximity(read_heavy_instance, 4, seed=0)
+        res = ShardedAGTRam(
+            partition=part, faults=region_down(read_heavy_instance, part, 0)
         ).run(read_heavy_instance)
-        part = res.extra["partition"]
         dead_servers = np.flatnonzero(part == 0)
         # No replica beyond the primaries was placed in the dead region.
         extra = res.state.x.copy()
         extra[read_heavy_instance.primaries, np.arange(read_heavy_instance.n_objects)] = False
         assert not extra[dead_servers].any()
 
-    def test_degrades_gracefully(self, read_heavy_instance):
-        healthy = HierarchicalAGTRam(n_regions=4, mode="concurrent", seed=0).run(
-            read_heavy_instance
-        )
-        degraded = HierarchicalAGTRam(
-            n_regions=4, mode="concurrent", seed=0, failed_regions=[0]
+    def test_degrades_gracefully(self, read_heavy_instance, region_down):
+        part = partition_by_proximity(read_heavy_instance, 4, seed=0)
+        healthy = ShardedAGTRam(partition=part).run(read_heavy_instance)
+        degraded = ShardedAGTRam(
+            partition=part, faults=region_down(read_heavy_instance, part, 0)
         ).run(read_heavy_instance)
         assert 0.0 < degraded.savings_percent <= healthy.savings_percent + 1e-9
 
-    def test_all_regions_failed(self, read_heavy_instance):
-        res = HierarchicalAGTRam(
-            n_regions=2, mode="concurrent", seed=0, failed_regions=[0, 1]
+    def test_all_regions_failed(self, read_heavy_instance, region_down):
+        part = partition_by_proximity(read_heavy_instance, 2, seed=0)
+        res = ShardedAGTRam(
+            partition=part,
+            faults=region_down(read_heavy_instance, part, 0, 1),
         ).run(read_heavy_instance)
         assert res.replicas_allocated == 0
 
 
 class TestConfiguration:
-    def test_bad_mode(self):
-        with pytest.raises(ConfigurationError):
-            HierarchicalAGTRam(mode="federated")
-
     def test_explicit_partition(self, tiny_instance):
         part = np.arange(tiny_instance.n_servers) % 2
-        res = HierarchicalAGTRam(partition=part, mode="concurrent").run(
-            tiny_instance
-        )
+        res = ShardedAGTRam(partition=part).run(tiny_instance)
         assert np.array_equal(res.extra["partition"], part)
 
     def test_bad_partition_shape(self, tiny_instance):
         with pytest.raises(ConfigurationError):
-            HierarchicalAGTRam(partition=np.zeros(3, dtype=int)).run(tiny_instance)
+            ShardedAGTRam(partition=np.zeros(3, dtype=int)).run(tiny_instance)
 
     def test_max_rounds(self, read_heavy_instance):
-        res = HierarchicalAGTRam(
-            n_regions=4, mode="concurrent", seed=0, max_rounds=3
-        ).run(read_heavy_instance)
+        res = ShardedAGTRam(n_regions=4, seed=0, max_rounds=3).run(
+            read_heavy_instance
+        )
         assert res.rounds == 3
 
 
 class TestEngineSelector:
-    @pytest.mark.parametrize("mode", ["sequential", "concurrent"])
-    def test_naive_and_vectorized_identical(self, read_heavy_instance, mode):
+    @pytest.mark.parametrize("scenario", ["concurrent", "region-down"])
+    def test_naive_and_vectorized_identical(
+        self, read_heavy_instance, region_down, scenario
+    ):
+        part = partition_by_proximity(read_heavy_instance, 4, seed=0)
+        faults = (
+            region_down(read_heavy_instance, part, 0)
+            if scenario == "region-down"
+            else None
+        )
         runs = {
-            name: HierarchicalAGTRam(
-                n_regions=4, mode=mode, seed=0, engine=name
+            name: ShardedAGTRam(
+                partition=part, faults=faults, engine=name
             ).run(read_heavy_instance)
             for name in ("naive", "vectorized")
         }
@@ -183,14 +156,15 @@ class TestEngineSelector:
         assert fast.extra["engine"] == "vectorized"
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HierarchicalAGTRam(engine="turbo")
+        # Checked under the regional valuation too, which runs no local
+        # engine.
+        for valuation in ("local", "regional"):
+            with pytest.raises(ConfigurationError, match="engine"):
+                ShardedAGTRam(valuation=valuation, engine="turbo")
 
     def test_cooperative_has_no_vectorized_engine(self):
-        with pytest.raises(ConfigurationError):
-            HierarchicalAGTRam(
-                regional_game="cooperative", engine="vectorized"
-            )
+        with pytest.raises(ConfigurationError, match="vectorized"):
+            ShardedAGTRam(valuation="regional", engine="vectorized")
 
 
 class TestRegionTaggedEvents:
@@ -198,9 +172,7 @@ class TestRegionTaggedEvents:
         from repro.obs import events as ev
 
         with ev.capture() as sink:
-            res = HierarchicalAGTRam(
-                n_regions=4, mode="concurrent", seed=7
-            ).run(tiny_instance)
+            res = ShardedAGTRam(n_regions=4, seed=7).run(tiny_instance)
         part = res.extra["partition"]
         starts = [e for e in sink.events if type(e).type == "round_start"]
         winners = [e for e in sink.events if type(e).type == "winner"]

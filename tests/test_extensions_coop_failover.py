@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.agt_ram import run_agt_ram
-from repro.core.hierarchical import HierarchicalAGTRam
 from repro.drp.feasibility import check_state
 from repro.drp.global_engine import RegionalBenefitEngine
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
+from repro.runtime.adversary import AdversaryPlan
+from repro.runtime.shard import ShardedAGTRam
 from repro.runtime.simulator import SemiDistributedSimulator
 
 
@@ -73,9 +74,9 @@ class TestRegionalBenefitEngine:
 
 class TestCooperativeRegionalGame:
     def test_feasible(self, read_heavy_instance):
-        res = HierarchicalAGTRam(
-            n_regions=4, mode="concurrent", regional_game="cooperative", seed=0
-        ).run(read_heavy_instance)
+        res = ShardedAGTRam(n_regions=4, valuation="regional", seed=0).run(
+            read_heavy_instance
+        )
         check_state(res.state)
 
     def test_beats_non_cooperative(self, read_heavy_instance):
@@ -83,30 +84,39 @@ class TestCooperativeRegionalGame:
         # cooperative regions capture at least roughly the
         # non-cooperative savings (exact dominance is not guaranteed —
         # allocation order changes — but the trend must hold).
-        coop = HierarchicalAGTRam(
-            n_regions=4, mode="concurrent", regional_game="cooperative", seed=0
-        ).run(read_heavy_instance)
-        solo = HierarchicalAGTRam(
-            n_regions=4, mode="concurrent", regional_game="non-cooperative", seed=0
-        ).run(read_heavy_instance)
+        coop = ShardedAGTRam(n_regions=4, valuation="regional", seed=0).run(
+            read_heavy_instance
+        )
+        solo = ShardedAGTRam(n_regions=4, valuation="local", seed=0).run(
+            read_heavy_instance
+        )
         assert coop.savings_percent > 0.9 * solo.savings_percent
 
     def test_bounded_by_flat_oracle(self, read_heavy_instance):
-        coop = HierarchicalAGTRam(
-            n_regions=4, mode="sequential", regional_game="cooperative", seed=0
-        ).run(read_heavy_instance)
+        coop = ShardedAGTRam(n_regions=4, valuation="regional", seed=0).run(
+            read_heavy_instance
+        )
         oracle = run_agt_ram(read_heavy_instance, valuation="global")
         assert coop.savings_percent <= oracle.savings_percent + 1.0
 
     def test_label(self, tiny_instance):
-        res = HierarchicalAGTRam(
-            n_regions=2, regional_game="cooperative", seed=0
-        ).run(tiny_instance)
-        assert "coop" in res.algorithm
+        res = ShardedAGTRam(n_regions=2, valuation="regional", seed=0).run(
+            tiny_instance
+        )
+        assert "regional" in res.algorithm
 
     def test_bad_game(self):
-        with pytest.raises(ConfigurationError):
-            HierarchicalAGTRam(regional_game="zero-sum")
+        with pytest.raises(ConfigurationError, match="valuation"):
+            ShardedAGTRam(valuation="zero-sum")
+
+    def test_adversary_rejected(self, tiny_instance):
+        # The trust boundary re-prices bids with the local engine's
+        # value_at, which the regional engine does not offer.
+        plan = AdversaryPlan.random(
+            n_agents=tiny_instance.n_servers, fraction=0.25, seed=3
+        )
+        with pytest.raises(ConfigurationError, match="adversary"):
+            ShardedAGTRam(valuation="regional", adversary=plan)
 
 
 class TestCentralFailover:

@@ -2,7 +2,7 @@
 
 Each test chains several subsystems end-to-end the way a user would —
 combinations no unit test covers: file-loaded topologies into
-hierarchical mechanisms, persisted instances into adaptive runs,
+the regional mechanism, persisted instances into adaptive runs,
 flash-crowd epochs through the trace-replay verifier.
 """
 
@@ -12,7 +12,7 @@ import pytest
 from repro import (
     AdaptiveReplicator,
     ExperimentConfig,
-    HierarchicalAGTRam,
+    ShardedAGTRam,
     build_instance,
     load_instance,
     load_scheme,
@@ -41,7 +41,7 @@ class TestFileTopologyToHierarchy:
         part = np.zeros(loaded.n_nodes, dtype=int)
         for s in range(4):  # 4 stubs of 4 nodes after the 4 transit nodes
             part[4 + 4 * s : 4 + 4 * (s + 1)] = 1 + s
-        res = HierarchicalAGTRam(partition=part, mode="concurrent").run(inst)
+        res = ShardedAGTRam(partition=part).run(inst)
         check_state(res.state)
         assert res.savings_percent > 0
 

@@ -1,5 +1,6 @@
 """Tests for the partition-tolerant sharded central (repro.runtime.shard)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hierarchical import HierarchicalAGTRam, partition_by_proximity
 from repro.drp.feasibility import check_state
 from repro.drp.instance import DRPInstance
 from repro.errors import ConfigurationError
@@ -20,6 +20,7 @@ from repro.runtime.shard import (
     ShardAllocation,
     ShardedAGTRam,
     central_id,
+    partition_by_proximity,
     reconcile_divergence,
 )
 
@@ -115,6 +116,39 @@ class TestPartitionSchedule:
         )
         blob = json.dumps(plan.to_dict())
         assert PartitionSchedule.from_dict(json.loads(blob)) == plan
+
+
+NOT_REGION_COUNTS = [2.5, True, np.float64(3.0)]
+
+
+class TestRegionCounts:
+    """Region counts and labels are integers: a float or a bool is a
+    configuration error, never silently rounded or truncated."""
+
+    @pytest.mark.parametrize("bad", NOT_REGION_COUNTS, ids=repr)
+    def test_non_integer_counts_rejected(self, tiny_instance, bad):
+        with pytest.raises(ConfigurationError, match="n_regions"):
+            partition_by_proximity(tiny_instance, bad)
+        with pytest.raises(ConfigurationError, match="n_regions"):
+            ShardedAGTRam(n_regions=bad)
+        with pytest.raises(ConfigurationError, match="n_regions"):
+            PartitionSchedule(n_regions=bad)
+        with pytest.raises(ConfigurationError, match="n_regions"):
+            PartitionSchedule.from_dict({"n_regions": bad})
+
+    def test_numpy_integer_counts_accepted(self, tiny_instance):
+        part = partition_by_proximity(tiny_instance, np.int64(3), seed=0)
+        assert set(np.unique(part)) == {0, 1, 2}
+        assert PartitionSchedule(n_regions=np.int64(3)).to_dict()[
+            "n_regions"
+        ] == 3
+
+    def test_non_integer_partition_labels_rejected(self, tiny_instance):
+        labels = np.arange(tiny_instance.n_servers) % 2
+        with pytest.raises(ConfigurationError, match="integer"):
+            ShardedAGTRam(partition=labels + 0.7).run(tiny_instance)
+        with pytest.raises(ConfigurationError, match="integer"):
+            ShardedAGTRam(partition=labels.astype(bool)).run(tiny_instance)
 
 
 # -- reconciliation (pure) ---------------------------------------------------
@@ -241,29 +275,56 @@ class TestPartitionProperties:
 # -- healthy runs ------------------------------------------------------------
 
 
+def _run_digest(runner, instance) -> str:
+    """sha256 of a run's event stream under ``logical_time()`` (run
+    labels stripped), its placement bytes and its payment bytes."""
+    with ev.capture() as sink, ev.logical_time():
+        result = runner.run(instance)
+    stream = [e.to_dict() for e in sink.events]
+    for d in stream:
+        if d["type"] in ("run_start", "run_end"):
+            d.pop("algorithm", None)
+    h = hashlib.sha256(json.dumps(stream, sort_keys=True).encode())
+    h.update(result.state.x.tobytes())
+    h.update(np.asarray(result.extra["payments"], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+#: Recorded from the two-level regional mechanism this class replaced:
+#: its concurrent mode (k=4, partition seed 7, ``tiny_instance``), its
+#: cooperative regional game and its failed-region option (region 0
+#: down; both k=4, seed 0, ``read_heavy_instance``).
+HIERARCHICAL_PINS = {
+    "concurrent": "525b77deeb3737efe04b6dd5f899a82fc4f6de57e896295aa3a5351369029d79",
+    "cooperative": "ad4e062f0438a701603bd1aa51975185d041e80d44f958a75b31c3ed9a2e8eb1",
+    "region-down": "f2da80818a60a3e51614925ee45c71c6cb8f1f15d1bc5bcb6ae15060fb16d0c4",
+}
+
+
 class TestNullEquivalence:
     def test_matches_hierarchical_concurrent(self, tiny_instance):
-        h = HierarchicalAGTRam(
-            n_regions=4, mode="concurrent", seed=7
-        ).run(tiny_instance)
-        s = ShardedAGTRam(n_regions=4, seed=7).run(tiny_instance)
-        assert np.array_equal(h.state.x, s.state.x)
-        assert s.otc == h.otc
-        assert s.rounds == h.rounds
+        digest = _run_digest(ShardedAGTRam(n_regions=4, seed=7), tiny_instance)
+        assert digest == HIERARCHICAL_PINS["concurrent"]
 
-    def test_event_stream_matches_hierarchical(self, tiny_instance):
-        def stream(runner):
-            with ev.capture() as sink, ev.logical_time():
-                runner.run(tiny_instance)
-            out = [e.to_dict() for e in sink.events]
-            for d in out:
-                if d["type"] in ("run_start", "run_end"):
-                    d.pop("algorithm", None)  # labels differ by design
-            return out
+    def test_matches_hierarchical_cooperative(self, read_heavy_instance):
+        digest = _run_digest(
+            ShardedAGTRam(n_regions=4, seed=0, valuation="regional"),
+            read_heavy_instance,
+        )
+        assert digest == HIERARCHICAL_PINS["cooperative"]
 
-        h = stream(HierarchicalAGTRam(n_regions=4, mode="concurrent", seed=7))
-        s = stream(ShardedAGTRam(n_regions=4, seed=7))
-        assert h == s
+    def test_matches_hierarchical_region_down(
+        self, read_heavy_instance, region_down
+    ):
+        part = partition_by_proximity(read_heavy_instance, 4, seed=0)
+        digest = _run_digest(
+            ShardedAGTRam(
+                partition=part,
+                faults=region_down(read_heavy_instance, part, 0),
+            ),
+            read_heavy_instance,
+        )
+        assert digest == HIERARCHICAL_PINS["region-down"]
 
     def test_null_plan_byte_identical_to_no_plan(self, tiny_instance):
         def run(plan):
