@@ -27,36 +27,13 @@ OBS_RETRIES ?= 2
 OUT_DIR ?= out
 
 .PHONY: install test test-fast test-slow bench bench-json bench-compare \
-        bench-record equivalence obs-gate perfbench-check trace audit chaos \
-        adversary serve shard resilience resilience-smoke lint reproduce \
-        examples clean
+        bench-record equivalence obs-gate perfbench-check trace audit \
+        resilience lint reproduce examples clean
 
-# Chaos campaign knobs (see docs/robustness.md).
-CHAOS_SEED ?= 5
-CHAOS_MAX_DEGRADATION ?= 1.05
-
-# Adversary campaign knobs (see docs/robustness.md, "Byzantine model").
-ADV_SEED ?= 3
-ADV_MAX_DEGRADATION ?= 1.10
-ADV_MIN_RECALL ?= 0.95
-
-# Shard campaign knobs (see docs/robustness.md, "Partition tolerance").
-SHARD_SEED ?= 2007
-SHARD_PARTITION_SEED ?= 2007
-SHARD_REGIONS ?= 8
-SHARD_MAX_DEGRADATION ?= 1.0
-SHARD_MIN_MSG_REDUCTION ?= 2
-
-# Resilience campaign knobs (see docs/robustness.md, "Composed failure
-# planes").
-RESILIENCE_LOTTERY ?= 2
+# Campaign knobs (see docs/robustness.md, "Running a campaign"): random
+# scenario compositions run after the catalog presets.
+RESILIENCE_LOTTERY ?= 1
 RESILIENCE_LOTTERY_SEED ?= 0
-
-# Serving campaign knobs (see docs/serving.md).
-SERVE_SEED ?= 11
-SERVE_FAULT_SEED ?= 5
-SERVE_MIN_AVAILABILITY ?= 0.99
-SERVE_MAX_P99 ?= 150
 
 install:
 	pip install -e . || python setup.py develop
@@ -134,86 +111,22 @@ audit:
 	python -m repro audit events.jsonl
 	python -m repro audit events.rev
 
-# Seeded fault-injection campaign: lossy channel + crash schedule +
-# central crashes, gated on OTC degradation, then audited offline.
-chaos:
-	python -m repro chaos --servers 16 --objects 60 --requests 8000 \
-		--seed 101 --fault-seed $(CHAOS_SEED) \
-		--central-crash-rate 0.03 \
-		--max-degradation $(CHAOS_MAX_DEGRADATION) \
-		--out-dir $(OUT_DIR) \
-		--events chaos_events.jsonl --report chaos_report.json \
-		--fault-log chaos_faults.json
-	python -m repro audit $(OUT_DIR)/chaos_events.jsonl
-
-# Seeded Byzantine campaign: misreports, malformed bids and collusion
-# injected into the bid stream, gated on detection recall, zero false
-# quarantines and OTC degradation, then audited offline.
-adversary:
-	python -m repro adversary --servers 12 --objects 40 --requests 4000 \
-		--seed 5 --adv-seed $(ADV_SEED) \
-		--fraction 0.25 --fraction 0.4 \
-		--min-recall $(ADV_MIN_RECALL) \
-		--max-degradation $(ADV_MAX_DEGRADATION) \
-		--out-dir $(OUT_DIR) \
-		--events adversary_events.jsonl --report adversary_report.json
-	python -m repro audit $(OUT_DIR)/adversary_events.jsonl
-
-# Resilient serving campaign: stream workload traffic against the
-# auctioned placement while 5% of the servers crash per round, gated on
-# availability and tail latency, then audited offline.  A second drift
-# run exercises the drift-triggered incremental re-auction path.
-serve:
-	python -m repro serve --workload worldcup \
-		--serve-seed $(SERVE_SEED) --fault-seed $(SERVE_FAULT_SEED) \
-		--crash-rate 0.05 --straggler-rate 0.02 \
-		--min-availability $(SERVE_MIN_AVAILABILITY) \
-		--max-p99 $(SERVE_MAX_P99) \
-		--out-dir $(OUT_DIR) \
-		--events serve_events.jsonl --report serve_report.json
-	python -m repro serve --workload drift \
-		--serve-seed $(SERVE_SEED) \
-		--min-availability $(SERVE_MIN_AVAILABILITY) \
-		--out-dir $(OUT_DIR) \
-		--events serve_drift_events.jsonl --report serve_drift_report.json
-	python -m repro audit $(OUT_DIR)/serve_events.jsonl
-	python -m repro audit $(OUT_DIR)/serve_drift_events.jsonl
-
-# Partition-tolerance campaign: sweep partition fractions (with
-# regional-central crashes) on the sharded central, gated on the
-# null-schedule byte-identity, OTC degradation, and the message
-# reduction vs the single central; then the per-shard + cross-shard
-# audit re-verifies the recorded event log offline.
-shard:
-	python -m repro shard --scale tiny \
-		--regions $(SHARD_REGIONS) --shard-seed $(SHARD_SEED) \
-		--partition-seed $(SHARD_PARTITION_SEED) \
-		--crash-rate 0.01 --check-null \
-		--max-degradation $(SHARD_MAX_DEGRADATION) \
-		--min-message-reduction $(SHARD_MIN_MSG_REDUCTION) \
-		--out-dir $(OUT_DIR) \
-		--events shard_events.jsonl --report shard_report.json \
-		--plan-out shard_plans.json
-	python -m repro audit --sharded $(OUT_DIR)/shard_events.jsonl
-
-# Composed failure-plane survivability campaign: every catalog scenario
-# (fault storm, Byzantine, split-brain, and the flash-crowd showcase
-# composing all three) plus random lottery compositions, run over the
-# sharded serving stack with the online invariant monitor armed, gated
-# on availability / invariants / composed audits / degradation budget /
-# detection recall.  Failing scenarios shrink to minimal repro JSONs in
-# $(OUT_DIR).
+# The campaign: every catalog preset (the composed scenarios, then the
+# chaos, adversary, serve and shard presets) plus $(RESILIENCE_LOTTERY)
+# random composition(s), each gated on its own thresholds, final-scheme
+# feasibility and, on the flat central, no honest agent quarantined;
+# failing scenarios shrink to minimal repro JSONs in $(OUT_DIR).  Each
+# scenario's event log lands in $(OUT_DIR)/events.<name>.jsonl; one
+# flat-central log (chaos) and one sharded one (showcase) are then
+# re-verified offline.
 resilience:
 	python -m repro resilience \
 		--lottery $(RESILIENCE_LOTTERY) \
 		--lottery-seed $(RESILIENCE_LOTTERY_SEED) \
-		--out-dir $(OUT_DIR) --report resilience_report.json
-
-# CI-sized leg: the smallest catalog scenario plus one lottery ticket.
-resilience-smoke:
-	python -m repro resilience --scenario smoke \
-		--lottery 1 --lottery-seed $(RESILIENCE_LOTTERY_SEED) \
-		--out-dir $(OUT_DIR) --report resilience_report.json
+		--out-dir $(OUT_DIR) --report resilience_report.json \
+		--events events.jsonl
+	python -m repro audit $(OUT_DIR)/events.chaos.jsonl
+	python -m repro audit --sharded $(OUT_DIR)/events.showcase.jsonl
 
 lint:
 	ruff check src/repro/obs
@@ -229,10 +142,5 @@ examples:
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .ruff_cache \
 		.mypy_cache bench.json events.jsonl events.rev trace.json metrics.prom \
-		out \
-		chaos_events.jsonl chaos_report.json chaos_faults.json \
-		adversary_events.jsonl adversary_report.json \
-		serve_events.jsonl serve_report.json serve_drift_events.jsonl \
-		serve_drift_report.json shard_events.jsonl shard_report.json \
-		shard_plans.json
+		out
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -289,7 +289,7 @@ class FaultSchedule:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe form (the artifact the chaos CLI writes)."""
+        """JSON-safe form (part of the simulator's ``fault_summary``)."""
         return {
             "agent_crashes": {
                 str(a): [list(iv) for iv in ivals]

@@ -2,14 +2,18 @@
 
 A :class:`Scenario` is one declarative, JSON-round-trippable object
 composing every failure plane the runtime knows about — a fault plane
-(crashes / stragglers / central outages), an adversary plane (Byzantine
-bids plus the quarantine defence), a partition plane (regional
-split-brain with regional central crashes) — with a serving workload
-regime (``worldcup`` / ``drift`` / ``flashcrowd``).  :func:`run_scenario`
-executes it end to end over the sharded serving stack: the regional
-mechanism (:class:`~repro.runtime.shard.ShardedAGTRam`) auctions a
-placement for the workload's measured demand, then the serving loop
-(:func:`~repro.serving.loop.serve`) streams the workload against it.
+(crashes / stragglers; central outages and a lossy channel in the flat
+central), an adversary plane (Byzantine bids plus the quarantine
+defence), a partition plane (regional split-brain with regional central
+crashes) — with an optional serving workload regime (``worldcup`` /
+``drift`` / ``flashcrowd``).  :func:`run_scenario` executes it end to
+end: the central body auctions a placement for the workload's measured
+demand, then the serving loop (:func:`~repro.serving.loop.serve`)
+streams the workload against it.  ``regions == 1`` runs the flat
+central (:class:`~repro.runtime.simulator.SemiDistributedSimulator`),
+``regions >= 2`` the regional sub-centrals of §7
+(:class:`~repro.runtime.shard.ShardedAGTRam`); ``n_requests == 0``
+skips the serving phase and auctions the instance's own demand.
 
 **RNG discipline.**  Every plane draws its realization from an
 independent :func:`~repro.utils.rng.substream` of the scenario seed
@@ -26,11 +30,12 @@ event clock, so safety violations are caught *while* they happen (and
 abort the run under ``strict``).  Afterwards the log is split at the
 mechanism/serving boundary and replayed through the offline audits
 (:func:`~repro.obs.audit.audit_sharded_events` for the regional
-mechanism, :func:`~repro.obs.audit.audit_serving_events` plus the flat
-mechanism audit for the serving tail and its nested re-auctions), the
-recovery accountant (:func:`~repro.obs.recovery.recovery_accounting`)
-and the detection-recall join.  Everything runs on the logical clock,
-so a scenario's report is byte-for-byte reproducible from its JSON.
+mechanism or :func:`~repro.obs.audit.audit_events` for the flat one,
+:func:`~repro.obs.audit.audit_serving_events` plus the flat mechanism
+audit for the serving tail and its nested re-auctions), the recovery
+accountant (:func:`~repro.obs.recovery.recovery_accounting`) and the
+detection-recall join.  Everything runs on the logical clock, so a
+scenario's report is byte-for-byte reproducible from its JSON.
 
 **Shrinking.**  When a scenario fails its gates,
 :func:`shrink_scenario` greedily minimizes it — dropping whole planes,
@@ -45,7 +50,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
-from repro.errors import ConfigurationError
+from repro.drp.feasibility import check_state
+from repro.errors import ConfigurationError, InfeasibleInstanceError
 from repro.experiments.config import ExperimentConfig
 from repro.obs import events as ev
 from repro.obs.recovery import RecoveryReport, recovery_accounting
@@ -54,13 +60,14 @@ from repro.runtime.adversary import (
     AdversaryPlan,
     QuarantinePolicy,
 )
-from repro.runtime.faults import FaultPlan, FaultSchedule
+from repro.runtime.faults import ChannelConfig, FaultPlan, FaultSchedule
 from repro.runtime.invariants import InvariantConfig, InvariantMonitor
 from repro.runtime.shard import (
     PartitionSchedule,
     PartitionWindow,
     ShardedAGTRam,
 )
+from repro.runtime.simulator import SemiDistributedSimulator
 from repro.serving import SERVE_WORKLOADS, ServeConfig, make_traffic, serve, with_demand
 from repro.utils.rng import substream
 
@@ -97,8 +104,10 @@ class FaultPlane:
     The mechanism schedule (agent crashes, stragglers, whole-central
     crashes) is sampled over the scenario ``horizon`` protocol rounds;
     the serving schedule (``serving_*`` knobs) over the serving-round
-    horizon.  Both draw from their own substreams.  All rates zero
-    materializes to nothing — byte-identical to no fault plane at all.
+    horizon.  Both draw from their own substreams.  ``drop`` /
+    ``delay`` / ``duplicate`` are per-transmission probabilities of the
+    flat central's lossy channel.  All rates zero materializes to
+    nothing — byte-identical to no fault plane at all.
     """
 
     crash_rate: float = 0.0
@@ -109,10 +118,14 @@ class FaultPlane:
     serving_crash_rate: float = 0.0
     serving_straggler_rate: float = 0.0
     serving_mean_outage: float = 3.0
+    drop: float = 0.0
+    delay: float = 0.0
+    duplicate: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("crash_rate", "straggler_rate", "central_crash_rate",
-                     "serving_crash_rate", "serving_straggler_rate"):
+                     "serving_crash_rate", "serving_straggler_rate",
+                     "drop", "delay", "duplicate"):
             p = getattr(self, name)
             if not (0.0 <= p < 1.0):
                 raise ConfigurationError(
@@ -150,6 +163,12 @@ class AdversaryPlane:
                 f"adversary fraction must be in [0, 1], got {self.fraction}"
             )
         object.__setattr__(self, "behaviors", tuple(self.behaviors))
+        unknown = sorted(set(self.behaviors) - set(BEHAVIORS))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown adversary behavior(s) {unknown}; pick from "
+                f"{BEHAVIORS}"
+            )
         if self.window is not None:
             object.__setattr__(
                 self, "window", (int(self.window[0]), int(self.window[1]))
@@ -236,12 +255,14 @@ class PartitionPlane:
 class Scenario:
     """One composed resilience experiment, reproducible from its JSON.
 
-    Instance shape (``servers`` … ``topology``), sharding (``regions``),
-    the plane-materialization ``horizon`` (protocol rounds the random
+    Instance shape (``servers`` … ``topology``), the central
+    (``regions``: 1 is the flat central, k >= 2 the sharded one), the
+    plane-materialization ``horizon`` (protocol rounds the random
     fault/partition schedules cover), the serving regime (``workload``,
-    ``n_requests``) and the three optional failure planes.  The gate
-    thresholds ride along so a catalog entry carries its own pass/fail
-    contract; ``None`` disables that gate.
+    ``n_requests``, 0 for no serving phase, and the drift detector) and
+    the three optional failure planes.  The gate thresholds ride along
+    so a catalog entry carries its own pass/fail contract; ``None``
+    disables that gate.
     """
 
     name: str = "scenario"
@@ -267,6 +288,17 @@ class Scenario:
     min_availability: Optional[float] = None
     max_degraded_fraction: Optional[float] = None
     min_recall: Optional[float] = None
+    #: Serving drift detector: requests per window, and the
+    #: total-variation distance that triggers a re-auction.
+    drift_window: int = ServeConfig.drift_window
+    drift_threshold: float = ServeConfig.drift_threshold
+    #: Gate on the served p99 latency.
+    max_p99: Optional[float] = None
+    #: Gates against the plane-free flat run on the same instance (run
+    #: only when one is set): OTC ratio ceiling, and floor on how many
+    #: times fewer messages this run sends.
+    max_degradation: Optional[float] = None
+    min_message_reduction: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.workload not in SERVE_WORKLOADS:
@@ -278,36 +310,38 @@ class Scenario:
             raise ConfigurationError("horizon must be >= 1")
         if self.regions < 1:
             raise ConfigurationError("regions must be >= 1")
-        if self.n_requests < 1:
-            raise ConfigurationError("n_requests must be >= 1")
+        if self.n_requests < 0:
+            raise ConfigurationError("n_requests must be >= 0")
+        if self.n_requests == 0 and (
+            self.min_availability is not None or self.max_p99 is not None
+        ):
+            raise ConfigurationError(
+                "serving gates need a serving phase (n_requests >= 1)"
+            )
+        if self.regions == 1 and self.partition is not None:
+            raise ConfigurationError(
+                "a partition plane needs the sharded central (regions >= 2)"
+            )
+        if self.regions > 1 and self.faults is not None:
+            # The sharded central has no whole central to crash and no
+            # lossy channel.
+            flat_only = [
+                k for k in ("central_crash_rate", "drop", "delay", "duplicate")
+                if getattr(self.faults, k)
+            ]
+            if flat_only:
+                raise ConfigurationError(
+                    f"fault plane {', '.join(flat_only)} only applies to "
+                    f"the flat central (regions == 1); got regions="
+                    f"{self.regions}"
+                )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "servers": self.servers,
-            "objects": self.objects,
-            "requests": self.requests,
-            "rw_ratio": self.rw_ratio,
-            "capacity": self.capacity,
-            "topology": self.topology,
-            "regions": self.regions,
-            "horizon": self.horizon,
-            "workload": self.workload,
-            "n_requests": self.n_requests,
-            "faults": None if self.faults is None else self.faults.to_dict(),
-            "adversary": (
-                None if self.adversary is None else self.adversary.to_dict()
-            ),
-            "partition": (
-                None if self.partition is None else self.partition.to_dict()
-            ),
-            "availability_floor": self.availability_floor,
-            "availability_window": self.availability_window,
-            "min_availability": self.min_availability,
-            "max_degraded_fraction": self.max_degraded_fraction,
-            "min_recall": self.min_recall,
-        }
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        for key in ("faults", "adversary", "partition"):
+            if d[key] is not None:
+                d[key] = d[key].to_dict()
+        return d
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Scenario":
@@ -333,13 +367,20 @@ class Scenario:
         rng = substream(seed, "scenario/lottery")
         faults = adversary = partition = None
         if rng.random() < 0.7:
+            # The fourth draw is a retired central-crash rate (tickets
+            # run the sharded central, which has no whole central to
+            # crash); it is still drawn so every ticket keeps its planes.
+            crash, outage, straggler, _, s_crash, s_straggler = (
+                float(rng.uniform(lo, hi))
+                for lo, hi in ((0.01, 0.06), (2.0, 5.0), (0.0, 0.08),
+                               (0.0, 0.03), (0.0, 0.04), (0.0, 0.05))
+            )
             faults = FaultPlane(
-                crash_rate=float(rng.uniform(0.01, 0.06)),
-                mean_outage=float(rng.uniform(2.0, 5.0)),
-                straggler_rate=float(rng.uniform(0.0, 0.08)),
-                central_crash_rate=float(rng.uniform(0.0, 0.03)),
-                serving_crash_rate=float(rng.uniform(0.0, 0.04)),
-                serving_straggler_rate=float(rng.uniform(0.0, 0.05)),
+                crash_rate=crash,
+                mean_outage=outage,
+                straggler_rate=straggler,
+                serving_crash_rate=s_crash,
+                serving_straggler_rate=s_straggler,
             )
         if rng.random() < 0.6:
             adversary = AdversaryPlane(
@@ -409,15 +450,21 @@ def materialize(scenario: Scenario) -> MaterializedScenario:
     from repro.experiments.instances import paper_instance
 
     base = paper_instance(cfg)
-    traffic = make_traffic(
-        scenario.workload,
-        base,
-        scenario.n_requests,
-        seed=_plane_seed(scenario.seed, "workload"),
-    )
-    instance = with_demand(base, traffic)
+    traffic = None
+    instance = base
+    if scenario.n_requests:
+        traffic = make_traffic(
+            scenario.workload,
+            base,
+            scenario.n_requests,
+            seed=_plane_seed(scenario.seed, "workload"),
+        )
+        instance = with_demand(base, traffic)
 
-    serve_config = ServeConfig()
+    serve_config = ServeConfig(
+        drift_window=scenario.drift_window,
+        drift_threshold=scenario.drift_threshold,
+    )
     serve_horizon = max(
         1, math.ceil(scenario.n_requests / serve_config.requests_per_round)
     )
@@ -435,9 +482,13 @@ def materialize(scenario: Scenario) -> MaterializedScenario:
             straggler_rate=fp.straggler_rate,
             central_crash_rate=fp.central_crash_rate,
         )
-        if not schedule.is_null:
+        channel = ChannelConfig(
+            drop=fp.drop, delay=fp.delay, duplicate=fp.duplicate
+        )
+        if not (schedule.is_null and channel.lossless):
             fault_plan = FaultPlan(
                 schedule=schedule,
+                channel=channel,
                 checkpoint_period=fp.checkpoint_period,
                 seed=_plane_seed(scenario.seed, "faults/channel"),
             )
@@ -449,7 +500,7 @@ def materialize(scenario: Scenario) -> MaterializedScenario:
             mean_outage=fp.serving_mean_outage,
             straggler_rate=fp.serving_straggler_rate,
         )
-        if not serving_schedule.is_null:
+        if scenario.n_requests and not serving_schedule.is_null:
             serving_faults = serving_schedule
 
     adversary = None
@@ -538,12 +589,19 @@ class ScenarioOutcome:
 def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome:
     """Execute ``scenario`` end to end and gate the outcome.
 
-    Mechanism phase (sharded regional auction under the partition /
-    fault / adversary planes), then serving phase (the workload stream
-    under the serving fault schedule), all captured through the online
+    Mechanism phase (the flat central for ``regions == 1``, the sharded
+    regional auction otherwise, under the fault / adversary / partition
+    planes), then the optional serving phase (the workload stream under
+    the serving fault schedule), all captured through the online
     :class:`~repro.runtime.invariants.InvariantMonitor` on the logical
     clock.  Under ``strict`` the first invariant violation raises
     :class:`~repro.errors.InvariantViolationError` mid-run.
+
+    Besides the scenario's own gates, every run must end in a feasible
+    scheme, and a flat-central run must quarantine no honest agent
+    (sharded runs report theirs).  ``max_degradation`` and
+    ``min_message_reduction`` compare against the plane-free flat run
+    on the same instance, which runs (unrecorded) only for them.
     """
     from repro.obs.audit import (
         audit_events,
@@ -552,6 +610,13 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
     )
 
     mat = materialize(scenario)
+    reference = None
+    if (
+        scenario.max_degradation is not None
+        or scenario.min_message_reduction is not None
+    ):
+        with ev.capture(ev.NULL_SINK):
+            reference = SemiDistributedSimulator().run(mat.instance)
     monitor = InvariantMonitor(
         ev.ColumnarSink(),
         config=InvariantConfig(
@@ -560,32 +625,42 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
             strict=strict,
         ),
     )
+    flat = scenario.regions == 1
     with ev.logical_time(), ev.capture(monitor):
-        placement = ShardedAGTRam(
-            n_regions=scenario.regions,
-            plan=mat.partition,
-            faults=mat.fault_plan,
-            adversary=mat.adversary,
-            quarantine=mat.quarantine,
-            seed=mat.shard_seed,
-        ).run(mat.instance)
+        if flat:
+            placement = SemiDistributedSimulator(
+                faults=mat.fault_plan,
+                adversary=mat.adversary,
+                quarantine=mat.quarantine,
+            ).run(mat.instance)
+        else:
+            placement = ShardedAGTRam(
+                n_regions=scenario.regions,
+                plan=mat.partition,
+                faults=mat.fault_plan,
+                adversary=mat.adversary,
+                quarantine=mat.quarantine,
+                seed=mat.shard_seed,
+            ).run(mat.instance)
         split = len(monitor)
-        serving = serve(
-            mat.instance,
-            placement.state,
-            mat.traffic.stream,
-            config=mat.serve_config,
-            faults=mat.serving_faults,
-            seed=mat.serve_seed,
-            workload=scenario.workload,
-            n_requests=scenario.n_requests,
-        )
+        serving = None
+        if mat.traffic is not None:
+            serving = serve(
+                mat.instance,
+                placement.state,
+                mat.traffic.stream,
+                config=mat.serve_config,
+                faults=mat.serving_faults,
+                seed=mat.serve_seed,
+                workload=scenario.workload,
+                n_requests=scenario.n_requests,
+            )
 
     events = monitor.events
     mech_events = events[:split]
     serving_events = events[split:]
 
-    sharded_audit = audit_sharded_events(mech_events)
+    mech_audit = (audit_events if flat else audit_sharded_events)(mech_events)
     serving_audit = audit_serving_events(serving_events)
     # The serving tail's nested drift re-auctions are flat mechanism
     # runs; the flat audit covers them (and nothing else down here).
@@ -594,28 +669,49 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
     recovery = recovery_accounting(events)
 
     # Detection quality: injector ground truth vs. online defences,
-    # joined on (round, agent), exactly like the adversary campaign.
+    # joined on (round, agent); and who the defences locked out.
     truth: set[tuple[int, int]] = set()
     flagged: set[tuple[int, int]] = set()
+    locked_out: set[int] = set()
     for e in mech_events:
         if isinstance(e, ev.AdversaryEvent):
             truth.add((e.round, e.agent))
         elif isinstance(e, (ev.ValidationEvent, ev.ManipulationEvent)):
             if e.agent >= 0:
                 flagged.add((e.round, e.agent))
+        elif isinstance(e, ev.QuarantineEvent) and e.action in (
+            "quarantine", "expel"
+        ):
+            locked_out.add(e.agent)
     caught = truth & flagged
     recall = len(caught) / len(truth) if truth else 1.0
     precision = len(caught) / len(flagged) if flagged else 1.0
+    byzantine = set(mat.adversary.agents) if mat.adversary else set()
+    false_quarantines = sorted(locked_out - byzantine)
 
     failures: list[str] = []
+    try:
+        check_state(placement.state)
+        feasible = True
+    except InfeasibleInstanceError as exc:
+        feasible = False
+        failures.append(f"infeasible final scheme: {exc}")
+    # Gated where the detector re-prices a bid on the view it was made
+    # from.  The sharded central's regions bid on the round-start view
+    # but are screened on the shared state after earlier regions of the
+    # same round committed, so there a stale honest bid can read as a
+    # misreport; its false quarantines are reported, not gated.
+    if false_quarantines and flat:
+        failures.append(f"honest agents quarantined: {false_quarantines}")
     if not monitor.ok:
         failures.append(
             f"{len(monitor.violations)} invariant violation(s): "
             + ", ".join(sorted({v.invariant for v in monitor.violations}))
         )
-    if not sharded_audit.ok:
+    if not mech_audit.ok:
         failures.append(
-            f"sharded audit FAIL ({len(sharded_audit.violations)} violations)"
+            f"{'flat' if flat else 'sharded'} audit FAIL "
+            f"({len(mech_audit.violations)} violations)"
         )
     if not serving_audit.ok:
         failures.append(
@@ -633,6 +729,14 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
         failures.append(
             f"availability {serving.availability:.4f} below bound "
             f"{scenario.min_availability:.4f}"
+        )
+    if (
+        scenario.max_p99 is not None
+        and serving.p99 > scenario.max_p99
+    ):
+        failures.append(
+            f"p99 latency {serving.p99:.1f} exceeds bound "
+            f"{scenario.max_p99:.1f}"
         )
     if (
         scenario.max_degraded_fraction is not None
@@ -653,6 +757,45 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
         )
 
     extra = placement.extra
+    if flat:
+        messages = extra["metrics"].log.total_messages()
+        injected = extra.get("fault_summary", {}).get("injected", {})
+        central_crashes = injected.get("central_crashes", 0)
+        central_recoveries = injected.get("recoveries", 0)
+    else:
+        messages = extra["messages"]
+        central_crashes = extra["crashes_injected"]
+        central_recoveries = extra["recoveries"]
+    vs_flat = None
+    if reference is not None:
+        ref_messages = reference.extra["metrics"].log.total_messages()
+        vs_flat = {
+            "otc": reference.otc,
+            "messages": ref_messages,
+            "otc_degradation": (
+                placement.otc / reference.otc if reference.otc else 1.0
+            ),
+            "message_reduction": (
+                ref_messages / messages if messages else float("inf")
+            ),
+        }
+        if (
+            scenario.max_degradation is not None
+            and vs_flat["otc_degradation"] > scenario.max_degradation
+        ):
+            failures.append(
+                f"OTC degradation x{vs_flat['otc_degradation']:.4f} "
+                f"exceeds bound x{scenario.max_degradation:.4f}"
+            )
+        if (
+            scenario.min_message_reduction is not None
+            and vs_flat["message_reduction"] < scenario.min_message_reduction
+        ):
+            failures.append(
+                f"message reduction x{vs_flat['message_reduction']:.2f} "
+                f"below required x{scenario.min_message_reduction:.2f}"
+            )
+
     report = {
         "kind": "repro-scenario",
         "scenario": scenario.to_dict(),
@@ -665,14 +808,18 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
         "placement": {
             "otc": placement.otc,
             "rounds": placement.rounds,
-            "messages": extra.get("messages"),
+            "messages": messages,
             "windows": extra.get("windows"),
             "heals": extra.get("heals"),
             "conflicts": extra.get("conflicts"),
             "revocations": extra.get("revocations"),
             "elections": extra.get("elections"),
+            "central_crashes": central_crashes,
+            "central_recoveries": central_recoveries,
+            "feasible": feasible,
         },
-        "serving": serving.to_dict(),
+        "vs_flat": vs_flat,
+        "serving": None if serving is None else serving.to_dict(),
         "invariants": monitor.summary_dict(),
         "recovery": recovery.to_dict(),
         "detection": {
@@ -680,10 +827,11 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
             "flagged": len(flagged),
             "recall": recall,
             "precision": precision,
+            "false_quarantines": false_quarantines,
         },
         "audits": {
-            "sharded_ok": sharded_audit.ok,
-            "sharded_violations": [str(v) for v in sharded_audit.violations],
+            "mechanism_ok": mech_audit.ok,
+            "mechanism_violations": [str(v) for v in mech_audit.violations],
             "serving_ok": serving_audit.ok,
             "serving_violations": [str(v) for v in serving_audit.violations],
             "reauction_ok": reauction_audit.ok,
@@ -793,10 +941,77 @@ def scenario_fails(scenario: Scenario) -> bool:
 # -- catalog -----------------------------------------------------------------
 
 
-#: Curated scenarios, smallest first.  ``smoke`` is the CI gate;
-#: ``showcase`` is the headline composition — flash-crowd traffic,
-#: >=10% Byzantine agents, a scripted regional partition with a
-#: regional central crash — expected to survive every gate.
+def _adversary_preset(fraction: float) -> Scenario:
+    """The Byzantine campaign at one swept fraction, flat central."""
+    return Scenario(
+        name=f"adversary-{round(fraction * 100)}",
+        seed=5,
+        servers=12,
+        objects=40,
+        requests=4000,
+        rw_ratio=0.9,
+        capacity=0.3,
+        regions=1,
+        n_requests=0,
+        adversary=AdversaryPlane(fraction=fraction),
+        min_recall=0.95,
+        max_degradation=1.10,
+    )
+
+
+def _serve_preset(name: str, workload: str, **gates: Any) -> Scenario:
+    """The serving campaign on a flat-central placement."""
+    return Scenario(
+        name=name,
+        seed=0,
+        servers=10,
+        objects=30,
+        requests=4000,
+        rw_ratio=0.9,
+        capacity=0.5,
+        regions=1,
+        workload=workload,
+        n_requests=4000,
+        drift_window=800,
+        drift_threshold=0.15,
+        min_availability=0.99,
+        **gates,
+    )
+
+
+def _shard_preset(fraction: float) -> Scenario:
+    """The partition-tolerance campaign at one swept fraction.
+
+    ``horizon`` is the healthy sharded run's length on this instance, so
+    the random windows land inside the run.
+    """
+    return Scenario(
+        name=f"shard-{round(fraction * 100)}",
+        seed=2007,
+        servers=16,
+        objects=64,
+        requests=8000,
+        capacity=0.25,
+        regions=8,
+        horizon=5,
+        n_requests=0,
+        partition=PartitionPlane(
+            fraction=fraction, mean_width=6.0, islands=2, crash_rate=0.01
+        ),
+        max_degradation=1.0,
+        min_message_reduction=2.0,
+    )
+
+
+#: Curated scenarios.  The composed ones come first, smallest first:
+#: ``smoke`` is the smallest, ``showcase`` the headline composition —
+#: flash-crowd traffic, >=10% Byzantine agents, a scripted regional
+#: partition with a regional central crash — expected to survive every
+#: gate.  Then one preset per single-plane campaign and swept value:
+#: ``chaos`` (lossy channel, agent and central crashes on the flat
+#: central), ``adversary-*`` (Byzantine fractions), ``serve`` /
+#: ``serve-drift`` (serving SLOs, drift re-auctions) and ``shard-*``
+#: (partition fractions on eight sub-centrals).
 CATALOG: dict[str, Scenario] = {
     "smoke": Scenario(
         name="smoke",
@@ -819,7 +1034,6 @@ CATALOG: dict[str, Scenario] = {
         faults=FaultPlane(
             crash_rate=0.05,
             straggler_rate=0.08,
-            central_crash_rate=0.03,
             serving_crash_rate=0.03,
             serving_straggler_rate=0.05,
         ),
@@ -863,4 +1077,43 @@ CATALOG: dict[str, Scenario] = {
         max_degraded_fraction=0.9,
         min_recall=0.2,
     ),
+    "chaos": Scenario(
+        name="chaos",
+        seed=101,
+        servers=16,
+        objects=60,
+        requests=8000,
+        rw_ratio=0.9,
+        capacity=0.3,
+        regions=1,
+        # The fault-free run's length: a longer schedule would place
+        # its central crashes after the run has ended.
+        horizon=60,
+        n_requests=0,
+        faults=FaultPlane(
+            crash_rate=0.02,
+            straggler_rate=0.02,
+            central_crash_rate=0.03,
+            drop=0.1,
+            delay=0.05,
+            duplicate=0.05,
+        ),
+        max_degradation=1.05,
+    ),
+    "adversary-25": _adversary_preset(0.25),
+    "adversary-40": _adversary_preset(0.4),
+    "serve": _serve_preset(
+        "serve",
+        "worldcup",
+        faults=FaultPlane(
+            serving_crash_rate=0.05,
+            serving_straggler_rate=0.02,
+            serving_mean_outage=2.0,
+        ),
+        max_p99=150.0,
+    ),
+    "serve-drift": _serve_preset("serve-drift", "drift"),
+    "shard-0": _shard_preset(0.0),
+    "shard-25": _shard_preset(0.25),
+    "shard-50": _shard_preset(0.5),
 }

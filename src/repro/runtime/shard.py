@@ -77,8 +77,8 @@ every agent of every region, waking them with a current digest.
 Central-to-central gossip keeps flowing regardless, so regional
 centrals always know the island placement.  A round's per-agent cost
 is therefore ``≈ 3·m_active`` (the awake regions' sizes), not ``3M``;
-``python -m repro shard`` measures the realized reduction against the
-flat simulator.  With an active :class:`AdversaryPlan` quiescence is
+the ``shard-*`` campaign presets measure the realized reduction against
+the flat simulator.  With an active :class:`AdversaryPlan` quiescence is
 disabled — Byzantine agents bid regardless of honest valuations, so
 every region must hold its round.
 

@@ -17,7 +17,8 @@ failure:
   including the drift-triggered incremental re-auction
   (:mod:`repro.core.reauction`).
 
-``python -m repro serve`` is the CLI wrapper with SLO gates.
+A :class:`~repro.runtime.scenario.Scenario` with a serving phase runs
+it with SLO gates (``python -m repro resilience``).
 """
 
 from repro.serving.policies import (

@@ -133,7 +133,7 @@ def epoch_stream(
             emitted += batch
 
 
-#: Workload families ``python -m repro serve --workload`` accepts.
+#: Workload families a scenario's ``workload`` accepts.
 SERVE_WORKLOADS = ("worldcup", "drift", "flashcrowd")
 
 

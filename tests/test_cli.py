@@ -167,245 +167,256 @@ class TestSweepCsv:
         assert "AGT-RAM" in text and "savings_percent" in text
 
 
+def _campaign(tmp_path, *scenarios, extra=()):
+    """Run the campaign driver on presets/files, artifacts in tmp_path."""
+    argv = ["resilience", "--out-dir", str(tmp_path)]
+    for sc in scenarios:
+        argv += ["--scenario", str(sc)]
+    return main([*argv, *extra])
+
+
+def _scenario_file(tmp_path, name, **changes):
+    """A catalog preset with ``changes`` applied, written as JSON."""
+    import dataclasses
+    import json
+
+    from repro.runtime.scenario import CATALOG
+
+    sc = dataclasses.replace(CATALOG[name], **changes)
+    path = tmp_path / f"{name}-edited.json"
+    path.write_text(json.dumps(sc.to_dict()))
+    return path
+
+
+def _edited_dict_file(tmp_path, name, edit):
+    """A catalog preset's JSON with ``edit`` applied to the raw dict."""
+    import json
+
+    from repro.runtime.scenario import CATALOG
+
+    d = CATALOG[name].to_dict()
+    edit(d)
+    path = tmp_path / f"{name}-raw.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
 class TestChaos:
     def test_campaign_writes_artifacts_and_passes(self, tmp_path, capsys):
         import json
 
-        report = tmp_path / "report.json"
-        faults = tmp_path / "faults.json"
-        events = tmp_path / "events.jsonl"
-        rc = main(
-            ["chaos", *FAST, "--fault-seed", "5",
-             "--central-crash-rate", "0.03",
-             "--max-degradation", "1.5",
-             "--report", str(report), "--fault-log", str(faults),
-             "--events", str(events)]
+        from repro.runtime.scenario import CATALOG, Scenario, materialize
+
+        rc = _campaign(
+            tmp_path, "chaos",
+            extra=["--report", "report.json", "--events", "events.jsonl"],
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "chaos campaign" in out and "audit:    PASS" in out
-        doc = json.loads(report.read_text())
-        assert doc["kind"] == "repro-chaos"
-        assert doc["feasible"] and doc["audit_ok"]
-        assert doc["otc_degradation"] >= 0
-        assert doc["chaos"]["messages"] >= doc["baseline"]["messages"]
-        plan = json.loads(faults.read_text())
-        assert plan["plan"]["seed"] == 5
+        assert "resilience campaign" in out and "verdict: PASS" in out
+        (run,) = json.loads((tmp_path / "report.json").read_text())["runs"]
+        assert run["ok"] and run["placement"]["feasible"]
+        assert run["audits"]["mechanism_ok"]
+        assert 0 < run["vs_flat"]["otc_degradation"] <= 1.05
+        # Retransmissions over the lossy channel cost messages.
+        assert run["vs_flat"]["message_reduction"] < 1.0
+        # The report's scenario dict is the fault log: it materializes
+        # to the very plan the run used.
+        again = materialize(Scenario.from_dict(run["scenario"]))
+        assert again.fault_plan == materialize(CATALOG["chaos"]).fault_plan
         # The recorded log passes the offline audit CLI too.
-        assert main(["audit", str(events)]) == 0
+        assert main(["audit", str(tmp_path / "events.jsonl")]) == 0
 
     def test_same_fault_seed_same_event_log(self, tmp_path, capsys):
         logs = []
         for name in ("a.jsonl", "b.jsonl"):
-            path = tmp_path / name
-            rc = main(
-                ["chaos", *FAST, "--fault-seed", "9", "--events", str(path)]
-            )
-            assert rc == 0
-            logs.append(path.read_bytes())
+            assert _campaign(tmp_path, "chaos", extra=["--events", name]) == 0
+            logs.append((tmp_path / name).read_bytes())
         capsys.readouterr()
         assert logs[0] == logs[1]
 
     def test_degradation_gate_fails(self, tmp_path, capsys):
         # An impossible bound (chaos OTC can never be 0.5x the clean
         # OTC on the same instance) must trip the gate.
-        rc = main(["chaos", *FAST, "--max-degradation", "0.5"])
-        capsys.readouterr()
+        path = _scenario_file(tmp_path, "chaos", max_degradation=0.5)
+        rc = _campaign(tmp_path, path, extra=["--no-shrink"])
         assert rc == 1
+        assert "OTC degradation" in capsys.readouterr().err
 
 
 class TestAdversary:
     def test_campaign_writes_artifacts_and_passes(self, tmp_path, capsys):
         import json
 
-        report = tmp_path / "report.json"
-        events = tmp_path / "events.jsonl"
-        rc = main(
-            ["adversary", *FAST, "--adv-seed", "3",
-             "--fraction", "0.25", "--fraction", "0.4",
-             "--min-recall", "0.95", "--max-degradation", "1.5",
-             "--report", str(report), "--events", str(events)]
+        rc = _campaign(
+            tmp_path, "adversary-25", "adversary-40",
+            extra=["--report", "report.json", "--events", "events.jsonl"],
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "adversary campaign" in out and "verdict: PASS" in out
-        doc = json.loads(report.read_text())
-        assert doc["kind"] == "repro-adversary"
+        assert "verdict: PASS" in out
+        doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["ok"] and not doc["failures"]
         assert len(doc["runs"]) == 2
         for run in doc["runs"]:
-            assert run["feasible"] and run["audit_ok"]
-            assert run["recall"] >= 0.95
-            assert run["false_quarantines"] == []
-            assert run["injected"] > 0
-        # The recorded log passes the offline audit CLI too.
-        assert main(["audit", str(events)]) == 0
+            assert run["placement"]["feasible"] and run["audits"]["mechanism_ok"]
+            assert run["detection"]["recall"] >= 0.95
+            assert run["detection"]["false_quarantines"] == []
+            assert run["detection"]["injected"] > 0
+            # Each swept fraction's log is exported and audits offline.
+            log = tmp_path / f"events.{run['scenario']['name']}.jsonl"
+            assert main(["audit", str(log)]) == 0
+        capsys.readouterr()
 
     def test_same_adv_seed_same_report(self, tmp_path, capsys):
         docs = []
         for name in ("a.json", "b.json"):
-            path = tmp_path / name
-            rc = main(
-                ["adversary", *FAST, "--adv-seed", "7",
-                 "--fraction", "0.3", "--report", str(path)]
-            )
-            assert rc == 0
-            docs.append(path.read_bytes())
+            assert _campaign(
+                tmp_path, "adversary-25", extra=["--report", name]
+            ) == 0
+            docs.append((tmp_path / name).read_bytes())
         capsys.readouterr()
         assert docs[0] == docs[1]
 
     def test_impossible_recall_gate_fails(self, tmp_path, capsys):
-        rc = main(
-            ["adversary", *FAST, "--fraction", "0.3", "--min-recall", "1.1"]
-        )
+        path = _scenario_file(tmp_path, "adversary-25", min_recall=1.1)
+        rc = _campaign(tmp_path, path, extra=["--no-shrink"])
         capsys.readouterr()
         assert rc == 1
 
-    def test_unknown_behavior_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                ["adversary", *FAST, "--fraction", "0.3",
-                 "--behaviors", "bribe"]
-            )
-        capsys.readouterr()
+    def test_unknown_behavior_rejected(self, tmp_path, capsys):
+        def edit(d):
+            d["adversary"]["behaviors"] = ["bribe"]
 
-SERVE_FAST = [
-    "--servers", "8", "--objects", "24", "--requests", "3000",
-    "--capacity", "0.5", "--seed", "3", "--serve-requests", "1500",
-]
+        rc = _campaign(tmp_path, _edited_dict_file(tmp_path, "adversary-25", edit))
+        assert rc == 2
+        assert "unknown adversary behavior" in capsys.readouterr().err
 
 
 class TestServe:
     def test_campaign_writes_artifacts_and_passes(self, tmp_path, capsys):
         import json
 
-        report = tmp_path / "report.json"
-        events = tmp_path / "events.jsonl"
-        rc = main(
-            ["serve", *SERVE_FAST, "--workload", "worldcup",
-             "--crash-rate", "0.05", "--straggler-rate", "0.02",
-             "--fault-seed", "5", "--min-availability", "0.98",
-             "--report", str(report), "--events", str(events)]
+        rc = _campaign(
+            tmp_path, "serve",
+            extra=["--report", "report.json", "--events", "events.jsonl"],
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "serving campaign" in out and "verdict: PASS" in out
-        doc = json.loads(report.read_text())
-        assert doc["kind"] == "repro-serve"
+        assert "verdict: PASS" in out
+        doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["ok"] and not doc["failures"]
-        assert doc["serving_audit_ok"] and doc["audit_ok"]
-        assert doc["serving"]["availability"] >= 0.98
-        assert doc["serving"]["served"] + doc["serving"]["failed"] == 1500
+        (run,) = doc["runs"]
+        audits = run["audits"]
+        assert audits["serving_ok"] and audits["mechanism_ok"]
+        serving = run["serving"]
+        assert serving["availability"] >= 0.99 and serving["p99"] <= 150
+        assert serving["served"] + serving["failed"] + serving["shed"] == 4000
         # The recorded log passes the offline audit CLI too.
-        assert main(["audit", str(events)]) == 0
+        assert main(["audit", str(tmp_path / "events.jsonl")]) == 0
 
     def test_same_seed_byte_identical_artifacts(self, tmp_path, capsys):
         artifacts = []
         for name in ("a", "b"):
-            report = tmp_path / f"{name}.json"
-            events = tmp_path / f"{name}.jsonl"
-            rc = main(
-                ["serve", *SERVE_FAST, "--crash-rate", "0.05",
-                 "--fault-seed", "7",
-                 "--report", str(report), "--events", str(events)]
+            rc = _campaign(
+                tmp_path, "serve",
+                extra=["--report", f"{name}.json", "--events", f"{name}.jsonl"],
             )
             assert rc == 0
-            artifacts.append(report.read_bytes() + events.read_bytes())
+            artifacts.append(
+                (tmp_path / f"{name}.json").read_bytes()
+                + (tmp_path / f"{name}.jsonl").read_bytes()
+            )
         capsys.readouterr()
         assert artifacts[0] == artifacts[1]
 
     def test_drift_workload_reauctions(self, tmp_path, capsys):
         import json
 
-        report = tmp_path / "report.json"
-        rc = main(
-            ["serve", *SERVE_FAST, "--workload", "drift",
-             "--drift-window", "400", "--report", str(report)]
-        )
+        rc = _campaign(tmp_path, "serve-drift", extra=["--report", "r.json"])
         assert rc == 0
         capsys.readouterr()
-        doc = json.loads(report.read_text())
-        assert doc["serving"]["reauctions"] >= 1
-        assert doc["serving_audit_ok"] and doc["audit_ok"]
+        (run,) = json.loads((tmp_path / "r.json").read_text())["runs"]
+        assert run["serving"]["reauctions"] >= 1
+        assert run["audits"]["serving_ok"] and run["audits"]["reauction_ok"]
 
-    def test_availability_gate_fails(self, capsys):
-        rc = main(["serve", *SERVE_FAST, "--min-availability", "1.01"])
+    def test_availability_gate_fails(self, tmp_path, capsys):
+        path = _scenario_file(tmp_path, "serve", min_availability=1.01)
+        rc = _campaign(tmp_path, path, extra=["--no-shrink"])
         out = capsys.readouterr()
         assert rc == 1
         assert "verdict: FAIL" in out.out
 
-    def test_unknown_workload_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["serve", *SERVE_FAST, "--workload", "nope"])
-        capsys.readouterr()
+    def test_unknown_workload_rejected(self, tmp_path, capsys):
+        def edit(d):
+            d["workload"] = "nope"
+
+        rc = _campaign(tmp_path, _edited_dict_file(tmp_path, "serve", edit))
+        assert rc == 2
+        assert "unknown workload" in capsys.readouterr().err
 
 
 class TestShard:
     def test_campaign_writes_artifacts_and_passes(self, tmp_path, capsys):
         import json
 
-        report = tmp_path / "report.json"
-        events = tmp_path / "events.jsonl"
-        plans = tmp_path / "plans.json"
-        rc = main(
-            ["shard", *FAST, "--regions", "8", "--shard-seed", "2007",
-             "--partition-seed", "2007", "--crash-rate", "0.01",
-             "--check-null", "--max-degradation", "1.0",
-             "--report", str(report), "--events", str(events),
-             "--plan-out", str(plans)]
+        rc = _campaign(
+            tmp_path, "shard-0", "shard-25", "shard-50",
+            extra=["--report", "report.json", "--events", "events.jsonl"],
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "shard campaign" in out and "verdict: PASS" in out
-        doc = json.loads(report.read_text())
-        assert doc["kind"] == "repro-shard"
+        assert "verdict: PASS" in out
+        doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["ok"] and not doc["failures"]
-        # The headline claim: the sharded protocol at least halves the
-        # single-central message traffic while healthy.
-        assert doc["message_reduction"] >= 2.0
         for run in doc["runs"]:
-            assert run["feasible"] and run["audit_ok"]
-            assert run["otc_degradation"] >= 0.0
-        assert json.loads(plans.read_text())
+            # The headline claim: the sharded protocol at least halves
+            # the single-central message traffic.
+            assert run["vs_flat"]["message_reduction"] >= 2.0
+            assert run["vs_flat"]["otc_degradation"] <= 1.0
+            assert run["placement"]["feasible"]
+            assert run["audits"]["mechanism_ok"]
         # The recorded region-tagged log passes the sharded audit CLI.
-        assert main(["audit", "--sharded", str(events)]) == 0
+        log = tmp_path / "events.shard-25.jsonl"
+        assert main(["audit", "--sharded", str(log)]) == 0
+        capsys.readouterr()
 
     def test_same_seeds_byte_identical_artifacts(self, tmp_path, capsys):
         artifacts = []
         for name in ("a", "b"):
-            report = tmp_path / f"{name}.json"
-            events = tmp_path / f"{name}.jsonl"
-            rc = main(
-                ["shard", *FAST, "--shard-seed", "11",
-                 "--partition-seed", "13",
-                 "--report", str(report), "--events", str(events)]
+            rc = _campaign(
+                tmp_path, "shard-25",
+                extra=["--report", f"{name}.json", "--events", f"{name}.jsonl"],
             )
             assert rc == 0
-            artifacts.append(report.read_bytes() + events.read_bytes())
+            artifacts.append(
+                (tmp_path / f"{name}.json").read_bytes()
+                + (tmp_path / f"{name}.jsonl").read_bytes()
+            )
         capsys.readouterr()
         assert artifacts[0] == artifacts[1]
 
     def test_plan_file_round_trip(self, tmp_path, capsys):
         import json
 
-        plans = tmp_path / "plans.json"
-        rc = main(
-            ["shard", *FAST, "--fraction", "0.5", "--plan-out", str(plans)]
-        )
-        assert rc == 0
-        stored = json.loads(plans.read_text())
+        assert _campaign(tmp_path, "shard-50", extra=["--report", "a.json"]) == 0
+        (run,) = json.loads((tmp_path / "a.json").read_text())["runs"]
+        # The report's scenario dict reruns as a scenario file.
         plan_file = tmp_path / "one.json"
-        plan_file.write_text(json.dumps(next(iter(stored.values()))))
-        rc = main(["shard", *FAST, "--plan", str(plan_file)])
+        plan_file.write_text(json.dumps(run["scenario"]))
+        assert _campaign(tmp_path, plan_file, extra=["--report", "b.json"]) == 0
         capsys.readouterr()
-        assert rc == 0
+        (again,) = json.loads((tmp_path / "b.json").read_text())["runs"]
+        assert again == run
 
-    def test_message_reduction_gate_fails(self, capsys):
+    def test_message_reduction_gate_fails(self, tmp_path, capsys):
         # No protocol change can cut traffic 100x on this instance.
-        rc = main(["shard", *FAST, "--min-message-reduction", "100"])
+        path = _scenario_file(tmp_path, "shard-0", min_message_reduction=100)
+        rc = _campaign(tmp_path, path, extra=["--no-shrink"])
         out = capsys.readouterr()
         assert rc == 1
         assert "verdict: FAIL" in out.out
+
 
 class TestResilience:
     def test_smoke_scenario_passes_and_writes_report(self, tmp_path, capsys):
@@ -424,7 +435,7 @@ class TestResilience:
         (run,) = doc["runs"]
         assert run["scenario"]["name"] == "smoke"
         assert run["invariants"]["violations"] == 0
-        assert run["audits"]["sharded_ok"]
+        assert run["audits"]["mechanism_ok"]
 
     def test_lottery_is_deterministic(self, tmp_path, capsys):
         docs = []
@@ -486,12 +497,55 @@ class TestResilience:
         ) == 0
         capsys.readouterr()
 
+    def test_every_scenario_log_is_exported_and_audits(self, tmp_path, capsys):
+        rc = _campaign(
+            tmp_path, "smoke", "byzantine", "chaos",
+            extra=["--events", "ev.jsonl", "--events-binary", "ev.rev"],
+        )
+        assert rc == 0
+        assert not (tmp_path / "ev.jsonl").exists()
+        for name, audit_flags in (
+            ("smoke", ["--sharded"]),
+            ("byzantine", ["--sharded"]),
+            ("chaos", []),
+        ):
+            for suffix in ("jsonl", "rev"):
+                log = tmp_path / f"ev.{name}.{suffix}"
+                assert main(["audit", *audit_flags, str(log)]) == 0, log
+        capsys.readouterr()
+
+    def test_shrunk_scenario_file_reruns_to_the_same_failure(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        path = _scenario_file(tmp_path, "smoke", min_availability=1.01)
+        assert _campaign(tmp_path, path, extra=["--report", "a.json"]) == 1
+        (first,) = json.loads((tmp_path / "a.json").read_text())["runs"]
+        shrunk = tmp_path / "smoke_scenario.json"
+        assert json.loads(shrunk.read_text()) == first["shrunk_scenario"]
+        rc = _campaign(
+            tmp_path, shrunk, extra=["--no-shrink", "--report", "b.json"]
+        )
+        assert rc == 1
+        capsys.readouterr()
+        (again,) = json.loads((tmp_path / "b.json").read_text())["runs"]
+        assert again["scenario"]["name"] == "smoke-shrunk"
+        assert again["failures"] == first["failures"]
+
+    def test_metrics_out_is_not_a_campaign_flag(self, capsys):
+        # The driver writes no OpenMetrics snapshot, so it takes no path
+        # for one.
+        with pytest.raises(SystemExit):
+            main(["resilience", "--metrics-out", "m.prom"])
+        capsys.readouterr()
+
 
 class TestOutDirRouting:
     def test_relative_artifacts_land_in_out_dir(self, tmp_path, capsys):
         out = tmp_path / "nested" / "artifacts"
         rc = main(
-            ["chaos", *FAST, "--out-dir", str(out),
+            ["resilience", "--scenario", "chaos", "--out-dir", str(out),
              "--report", "report.json", "--events", "events.jsonl"]
         )
         capsys.readouterr()
@@ -502,8 +556,8 @@ class TestOutDirRouting:
     def test_absolute_paths_are_untouched(self, tmp_path, capsys):
         report = tmp_path / "abs_report.json"
         rc = main(
-            ["chaos", *FAST, "--out-dir", str(tmp_path / "ignored"),
-             "--report", str(report)]
+            ["resilience", "--scenario", "chaos",
+             "--out-dir", str(tmp_path / "ignored"), "--report", str(report)]
         )
         capsys.readouterr()
         assert rc == 0

@@ -1,6 +1,7 @@
 """Tests for the composed-scenario DSL, campaign gates, and shrinking."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs import events as ev
 from repro.obs.audit import audit_sharded_events
+from repro.runtime.shard import ShardedAGTRam
+from repro.runtime.simulator import SemiDistributedSimulator
 from repro.runtime.scenario import (
     CATALOG,
     AdversaryPlane,
@@ -119,7 +122,7 @@ class TestCatalog:
         }
         assert out.report["serving"]["availability"] >= 0.95
         assert out.report["invariants"]["violations"] == 0
-        assert out.report["audits"]["sharded_ok"]
+        assert out.report["audits"]["mechanism_ok"]
         assert out.report["audits"]["serving_ok"]
         assert out.report["audits"]["reauction_ok"]
         # The scripted partition produced real split-brain work.
@@ -212,3 +215,150 @@ class TestStrictMode:
     def test_strict_run_of_a_clean_scenario_completes(self):
         out = run_scenario(CATALOG["smoke"], strict=True)
         assert out.ok, out.failures
+
+
+def _stream_sha256(events) -> str:
+    h = hashlib.sha256()
+    for e in events:
+        h.update(json.dumps(e.to_dict(), sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestPinnedStreams:
+    """The composed scenarios' event streams, pinned before the campaign
+    presets and the flat central joined the driver: they did not move."""
+
+    PINS = {
+        "smoke": "e1c79b29b435a9d67f9095c46191666b44727d58ef4d5ded22aa4745b29f0a2c",
+        "faultstorm": "b4f11b230f8394a049c82baeae79c3533008851d5522c39f5f42ed662c94f082",
+        "byzantine": "a86fc42b202cdeb177dfb0522f943ad2496884e8f52162c97a84648ffa5c91bd",
+        "splitbrain": "f5ea68a907e2a86fb7d624ff8d06a43e85b7252f48d4247c171d32ac9ea32602",
+        "showcase": "70b0e79692eaf2d5a324e5d6e7793501ddf5ed3f7492dcfe9338b4cbdb961528",
+        0: "8d2519cc4b60c28b77f89c57c18bbd01d931b20741b13bed75abac6c46ca669f",
+        1: "6142a499679286f799c0d86736317c25f0643f9790006ebeec662b13e0b55ad2",
+        2: "b020f8a8609dd89f246ab8a9eb3b69c918bac36450aa15f7194b55681caf9891",
+    }
+
+    @pytest.mark.parametrize("key", list(PINS), ids=str)
+    def test_stream_sha256(self, key):
+        sc = CATALOG[key] if isinstance(key, str) else Scenario.random(key)
+        assert _stream_sha256(run_scenario(sc).events) == self.PINS[key]
+
+
+#: The presets that replaced the single-plane campaign commands.
+CAMPAIGN_PRESETS = (
+    "chaos", "adversary-25", "adversary-40", "serve", "serve-drift",
+    "shard-0", "shard-25", "shard-50",
+)
+
+
+@pytest.fixture(scope="module")
+def preset_outcomes():
+    return {name: run_scenario(CATALOG[name]) for name in CAMPAIGN_PRESETS}
+
+
+class TestCampaignPresets:
+    @pytest.mark.parametrize("name", CAMPAIGN_PRESETS)
+    def test_passes_its_gates_at_its_seed(self, name, preset_outcomes):
+        out = preset_outcomes[name]
+        assert out.ok, out.failures
+        assert out.report["placement"]["feasible"]
+        assert out.report["detection"]["false_quarantines"] == []
+
+    @pytest.mark.parametrize("name", CAMPAIGN_PRESETS)
+    def test_its_plane_fired(self, name, preset_outcomes):
+        r = preset_outcomes[name].report
+        sc = CATALOG[name]
+        if name == "chaos":
+            assert r["placement"]["central_crashes"] >= 1
+            assert r["placement"]["central_recoveries"] >= 1
+        elif name.startswith("adversary"):
+            assert r["detection"]["injected"] > 0
+        elif name == "serve":
+            assert r["planes"]["serving_faults"]
+            assert r["serving"]["failovers"] > 0
+        elif name == "serve-drift":
+            assert r["serving"]["reauctions"] >= 1
+        elif sc.partition.fraction > 0:
+            assert r["placement"]["windows"] >= 1
+
+    def test_schedules_cover_the_runs(self):
+        # Chaos: no longer than the fault-free run, so every central
+        # crash it schedules lands inside the run.
+        chaos = CATALOG["chaos"]
+        ref = SemiDistributedSimulator().run(materialize(chaos).instance)
+        assert chaos.horizon <= ref.extra["protocol_rounds"]
+        # Shard: the healthy sharded run's length.
+        shard = CATALOG["shard-25"]
+        mat = materialize(shard)
+        healthy = ShardedAGTRam(
+            n_regions=shard.regions, seed=mat.shard_seed
+        ).run(mat.instance)
+        assert shard.horizon == healthy.rounds
+
+    def test_only_flat_gates_run_the_flat_reference(self, preset_outcomes):
+        assert preset_outcomes["serve"].report["vs_flat"] is None
+        assert run_scenario(CATALOG["smoke"]).report["vs_flat"] is None
+        assert preset_outcomes["chaos"].report["vs_flat"] is not None
+
+    def test_no_serving_phase_without_requests(self, preset_outcomes):
+        out = preset_outcomes["adversary-25"]
+        assert out.report["serving"] is None
+        assert out.split == len(out.events)
+
+
+class TestFlatCentral:
+    @pytest.mark.parametrize("name", ["chaos", "adversary-40", "serve"])
+    def test_mechanism_segment_is_the_simulator_run(self, name):
+        """A one-region scenario's mechanism phase is exactly the flat
+        simulator on the same materialized plans, event for event."""
+        sc = CATALOG[name]
+        out = run_scenario(sc)
+        mat = materialize(sc)
+        sink = ev.ColumnarSink()
+        with ev.logical_time(), ev.capture(sink):
+            ref = SemiDistributedSimulator(
+                faults=mat.fault_plan,
+                adversary=mat.adversary,
+                quarantine=mat.quarantine,
+            ).run(mat.instance)
+        # Compared as serialized bytes: garbage bids carry NaN values.
+        mech = out.events[: out.split]
+        assert len(mech) == len(sink)
+        assert _stream_sha256(mech) == _stream_sha256(sink.iter_events())
+        assert out.report["placement"]["otc"] == ref.otc
+
+
+class TestFlatOnlyKnobs:
+    @pytest.mark.parametrize(
+        "knob", ["central_crash_rate", "drop", "delay", "duplicate"]
+    )
+    def test_sharded_scenario_rejects_flat_only_knobs(self, knob):
+        plane = FaultPlane(crash_rate=0.02, **{knob: 0.05})
+        with pytest.raises(ConfigurationError, match=knob):
+            Scenario(regions=4, faults=plane)
+        # The flat central reads it.
+        Scenario(regions=1, faults=plane)
+
+    def test_flat_scenario_rejects_a_partition_plane(self):
+        with pytest.raises(ConfigurationError, match="partition"):
+            Scenario(regions=1, partition=PartitionPlane(fraction=0.3))
+
+    def test_serving_gates_need_a_serving_phase(self):
+        with pytest.raises(ConfigurationError):
+            Scenario(n_requests=0, min_availability=0.9)
+        with pytest.raises(ConfigurationError):
+            Scenario(n_requests=0, max_p99=10.0)
+        with pytest.raises(ConfigurationError):
+            Scenario(n_requests=-1)
+
+    def test_unknown_behavior_rejected(self):
+        with pytest.raises(ConfigurationError, match="bribe"):
+            AdversaryPlane(behaviors=("bribe",))
+
+    def test_lottery_tickets_run_the_sharded_central(self):
+        for seed in range(20):
+            sc = Scenario.random(seed)
+            assert sc.regions > 1
+            if sc.faults is not None:
+                assert sc.faults.central_crash_rate == 0.0
