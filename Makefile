@@ -116,17 +116,20 @@ audit:
 # random composition(s), each gated on its own thresholds, final-scheme
 # feasibility and, on the flat central, no honest agent quarantined;
 # failing scenarios shrink to minimal repro JSONs in $(OUT_DIR).  Each
-# scenario's event log lands in $(OUT_DIR)/events.<name>.jsonl; one
-# flat-central log (chaos) and one sharded one (showcase) are then
-# re-verified offline.
+# scenario's event log lands in $(OUT_DIR)/events.<name>.jsonl and
+# events.<name>.rev; one flat-central log (chaos) and one sharded one
+# (showcase, whose serving tail nests a flat re-auction run) are then
+# re-verified offline in both formats, the REVB ones from bid runs.
 resilience:
 	python -m repro resilience \
 		--lottery $(RESILIENCE_LOTTERY) \
 		--lottery-seed $(RESILIENCE_LOTTERY_SEED) \
 		--out-dir $(OUT_DIR) --report resilience_report.json \
-		--events events.jsonl
+		--events events.jsonl --events-binary events.rev
 	python -m repro audit $(OUT_DIR)/events.chaos.jsonl
+	python -m repro audit $(OUT_DIR)/events.chaos.rev
 	python -m repro audit --sharded $(OUT_DIR)/events.showcase.jsonl
+	python -m repro audit --sharded $(OUT_DIR)/events.showcase.rev
 
 lint:
 	ruff check src/repro/obs

@@ -863,7 +863,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--sharded",
         action="store_true",
         help="audit a sharded-central log: per-shard mechanism audits "
-        "from the region tags plus the cross-shard reconciliation pass",
+        "from the region tags, the cross-shard reconciliation pass, and "
+        "a flat audit of the untagged rounds of nested runs (a "
+        "scenario's serving-tail re-auctions)",
     )
     p.add_argument(
         "--emission-gate",

@@ -48,8 +48,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +66,6 @@ from repro.obs.events import (
     HealEvent,
     HedgeEvent,
     ManipulationEvent,
-    NNUpdateEvent,
     PartitionEvent,
     PaymentEvent,
     QuarantineEvent,
@@ -230,15 +230,83 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
+def _near_top(values: Any, top: float) -> Any:
+    """``[_close(v, top) for v in values]`` as a mask, for a finite
+    ``top > 0`` that no value exceeds (NaN aside) — a second price
+    against the reports it was taken from.
+
+    ``math.isclose`` holds ``v`` close to ``top`` when
+    ``|top - v| <= max(REL_TOL * |top|, REL_TOL * |v|, ABS_TOL)`` and
+    ``v`` is finite.  Here ``top - v >= 0``; for ``0 <= v <= top`` the
+    rounded ``REL_TOL * v`` is at most ``REL_TOL * top`` (rounding is
+    monotonic), and for ``v < 0`` the difference exceeds both ``|v|``
+    and ``top``, so only ``ABS_TOL`` can hold it.  Either way the test
+    is the one below, step for step; ``-inf`` and NaN fail it as they
+    fail ``math.isclose``.  (``np.isclose`` is a different test: it
+    adds the two tolerances, and weighs the relative one by its second
+    argument alone.)
+    """
+    with np.errstate(over="ignore"):  # top - v overflows to inf: not close
+        return top - values <= max(REL_TOL * top, ABS_TOL)
+
+
+def _first_max(values: Any) -> float:
+    """The largest of ``values``, the first met among equals (as
+    ``max`` picks, so ``-0.0`` and ``0.0`` print as logged; a NaN, when
+    there is one); ``-inf`` when there are none."""
+    return float(values[values.argmax()]) if values.size else float("-inf")
+
+
+def _member(agents: Any, among: Iterable[int]) -> Any:
+    """Mask of the entries of ``agents`` in ``among`` (a handful of
+    agents: one comparison each beats ``np.isin``'s set-up)."""
+    mask = np.zeros(agents.shape, dtype=bool)
+    for agent in among:
+        mask |= agents == agent
+    return mask
+
+
+def _bid_events(run: Any) -> Iterator[BidEvent]:
+    """A packed run of bid records as one :class:`BidEvent` per bid."""
+    names = run.dtype.names[2:]  # past the record header
+    return map(BidEvent, *(run[name].tolist() for name in names))
+
+
+class _Handlers(dict[type, Optional[Callable[[Any], None]]]):
+    """A consumer's event class -> handler table, called with one item
+    to hand it to its handler.  A class met for the first time takes the
+    handler of its nearest registered base, resolved through its MRO
+    once and cached, so a subclass of an event kind is handled as that
+    kind; a class with no registered base is ignored."""
+
+    def __missing__(self, cls: type) -> Optional[Callable[[Any], None]]:
+        handler = next(
+            (h for h in map(self.get, cls.__mro__[1:]) if h is not None), None
+        )
+        self[cls] = handler
+        return handler
+
+    def __call__(self, item: Any) -> None:
+        handler = self[type(item)]
+        if handler is not None:
+            handler(item)
+
+
 @dataclass
 class _Round:
     """Accumulated state of one in-flight round."""
 
     index: int
-    #: Each bidding agent's reported value and object, in bid order;
-    #: filled one bid at a time or a whole run of bids at once.
-    values: dict[int, float] = field(default_factory=dict)
-    objs: dict[int, int] = field(default_factory=dict)
+    #: The round's bids in arrival order, as ``(agents, objs, values)``
+    #: column chunks: a packed run's columns as the reader yields them,
+    #: and bids fed one at a time gathered into lists.  An agent's
+    #: second bid in a round is flagged and never enters them.
+    chunks: list[tuple[Any, Any, Any]] = field(default_factory=list)
+    #: The agents in ``chunks``, built once a bid must be checked
+    #: against the round's earlier bids.
+    seen: Optional[set[int]] = None
+    #: The list chunk bids fed one at a time go to (None: start one).
+    tail: Optional[tuple[list[int], list[int], list[float]]] = None
     winners: list[WinnerEvent] = field(default_factory=list)
     payments: list[PaymentEvent] = field(default_factory=list)
     rejects: list[CapacityReject] = field(default_factory=list)
@@ -249,9 +317,66 @@ class _Round:
     #: excluded (a rejected bid cannot win or set a price).
     rejected: set[int] = field(default_factory=set)
 
+    def bidders(self) -> set[int]:
+        """The agents that bid this round so far."""
+        if self.seen is None:
+            self.seen = set()
+            for agents, _, _ in self.chunks:
+                self.seen.update(agents if type(agents) is list else agents.tolist())
+        return self.seen
+
+    def add_bid(self, agent: int, obj: int, value: float) -> bool:
+        """Take one bid; False, taking nothing, when ``agent`` has
+        already bid this round."""
+        seen = self.seen if self.seen is not None else self.bidders()
+        if agent in seen:
+            return False
+        seen.add(agent)
+        if self.tail is None:
+            self.tail = ([], [], [])
+            self.chunks.append(self.tail)
+        agents, objs, values = self.tail
+        agents.append(agent)
+        objs.append(obj)
+        values.append(value)
+        return True
+
+    def add_run(self, run: Any) -> bool:
+        """Take a packed run of bid records whole; False, taking
+        nothing, when one of its agents bids twice in it or has already
+        bid this round."""
+        agents = run["agent"]
+        ordered = np.sort(agents)
+        if (ordered[1:] == ordered[:-1]).any():
+            return False
+        if self.chunks:
+            new = agents.tolist()
+            seen = self.bidders()
+            if not seen.isdisjoint(new):
+                return False
+            seen.update(new)
+        self.chunks.append((agents, run["obj"], run["value"]))
+        self.tail = None
+        return True
+
+    def columns(self) -> tuple[Any, Any, Any]:
+        """The round's bids, one entry per bidding agent in bid order:
+        agent and value arrays, and the objects (indexable)."""
+        if len(self.chunks) == 1:
+            agents, objs, values = self.chunks[0]
+        elif self.chunks:
+            agents, objs, values = map(np.concatenate, zip(*self.chunks))
+        else:
+            agents, objs, values = [], [], []
+        return np.asarray(agents, np.int64), objs, np.asarray(values, np.float64)
+
 
 class _Auditor:
-    """Streaming verifier; feed events in order, read the report after."""
+    """Streaming verifier; feed events in order, read the report after.
+
+    :attr:`feed` takes an event, or a packed run of bid records (an item
+    of :func:`repro.obs.export.open_record_stream`).
+    """
 
     def __init__(self) -> None:
         self.report = AuditReport()
@@ -265,6 +390,29 @@ class _Auditor:
         self._priced: list[tuple[int, int, float, tuple[int, ...]]] = []
         #: Per-run quarantine/expel rounds per agent.
         self._quarantined_at: dict[int, list[int]] = {}
+        count = self._count
+        self.feed = _Handlers(
+            {
+                RunStart: self._run_start,
+                RunEnd: self._run_end,
+                RoundStart: self._round_start,
+                BidEvent: self._bid,
+                np.ndarray: self._bid_run,
+                WinnerEvent: self._winner,
+                PaymentEvent: self._payment,
+                CapacityReject: self._capacity_reject,
+                TimeoutEvent: self._timeout,
+                ValidationEvent: self._validation,
+                ManipulationEvent: partial(count, "manipulations_seen"),
+                QuarantineEvent: self._quarantine,
+                AdversaryEvent: partial(count, "adversarial_bids_seen"),
+                FaultEvent: partial(count, "faults_seen"),
+                ElectionEvent: partial(count, "elections_seen"),
+                CheckpointEvent: partial(count, "checkpoints_seen"),
+                RecoveryEvent: partial(count, "recoveries_seen"),
+                RoundEnd: self._round_end,
+            }
+        )
 
     # -- helpers -----------------------------------------------------------
 
@@ -302,134 +450,121 @@ class _Auditor:
         self._priced = []
         self._quarantined_at = {}
 
-    # -- event dispatch ----------------------------------------------------
+    def finish(self) -> None:
+        """Close the log: an open round is flagged, and a log truncated
+        before its RunEnd still gets its tainted-payment resolution over
+        whatever quarantine records were seen."""
+        if self._round is not None:
+            self._flag(
+                self._round.index, "structure", "log ends inside an open round"
+            )
+        self._finalize_run()
 
-    def feed(self, event: Event) -> None:
-        if isinstance(event, RunStart):
-            self._run_stack.append(event.algorithm)
-            self._residuals = {}
-            self.report.runs_audited += 1
-        elif isinstance(event, RunEnd):
-            self._finalize_run()
-            if self._run_stack:
-                self._run_stack.pop()
-            self._residuals = {}
-        elif isinstance(event, RoundStart):
-            if self._round is not None:
-                self._flag(
-                    self._round.index,
-                    "structure",
-                    f"round {event.round} started before round "
-                    f"{self._round.index} ended",
-                )
-            self._round = _Round(index=event.round)
-        elif isinstance(event, BidEvent):
-            rnd = self._round
-            if rnd is None:
-                self._flag(event.round, "structure", "bid outside any round")
-                return
-            agent = event.agent
-            if agent in rnd.values:
-                self._flag(
-                    event.round,
-                    "structure",
-                    f"agent {agent} bid twice in one round",
-                )
-                return
-            rnd.values[agent] = event.value
-            rnd.objs[agent] = event.obj
+    # -- event handlers ----------------------------------------------------
+
+    def _count(self, name: str, event: Event) -> None:
+        setattr(self.report, name, getattr(self.report, name) + 1)
+
+    def _run_start(self, event: RunStart) -> None:
+        self._run_stack.append(event.algorithm)
+        self._residuals = {}
+        self.report.runs_audited += 1
+
+    def _run_end(self, event: RunEnd) -> None:
+        self._finalize_run()
+        if self._run_stack:
+            self._run_stack.pop()
+        self._residuals = {}
+
+    def _round_start(self, event: RoundStart) -> None:
+        if self._round is not None:
+            self._flag(
+                self._round.index,
+                "structure",
+                f"round {event.round} started before round "
+                f"{self._round.index} ended",
+            )
+        self._round = _Round(index=event.round)
+
+    def _bid(self, event: BidEvent) -> None:
+        rnd = self._round
+        if rnd is None:
+            self._flag(event.round, "structure", "bid outside any round")
+        elif rnd.add_bid(event.agent, event.obj, event.value):
             self.report.bids_seen += 1
-        elif isinstance(event, WinnerEvent):
-            if self._round is None:
-                self._flag(event.round, "structure", "winner outside any round")
-                return
-            self._round.winners.append(event)
-        elif isinstance(event, PaymentEvent):
-            if self._round is None:
-                self._flag(event.round, "structure", "payment outside any round")
-                return
-            self._round.payments.append(event)
-        elif isinstance(event, CapacityReject):
-            if self._round is not None:
-                self._round.rejects.append(event)
-        elif isinstance(event, TimeoutEvent):
-            self.report.timeouts_seen += 1
-            if self._round is None:
-                self._flag(event.round, "structure", "timeout outside any round")
-                return
-            for agent in event.agents:
-                if agent not in self._round.values:
-                    self._flag(
-                        event.round,
-                        "structure",
-                        f"timeout declares agent {agent}'s bid lost, but "
-                        f"that agent never bid this round",
-                    )
-            self._round.missing.update(event.agents)
-        elif isinstance(event, ValidationEvent):
-            self.report.validations_seen += 1
-            if self._round is not None and event.agent >= 0:
-                self._round.rejected.add(event.agent)
-        elif isinstance(event, ManipulationEvent):
-            self.report.manipulations_seen += 1
-        elif isinstance(event, QuarantineEvent):
-            self.report.quarantines_seen += 1
-            if event.action in ("quarantine", "expel"):
-                self._quarantined_at.setdefault(event.agent, []).append(
-                    event.round
-                )
-        elif isinstance(event, AdversaryEvent):
-            self.report.adversarial_bids_seen += 1
-        elif isinstance(event, FaultEvent):
-            self.report.faults_seen += 1
-        elif isinstance(event, ElectionEvent):
-            self.report.elections_seen += 1
-        elif isinstance(event, CheckpointEvent):
-            self.report.checkpoints_seen += 1
-        elif isinstance(event, RecoveryEvent):
-            self.report.recoveries_seen += 1
-        elif isinstance(event, NNUpdateEvent):
-            pass
-        elif isinstance(event, RoundEnd):
-            if self._round is None:
-                self._flag(event.round, "structure", "round_end without start")
-                return
-            self._verify_round(self._round, event)
-            self._round = None
-            self.report.rounds_audited += 1
-
-    def feed_record(self, item: Any) -> None:
-        """:meth:`feed` for :func:`repro.obs.export.open_record_stream`'s
-        items: events, and packed runs of bid records."""
-        if type(item) is np.ndarray:
-            self._bid_run(item)
         else:
-            self.feed(item)
+            self._flag(
+                event.round,
+                "structure",
+                f"agent {event.agent} bid twice in one round",
+            )
 
     def _bid_run(self, run: Any) -> None:
         """Take a packed run of bid records into the open round whole —
         or as one :class:`BidEvent` at a time when one of its bids would
         be flagged (no open round, or an agent bidding twice), so
         violations keep their per-bid kind, text and order."""
-        agents = run["agent"].tolist()
-        values = dict(zip(agents, run["value"].tolist()))
         rnd = self._round
-        if (
-            rnd is not None
-            and len(values) == len(agents)
-            and rnd.values.keys().isdisjoint(values)
-        ):
-            rnd.values.update(values)
-            rnd.objs.update(zip(agents, run["obj"].tolist()))
-            self.report.bids_seen += len(agents)
+        if rnd is not None and rnd.add_run(run):
+            self.report.bids_seen += len(run)
             return
-        names = run.dtype.names[2:]  # past the record header
-        for bid in map(BidEvent, *(run[name].tolist() for name in names)):
-            self.feed(bid)
+        for bid in _bid_events(run):
+            self._bid(bid)
+
+    def _winner(self, event: WinnerEvent) -> None:
+        if self._round is None:
+            self._flag(event.round, "structure", "winner outside any round")
+        else:
+            self._round.winners.append(event)
+
+    def _payment(self, event: PaymentEvent) -> None:
+        if self._round is None:
+            self._flag(event.round, "structure", "payment outside any round")
+        else:
+            self._round.payments.append(event)
+
+    def _capacity_reject(self, event: CapacityReject) -> None:
+        if self._round is not None:
+            self._round.rejects.append(event)
+
+    def _timeout(self, event: TimeoutEvent) -> None:
+        self.report.timeouts_seen += 1
+        if self._round is None:
+            self._flag(event.round, "structure", "timeout outside any round")
+            return
+        bidders = self._round.bidders()
+        for agent in event.agents:
+            if agent not in bidders:
+                self._flag(
+                    event.round,
+                    "structure",
+                    f"timeout declares agent {agent}'s bid lost, but "
+                    f"that agent never bid this round",
+                )
+        self._round.missing.update(event.agents)
+
+    def _validation(self, event: ValidationEvent) -> None:
+        self.report.validations_seen += 1
+        if self._round is not None and event.agent >= 0:
+            self._round.rejected.add(event.agent)
+
+    def _quarantine(self, event: QuarantineEvent) -> None:
+        self.report.quarantines_seen += 1
+        if event.action in ("quarantine", "expel"):
+            self._quarantined_at.setdefault(event.agent, []).append(event.round)
+
+    def _round_end(self, event: RoundEnd) -> None:
+        if self._round is None:
+            self._flag(event.round, "structure", "round_end without start")
+            return
+        self._verify_round(self._round, event)
+        self._round = None
+        self.report.rounds_audited += 1
 
     # -- the three axioms --------------------------------------------------
 
     def _verify_round(self, rnd: _Round, end: RoundEnd) -> None:
+        """Check one closed round on its bid columns."""
         if end.committed != len(rnd.winners):
             self._flag(
                 rnd.index,
@@ -437,27 +572,36 @@ class _Auditor:
                 f"round committed {end.committed} replica(s) but logged "
                 f"{len(rnd.winners)} winner event(s)",
             )
+        agents, objs, values = rnd.columns()
         # Bids declared lost by a TimeoutEvent never reached the central
         # body, and bids a ValidationEvent declared rejected never
         # entered the decision, so the argmax/second-price invariants
         # hold over the *delivered, accepted* reports only.  An accepted
         # NaN report has no place in that order (every comparison with
-        # it is false): it is flagged and left out.
-        excluded = rnd.missing | rnd.rejected
-        values = {
-            a: v for a, v in rnd.values.items() if v == v and a not in excluded
-        }
-        if len(values) + len(excluded & rnd.values.keys()) < len(rnd.values):
-            for a, v in rnd.values.items():
-                if v != v and a not in excluded:
-                    self._flag(
-                        rnd.index,
-                        "structure",
-                        f"agent {a}'s accepted bid is NaN — left out of the "
-                        f"argmax and the price",
-                    )
-        best = max(values.values()) if values else float("-inf")
+        # it is false): it is flagged and left out.  (The argmax is a
+        # NaN when there is one.)
+        bidders, reports = agents, values
+        best = _first_max(values)
+        if best != best or rnd.missing or rnd.rejected:
+            keep = values == values
+            declared = _member(agents, rnd.missing | rnd.rejected)
+            for agent in agents[~(keep | declared)].tolist():
+                self._flag(
+                    rnd.index,
+                    "structure",
+                    f"agent {agent}'s accepted bid is NaN — left out of the "
+                    f"argmax and the price",
+                )
+            keep &= ~declared
+            bidders, reports = agents[keep], values[keep]
+            best = _first_max(reports)
         winner_agents = {w.agent for w in rnd.winners}
+        if len(rnd.winners) > 1:
+            # Batched rounds allow ties: every winner must still be at
+            # least as good as the best report that did not win.
+            bar = _first_max(reports[~_member(bidders, winner_agents)])
+        else:
+            bar = best
 
         for w in rnd.winners:
             if w.agent in rnd.missing:
@@ -476,10 +620,10 @@ class _Auditor:
                     f"boundary — a rejected bid cannot win",
                 )
                 continue
-            self._verify_winner(rnd, w, values, best)
+            self._verify_winner(rnd, w, agents, objs, values, bar)
             self._verify_capacity(rnd, w)
         for p in rnd.payments:
-            self._verify_payment(rnd, p, values, winner_agents)
+            self._verify_payment(rnd, p, bidders, reports, winner_agents)
         for r in rnd.rejects:
             if r.reason == "capacity" and r.obj_size <= r.residual:
                 self._flag(
@@ -494,17 +638,25 @@ class _Auditor:
         self,
         rnd: _Round,
         w: WinnerEvent,
-        values: dict[int, float],
-        best: float,
+        agents: Any,
+        objs: Any,
+        values: Any,
+        bar: float,
     ) -> None:
-        if w.agent not in rnd.values:
+        """``w`` against its own bid (``agents``/``objs``/``values``:
+        every bid of the round) and against ``bar``: the round's best
+        accepted report, or in a batched round the best one that did not
+        win."""
+        # The first matching bid (agents are unique in a round), or -1.
+        at = int((agents == w.agent).argmax()) if agents.size else -1
+        if at < 0 or agents[at] != w.agent:
             self._flag(
                 rnd.index,
                 "winner",
                 f"winner {w.agent} never bid this round",
             )
             return
-        bid_value, bid_obj = rnd.values[w.agent], rnd.objs[w.agent]
+        bid_value, bid_obj = float(values[at]), int(objs[at])
         if not (_close(bid_value, w.value) and bid_obj == w.obj):
             self._flag(
                 rnd.index,
@@ -513,36 +665,32 @@ class _Auditor:
                 f"match agent {w.agent}'s bid (obj {bid_obj}, value "
                 f"{bid_value})",
             )
-        # Argmax (allowing ties in batched rounds, where every winner
-        # must still be at least as good as every non-winner).
-        if len(rnd.winners) == 1 and not _close(w.value, best) and w.value < best:
-            self._flag(
-                rnd.index,
-                "winner",
-                f"winner {w.agent} bid {w.value} but the round's best bid "
-                f"was {best} — not the argmax",
-            )
-        elif len(rnd.winners) > 1:
-            winner_agents = {x.agent for x in rnd.winners}
-            best_rejected = max(
-                (v for a, v in values.items() if a not in winner_agents),
-                default=float("-inf"),
-            )
-            if w.value < best_rejected and not _close(w.value, best_rejected):
+        if w.value < bar and not _close(w.value, bar):
+            if len(rnd.winners) == 1:
+                self._flag(
+                    rnd.index,
+                    "winner",
+                    f"winner {w.agent} bid {w.value} but the round's best "
+                    f"bid was {bar} — not the argmax",
+                )
+            else:
                 self._flag(
                     rnd.index,
                     "winner",
                     f"batch winner {w.agent} bid {w.value}, below the best "
-                    f"rejected bid {best_rejected}",
+                    f"rejected bid {bar}",
                 )
 
     def _verify_payment(
         self,
         rnd: _Round,
         p: PaymentEvent,
-        values: dict[int, float],
+        bidders: Any,
+        reports: Any,
         winner_agents: set[int],
     ) -> None:
+        """``p`` against the price its rule derives from the round's
+        accepted reports (``reports``, by agent ``bidders``)."""
         if p.agent not in winner_agents:
             self._flag(
                 rnd.index,
@@ -551,27 +699,23 @@ class _Auditor:
             )
             return
         if p.rule == "second_price":
-            others = [v for a, v in values.items() if a != p.agent]
-            expected = max((v for v in others), default=0.0)
+            others = bidders != p.agent
+            expected = _first_max(reports[others])
             expected = expected if math.isfinite(expected) and expected > 0 else 0.0
             if expected > 0:
                 # Remember who set this price; resolved against the
                 # quarantine log at run end (tainted-payment report).
-                setters = tuple(
-                    sorted(
-                        a
-                        for a, v in values.items()
-                        if a != p.agent and _close(v, expected)
-                    )
+                # Only the payer's own report may exceed the price, and
+                # ``others`` masks it out.
+                setters = bidders[others & _near_top(reports, expected)].tolist()
+                self._priced.append(
+                    (rnd.index, p.agent, p.amount, tuple(sorted(setters)))
                 )
-                self._priced.append((rnd.index, p.agent, p.amount, setters))
         elif p.rule == "uniform":
-            rejected = [
-                v
-                for a, v in values.items()
-                if a not in winner_agents and math.isfinite(v) and v > 0
+            rejected = reports[
+                ~_member(bidders, winner_agents) & (reports > 0) & (reports < math.inf)
             ]
-            expected = max(rejected, default=0.0)
+            expected = max(_first_max(rejected), 0.0)
         else:
             self._flag(
                 rnd.index,
@@ -623,7 +767,9 @@ def audit_stream(
     (plus the violation and tainted-payment lists — empty on a clean
     log) no matter how many gigabytes the stream spans.  Feed it a lazy
     iterator (:func:`~repro.obs.export.open_event_stream`), not a
-    materialized list, to actually realize that bound.
+    materialized list, to actually realize that bound.  The stream may
+    also carry :func:`~repro.obs.export.open_record_stream`'s packed
+    runs of bid records in place of their bid events.
 
     ``window`` > 0 reports progress: after every ``window`` audited
     rounds, ``on_window(rounds_audited, report)`` fires with the
@@ -632,37 +778,19 @@ def audit_stream(
     never changes the verdict — the same auditor sees the same events
     in the same order; the callback is a read-only checkpoint.
     """
-    return _audit(events, window, on_window, runs=False)
-
-
-def _audit(
-    items: Iterable[Any],
-    window: int,
-    on_window: Optional[Callable[[int, AuditReport], None]],
-    *,
-    runs: bool,
-) -> AuditReport:
-    """:func:`audit_stream` over events, or with ``runs`` over
-    :func:`repro.obs.export.open_record_stream`'s items."""
     if window < 0:
         raise ValueError("window must be >= 0")
     auditor = _Auditor()
     report = auditor.report
-    feed = auditor.feed_record if runs else auditor.feed
-    next_mark = window if window else 0
-    for item in items:
+    feed = auditor.feed
+    next_mark = window
+    for item in events:
         feed(item)
         if window and report.rounds_audited >= next_mark:
             if on_window is not None:
                 on_window(report.rounds_audited, report)
             next_mark += window
-    if auditor._round is not None:
-        auditor._flag(
-            auditor._round.index, "structure", "log ends inside an open round"
-        )
-    # A log truncated before its RunEnd still gets its tainted-payment
-    # resolution over whatever quarantine records were seen.
-    auditor._finalize_run()
+    auditor.finish()
     return report
 
 
@@ -699,7 +827,7 @@ def audit_files(
         for path in resolved:
             yield from open_record_stream(path)
 
-    return _audit(chained(), window, on_window, runs=True)
+    return audit_stream(chained(), window=window, on_window=on_window)
 
 
 def audit_file(path: str | Path) -> AuditReport:
@@ -747,16 +875,22 @@ class ShardedAuditReport:
     kept/revoked pairs, refunded capacity and clawed-back payments.  A
     heal without a reconcile, an undeclared divergence, or a revoked
     pair that was never committed all surface as cross violations.
+
+    ``nested`` is the flat :class:`AuditReport` of the log's untagged
+    rounds (region −1): the flat runs a scenario log nests in its
+    serving tail, one per drift re-auction, each between its own
+    ``RunStart`` and ``RunEnd``.
     """
 
     shards: dict[int, AuditReport] = field(default_factory=dict)
+    nested: AuditReport = field(default_factory=AuditReport)
     cross_violations: list[AuditViolation] = field(default_factory=list)
     partitions_seen: int = 0
     heals_seen: int = 0
     reconciles_seen: int = 0
     commits_seen: int = 0
     revocations_seen: int = 0
-    #: Untagged infrastructure events seen outside any shard round.
+    #: Untagged infrastructure events seen outside any round.
     faults_seen: int = 0
     elections_seen: int = 0
     checkpoints_seen: int = 0
@@ -768,8 +902,10 @@ class ShardedAuditReport:
 
     @property
     def ok(self) -> bool:
-        return not self.cross_violations and all(
-            r.ok for r in self.shards.values()
+        return (
+            not self.cross_violations
+            and all(r.ok for r in self.shards.values())
+            and self.nested.ok
         )
 
     @property
@@ -777,6 +913,7 @@ class ShardedAuditReport:
         out = list(self.cross_violations)
         for r in self.shards.values():
             out.extend(r.violations)
+        out.extend(self.nested.violations)
         return out
 
     def summary(self) -> str:
@@ -798,6 +935,14 @@ class ShardedAuditReport:
                 f"  shard {region}: {r.rounds_audited} round(s), "
                 f"{r.payments_verified} payment(s) verified, {verdict}"
             )
+        n = self.nested
+        if n.runs_audited or n.rounds_audited or n.violations:
+            verdict = "ok" if n.ok else f"{len(n.violations)} violation(s)"
+            lines.append(
+                f"nested flat runs   {n.runs_audited}: {n.rounds_audited} "
+                f"round(s), {n.payments_verified} payment(s) verified, "
+                f"{verdict}"
+            )
         if self.ok:
             lines.append(
                 "PASS  every shard paid its regional second price and "
@@ -815,8 +960,12 @@ class ShardedAuditReport:
 class _CrossShardAuditor:
     """The reconciliation re-derivation over the demuxed commit stream."""
 
-    def __init__(self, report: ShardedAuditReport) -> None:
+    def __init__(
+        self, report: ShardedAuditReport, shards: dict[int, _Auditor]
+    ) -> None:
         self.report = report
+        #: The per-shard auditors, whose residual chains refunds credit.
+        self.shards = shards
         #: Live global placement: (server, obj) -> its commit record.
         self.placement: dict[tuple[int, int], _ShardCommit] = {}
         #: The active window's island assignment (None when healed).
@@ -962,13 +1111,9 @@ class _CrossShardAuditor:
                     "which is not a live allocation",
                 )
                 continue
-            shard = self.report.shards.get(c.region)
-            if shard is not None:
-                # Mutate the shard auditor's expected-residual chain via
-                # the report's back-reference (set in audit_sharded).
-                auditor = getattr(shard, "_auditor", None)
-                if auditor is not None and server in auditor._residuals:
-                    auditor._residuals[server] += c.size
+            auditor = self.shards.get(c.region)
+            if auditor is not None and server in auditor._residuals:
+                auditor._residuals[server] += c.size
         self.window_reconciled = True
 
     def on_heal(self, e: HealEvent) -> None:
@@ -1006,113 +1151,190 @@ class _CrossShardAuditor:
             )
 
 
+class _ShardedAuditor:
+    """The demultiplexer behind :func:`audit_sharded_stream`.
+
+    :attr:`feed` takes an event or a packed run of bid records.  Round
+    events tagged with a region go to that shard's flat
+    :class:`_Auditor` (each sees a synthetic run of its own region's
+    rounds), and a run of bid records goes whole to the auditor of its
+    ``region`` column (a run mixing regions goes bid by bid).  Untagged
+    rounds (region −1) open in one flat auditor for nested runs.  Every
+    other untagged event goes to whichever round is open, or is tallied
+    globally when none is.  A run's first round decides whether it is
+    the sharded run or a nested flat one: a flat run's ``RunStart`` and
+    ``RunEnd`` go to the nested-run auditor, and the shard auditors
+    finish their run at any other ``RunEnd`` — the sharded run's own.
+    """
+
+    def __init__(self) -> None:
+        self.report = ShardedAuditReport()
+        self.shards: dict[int, _Auditor] = {}
+        self.nested = _Auditor()
+        self.report.nested = self.nested.report
+        self.cross = _CrossShardAuditor(self.report, self.shards)
+        self._label = "Sharded-AGT-RAM"
+        #: The auditor whose round is open.
+        self._open: Optional[_Auditor] = None
+        #: Per open run, innermost last: False once its first round
+        #: shows it a nested flat run (None while it has no round yet),
+        #: and the RunStart of an innermost run still without rounds.
+        self._runs: list[Optional[bool]] = []
+        self._starting: Optional[RunStart] = None
+        #: The open shard round's winner, for payment attachment.
+        self._winner: Optional[WinnerEvent] = None
+        cross = self.cross
+        tally = self._tally
+        self.feed = _Handlers(
+            {
+                RunStart: self._run_start,
+                RunEnd: self._run_end,
+                PartitionEvent: cross.on_partition,
+                ReconcileEvent: cross.on_reconcile,
+                HealEvent: cross.on_heal,
+                RoundStart: self._round_start,
+                BidEvent: self._round_event,
+                np.ndarray: self._bid_run,
+                WinnerEvent: self._winner_event,
+                PaymentEvent: self._payment_event,
+                CapacityReject: self._round_event,
+                RoundEnd: self._round_end,
+                FaultEvent: partial(tally, "faults_seen"),
+                ElectionEvent: partial(tally, "elections_seen"),
+                CheckpointEvent: partial(tally, "checkpoints_seen"),
+                RecoveryEvent: partial(tally, "recoveries_seen"),
+                ValidationEvent: partial(tally, "validations_seen"),
+                ManipulationEvent: partial(tally, "manipulations_seen"),
+                QuarantineEvent: partial(tally, "quarantines_seen"),
+                AdversaryEvent: partial(tally, "adversarial_bids_seen"),
+                Event: self._untagged,
+            }
+        )
+
+    def finish(self) -> ShardedAuditReport:
+        self.cross.finish()
+        for auditor in (*self.shards.values(), self.nested):
+            auditor.finish()
+        return self.report
+
+    def _target(self, region: int) -> _Auditor:
+        """The auditor of a round event tagged ``region``: its shard's,
+        else (untagged) the open round's or the nested runs'."""
+        if self._starting is not None:
+            self._begin_run(self._starting, sharded=region >= 0)
+        if region < 0:
+            return self._open or self.nested
+        auditor = self.shards.get(region)
+        if auditor is None:
+            auditor = self.shards[region] = _Auditor()
+            auditor.feed(RunStart(t=0.0, algorithm=f"{self._label}/shard{region}"))
+            self.report.shards[region] = auditor.report
+        return auditor
+
+    def _begin_run(self, start: RunStart, *, sharded: bool) -> None:
+        self._starting = None
+        self._runs[-1] = sharded
+        if sharded:
+            self._label = start.algorithm
+        else:
+            self.nested.feed(start)
+
+    def _run_start(self, event: RunStart) -> None:
+        self._runs.append(None)
+        self._starting = event
+
+    def _run_end(self, event: RunEnd) -> None:
+        self._starting = None
+        if self._runs and self._runs.pop() is False:
+            self.nested.feed(event)
+        else:
+            for auditor in self.shards.values():
+                auditor.feed(
+                    RunEnd(
+                        t=event.t,
+                        algorithm=auditor._run_label,
+                        otc=event.otc,
+                        rounds=event.rounds,
+                    )
+                )
+
+    def _round_start(self, event: RoundStart) -> None:
+        auditor = self._target(event.region)
+        # An untagged round opens among the nested runs, whatever round
+        # is open.
+        self._open = auditor if event.region >= 0 else self.nested
+        self._open.feed(event)
+        self._winner = None
+
+    def _round_event(self, event: BidEvent | CapacityReject) -> None:
+        self._target(event.region).feed(event)
+
+    def _bid_run(self, run: Any) -> None:
+        regions = run["region"]
+        region = int(regions[0])
+        if (regions == region).all():
+            self._target(region).feed(run)
+        else:
+            for bid in _bid_events(run):
+                self._round_event(bid)
+
+    def _winner_event(self, event: WinnerEvent) -> None:
+        self._target(event.region).feed(event)
+        if event.region >= 0:
+            self._winner = event
+            self.cross.commit(
+                _ShardCommit(
+                    region=event.region,
+                    server=event.agent,
+                    obj=event.obj,
+                    value=event.value,
+                    size=event.obj_size,
+                    round=event.round,
+                )
+            )
+
+    def _payment_event(self, event: PaymentEvent) -> None:
+        self._target(event.region).feed(event)
+        winner = self._winner
+        if event.region >= 0 and winner is not None and winner.agent == event.agent:
+            self.cross.attach_payment(event.region, event.agent, event.amount)
+
+    def _round_end(self, event: RoundEnd) -> None:
+        self._target(event.region).feed(event)
+        self._open = None
+        self._winner = None
+
+    def _untagged(self, event: Event) -> None:
+        if self._open is not None:
+            self._open.feed(event)
+
+    def _tally(self, name: str, event: Event) -> None:
+        if self._open is not None:
+            self._open.feed(event)
+        else:
+            setattr(self.report, name, getattr(self.report, name) + 1)
+
+
 def audit_sharded_stream(events: Iterable[Event]) -> ShardedAuditReport:
     """Audit a sharded-central event log, per shard and cross-shard.
 
     Region-tagged round events are demultiplexed into one streaming
-    flat :class:`_Auditor` per shard (each sees a synthetic run of its
-    own region's rounds), while the cross-shard pass follows partition
-    / reconcile / heal declarations over the combined commit stream —
-    see :class:`ShardedAuditReport`.  Untagged infrastructure events
-    (faults, elections, checkpoints, recoveries, the Byzantine layer)
-    are routed to the shard whose round is currently open, or tallied
-    globally when none is.
+    flat :class:`_Auditor` per shard, while the cross-shard pass follows
+    partition / reconcile / heal declarations over the combined commit
+    stream — see :class:`ShardedAuditReport`.  Untagged rounds — the
+    flat runs a scenario's serving tail nests, one per drift re-auction
+    — are audited flat, into :attr:`ShardedAuditReport.nested`.  Other
+    untagged events (faults, elections, checkpoints, recoveries, the
+    Byzantine layer) go to whichever round is open, or are tallied
+    globally when none is.  The stream may carry
+    :func:`~repro.obs.export.open_record_stream`'s packed runs of bid
+    records in place of their bid events.
     """
-    report = ShardedAuditReport()
-    cross = _CrossShardAuditor(report)
-    auditors: dict[int, _Auditor] = {}
-    run_label = "Sharded-AGT-RAM"
-    open_shard: Optional[int] = None
-    #: The open round's winner sizes, for payment attachment.
-    pending_winner: Optional[WinnerEvent] = None
-
-    def shard_auditor(region: int) -> _Auditor:
-        auditor = auditors.get(region)
-        if auditor is None:
-            auditor = _Auditor()
-            auditor.feed(RunStart(t=0.0, algorithm=f"{run_label}/shard{region}"))
-            auditors[region] = auditor
-            report.shards[region] = auditor.report
-            # Back-reference for the cross pass's residual refunds.
-            auditor.report._auditor = auditor  # type: ignore[attr-defined]
-        return auditor
-
+    auditor = _ShardedAuditor()
+    feed = auditor.feed
     for event in events:
-        nonlocal_region = getattr(event, "region", -1)
-        if isinstance(event, RunStart):
-            run_label = event.algorithm
-        elif isinstance(event, RunEnd):
-            for auditor in auditors.values():
-                auditor.feed(
-                    RunEnd(t=event.t, algorithm=auditor._run_label,
-                           otc=event.otc, rounds=event.rounds)
-                )
-        elif isinstance(event, PartitionEvent):
-            cross.on_partition(event)
-        elif isinstance(event, ReconcileEvent):
-            cross.on_reconcile(event)
-        elif isinstance(event, HealEvent):
-            cross.on_heal(event)
-        elif isinstance(
-            event,
-            (RoundStart, BidEvent, WinnerEvent, PaymentEvent,
-             CapacityReject, RoundEnd),
-        ) and nonlocal_region >= 0:
-            auditor = shard_auditor(nonlocal_region)
-            if isinstance(event, RoundStart):
-                open_shard = nonlocal_region
-                pending_winner = None
-            auditor.feed(event)
-            if isinstance(event, WinnerEvent):
-                pending_winner = event
-                cross.commit(
-                    _ShardCommit(
-                        region=nonlocal_region, server=event.agent,
-                        obj=event.obj, value=event.value,
-                        size=event.obj_size, round=event.round,
-                    )
-                )
-            elif isinstance(event, PaymentEvent):
-                if (
-                    pending_winner is not None
-                    and pending_winner.agent == event.agent
-                ):
-                    cross.attach_payment(
-                        nonlocal_region, event.agent, event.amount
-                    )
-            elif isinstance(event, RoundEnd):
-                open_shard = None
-                pending_winner = None
-        else:
-            # Untagged infrastructure / Byzantine events.
-            if open_shard is not None:
-                shard_auditor(open_shard).feed(event)
-            elif isinstance(event, FaultEvent):
-                report.faults_seen += 1
-            elif isinstance(event, ElectionEvent):
-                report.elections_seen += 1
-            elif isinstance(event, CheckpointEvent):
-                report.checkpoints_seen += 1
-            elif isinstance(event, RecoveryEvent):
-                report.recoveries_seen += 1
-            elif isinstance(event, ValidationEvent):
-                report.validations_seen += 1
-            elif isinstance(event, ManipulationEvent):
-                report.manipulations_seen += 1
-            elif isinstance(event, QuarantineEvent):
-                report.quarantines_seen += 1
-            elif isinstance(event, AdversaryEvent):
-                report.adversarial_bids_seen += 1
-
-    cross.finish()
-    for auditor in auditors.values():
-        if auditor._round is not None:
-            auditor._flag(
-                auditor._round.index, "structure",
-                "log ends inside an open round",
-            )
-        auditor._finalize_run()
-    return report
+        feed(event)
+    return auditor.finish()
 
 
 def audit_sharded_events(events: Iterable[Event]) -> ShardedAuditReport:
@@ -1121,16 +1343,21 @@ def audit_sharded_events(events: Iterable[Event]) -> ShardedAuditReport:
 
 
 def audit_sharded_files(paths: Sequence[str | Path]) -> ShardedAuditReport:
-    """Audit one logical sharded event log spread over files, lazily."""
-    from repro.obs.export import event_log_chunks, open_event_stream
+    """Audit one logical sharded event log spread over files, lazily.
+
+    Paths resolve as :func:`audit_files` resolves them, and a binary
+    log's runs of bid records reach their shard's auditor as packed
+    record arrays, with no event object per bid.
+    """
+    from repro.obs.export import event_log_chunks, open_record_stream
 
     resolved: list[Path] = []
     for p in paths:
         resolved.extend(event_log_chunks(p))
 
-    def chained() -> Iterable[Event]:
+    def chained() -> Iterable[Any]:
         for path in resolved:
-            yield from open_event_stream(path)
+            yield from open_record_stream(path)
 
     return audit_sharded_stream(chained())
 

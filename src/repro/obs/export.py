@@ -633,16 +633,18 @@ def _refill(
 def _iter_binary_records(path: str | Path, *, runs: bool) -> Iterator[Any]:
     """Lazily decode a binary event log in bounded memory, one event per
     record — except, with ``runs``, that each maximal run of consecutive
-    bid records in the current read chunk comes out whole, as one packed
-    record array (``np.frombuffer`` with the bid codec's
-    :attr:`_KindCodec.dtype`; fields ``t``, ``round``, ``agent``,
-    ``obj``, ``value``, ``region``).
+    bid records comes out as one packed record array (``np.frombuffer``
+    with the bid codec's :attr:`_KindCodec.dtype`; fields ``t``,
+    ``round``, ``agent``, ``obj``, ``value``, ``region``).
 
     A run holds only records whose kind byte and declared length are a
-    well-formed bid's; any other record, and a bid record straddling the
-    chunk's end, decodes one at a time, so a run may split at a chunk
-    boundary.  Raises ``ValueError`` as :func:`iter_events_binary`
-    documents.
+    well-formed bid's; any other record decodes one at a time.  A run
+    that reaches the last whole record of the read chunk may go on past
+    it, so it is carried into the next chunk and scanned again: a bid
+    record straddling the chunk's end stays inside its run.  A run that
+    fills a chunk comes out in pieces of at least a chunk each, so
+    memory stays bounded.  Raises ``ValueError`` as
+    :func:`iter_events_binary` documents.
     """
     with open(path, "rb") as f:
         if f.read(len(BINARY_MAGIC)) != BINARY_MAGIC:
@@ -685,11 +687,17 @@ def _iter_binary_records(path: str | Path, *, runs: bool) -> Iterator[Any]:
                 raise ValueError(f"record kind index {kind} out of range")
             if kind == bid_kind:
                 step = lengths[kind]
-                heads = np.ndarray(
-                    ((end - off) // step,), _HEADER_DTYPE, buf, off, (step,)
-                )
+                whole = (end - off) // step
+                heads = np.ndarray((whole,), _HEADER_DTYPE, buf, off, (step,))
                 ok = (heads["#kind"] == kind) & (heads["#length"] == sizes[kind])
-                n = int(ok.argmin()) if not ok.all() else len(ok)
+                n = int(ok.argmin()) if not ok.all() else whole
+                if n == whole and n * step < _IO_CHUNK:
+                    # The run may go on past this chunk: carry it over.
+                    more = f.read(_IO_CHUNK)
+                    if more:
+                        buf = buf[off:] + more
+                        off, end = 0, len(buf)
+                        continue
                 if n:
                     yield np.frombuffer(buf, run_dtype, n, off)
                     off += n * step
@@ -752,10 +760,11 @@ def open_event_stream(path: str | Path) -> Iterator[Event]:
 def open_record_stream(path: str | Path) -> Iterator[Any]:
     """:func:`open_event_stream`, except that a binary log's runs of bid
     records come out as packed record arrays (see
-    :func:`_iter_binary_records`) — the form the mechanism audit
-    consumes without building a :class:`BidEvent` per bid.  Expanding
-    a run costs what decoding its records does (a ``BidEvent`` per bid
-    either way), so the event readers decode record by record."""
+    :func:`_iter_binary_records`) — the form the flat and the sharded
+    mechanism audits consume, verifying each round on its bid columns
+    with no :class:`BidEvent` per bid.  A consumer of events gains
+    nothing from runs (expanding one costs what decoding its records
+    does), so :func:`open_event_stream` decodes record by record."""
     if _is_binary_log(path):
         return _iter_binary_records(path, runs=True)
     return iter_events_jsonl(path)

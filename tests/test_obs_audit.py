@@ -4,14 +4,28 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
+import pickle
 from functools import partial
 
+import numpy as np
 import pytest
+from _audit_reference import reference_verification
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import events as ev
-from repro.obs.audit import audit_events, audit_file, audit_files, audit_stream
+from repro.obs.audit import (
+    ABS_TOL,
+    REL_TOL,
+    _near_top,
+    audit_events,
+    audit_file,
+    audit_files,
+    audit_sharded_events,
+    audit_sharded_file,
+    audit_stream,
+)
 from repro.obs.export import write_events_binary, write_events_jsonl
 
 
@@ -504,12 +518,25 @@ def _window_marks(audit, window: int) -> list:
     return marks
 
 
+def assert_same_reports(*reports) -> None:
+    """The reports pickle to the same bytes: equal field by field, with
+    ``-0.0`` told from ``0.0`` and a NaN amount equal to itself."""
+    first = pickle.dumps(reports[0])
+    for other in reports[1:]:
+        if pickle.dumps(other) != first:
+            assert other == reports[0]  # pytest shows where they differ
+            raise AssertionError(f"{other!r} pickles unlike {reports[0]!r}")
+
+
 def assert_same_verdicts(events, path) -> None:
-    """``audit_file`` on the REVB file of ``events`` reports what
-    ``audit_events`` reports, and ``on_window`` fires at the same points
-    with the same reports."""
+    """The dict-based reference checks on ``events``, the array checks
+    on ``events``, and ``audit_file`` on their REVB file (bid runs) give
+    one report, and ``on_window`` fires at the same points with the same
+    reports from events as from the file."""
+    with reference_verification():
+        reference = audit_events(events)
     write_events_binary(events, path)
-    assert audit_file(path) == audit_events(events)
+    assert_same_reports(reference, audit_events(events), audit_file(path))
     for window in (1, 5, 64):
         from_events = _window_marks(partial(audit_stream, events), window)
         from_file = _window_marks(partial(audit_files, [path]), window)
@@ -533,11 +560,53 @@ def _tampered(value, data):
         return value + data.draw(st.sampled_from([-2, -1, 1, 2]))
     if isinstance(value, float):
         return data.draw(
-            st.sampled_from([value + 1.0, value - 1e-3, -value, NAN, float("inf")])
+            st.sampled_from(
+                [value + 1.0, value - 1e-3, -value, NAN, math.inf, -math.inf, -0.0]
+            )
         )
     if isinstance(value, str):
         return value + "x"
     return value[1:] if value else (0,)
+
+
+def _tamper(events, data) -> list[ev.Event]:
+    """``events`` with one perturbed field, one dropped event, or one
+    bid copied elsewhere, drawn from ``data``."""
+    events = list(events)
+    how = data.draw(st.sampled_from(["perturb", "drop", "duplicate-bid"]))
+    if how == "duplicate-bid":
+        bids = [i for i, e in enumerate(events) if isinstance(e, ev.BidEvent)]
+        i = data.draw(st.sampled_from(bids))
+        j = data.draw(st.integers(0, len(events)))
+        events.insert(j, events[i])
+    else:
+        i = data.draw(st.integers(0, len(events) - 1))
+        if how == "drop":
+            del events[i]
+        else:
+            names = [f.name for f in dataclasses.fields(events[i])]
+            name = data.draw(st.sampled_from(names))
+            new = _tampered(getattr(events[i], name), data)
+            events[i] = dataclasses.replace(events[i], **{name: new})
+    return events
+
+
+@pytest.fixture(scope="module")
+def batched_run_events(tiny_instance) -> list[ev.Event]:
+    """A batched run: up to four winners a round, at a uniform price."""
+    from repro.core.agt_ram import AGTRam
+
+    with ev.logical_time(), ev.capture() as sink:
+        AGTRam(batch_size=4).run(tiny_instance)
+    events = list(sink.events)
+    rounds = {}
+    for e in events:
+        if isinstance(e, ev.PaymentEvent):
+            assert e.rule == "uniform"
+            rounds[e.round] = rounds.get(e.round, 0) + 1
+    assert max(rounds.values()) > 1
+    assert audit_events(events).ok
+    return events
 
 
 class TestBinaryVerdicts:
@@ -552,21 +621,208 @@ class TestBinaryVerdicts:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_tampered_real_run(self, tiny_run_events, data, tmp_path_factory):
-        events = list(tiny_run_events)
-        how = data.draw(st.sampled_from(["perturb", "drop", "duplicate-bid"]))
-        if how == "duplicate-bid":
-            bids = [i for i, e in enumerate(events) if isinstance(e, ev.BidEvent)]
-            i = data.draw(st.sampled_from(bids))
-            j = data.draw(st.integers(0, len(events)))
-            events.insert(j, events[i])
-        else:
-            i = data.draw(st.integers(0, len(events) - 1))
-            if how == "drop":
-                del events[i]
-            else:
-                names = [f.name for f in dataclasses.fields(events[i])]
-                name = data.draw(st.sampled_from(names))
-                new = _tampered(getattr(events[i], name), data)
-                events[i] = dataclasses.replace(events[i], **{name: new})
         path = tmp_path_factory.mktemp("tampered") / "log.rev"
-        assert_same_verdicts(events, path)
+        assert_same_verdicts(_tamper(tiny_run_events, data), path)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tampered_batched_run(self, batched_run_events, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("batched") / "log.rev"
+        assert_same_verdicts(_tamper(batched_run_events, data), path)
+
+
+# -- the array checks' closeness test ----------------------------------------
+
+#: Floats the price setters' closeness test must get right: zeros of
+#: both signs, subnormals, the normal range's edges, infinity and NaN.
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-9, -1e-9, 1.7e308,
+    -1.7e308, -math.inf, NAN,
+]
+
+
+@st.composite
+def _values_below_top(draw):
+    """A finite ``top > 0`` and reports no larger (NaN aside): the
+    second price and the reports it was taken from."""
+    top = draw(
+        st.one_of(
+            st.sampled_from([5e-324, 1e-310, 1e-9, 1.0, 1.7e308]),
+            st.floats(min_value=5e-324, max_value=1.7e308),
+        )
+    )
+    near = st.floats(0.0, 4e-9).map(lambda f: top - f * top)
+    near_abs = st.floats(0.0, 4e-9).map(lambda f: top - f)
+    value = st.one_of(
+        st.sampled_from(_EDGE_FLOATS + [top]),
+        st.floats(allow_infinity=False, allow_nan=False),
+        near,
+        near_abs,
+    ).map(lambda v: v if v != v or v <= top else top)
+    return top, draw(st.lists(value, max_size=40))
+
+
+class TestCloseness:
+    @given(case=_values_below_top())
+    @settings(max_examples=300, deadline=None)
+    def test_near_top_is_math_isclose_element_by_element(self, case):
+        top, values = case
+        got = _near_top(np.array(values, dtype=np.float64), top).tolist()
+        assert got == [
+            math.isclose(v, top, rel_tol=REL_TOL, abs_tol=ABS_TOL) for v in values
+        ]
+
+    def test_np_isclose_is_a_different_test(self):
+        # It adds the relative and the absolute tolerance.
+        top, v = 1.0, 1.0 - 1.5e-9
+        assert not math.isclose(v, top, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+        assert np.isclose(v, top, rtol=REL_TOL, atol=ABS_TOL)
+        assert not _near_top(np.array([v]), top)[0]
+
+
+# -- sharded logs: run feed, nested flat runs --------------------------------
+
+
+@pytest.fixture(scope="module")
+def showcase():
+    """The showcase scenario: a sharded run under every failure plane,
+    then a serving tail whose drift re-auction is a nested flat run."""
+    from repro.runtime.scenario import CATALOG, run_scenario
+
+    out = run_scenario(CATALOG["showcase"])
+    assert out.ok, out.failures
+    return list(out.monitor.events), out.split
+
+
+@pytest.fixture(scope="module")
+def sharded_run_events(tiny_instance) -> list[ev.Event]:
+    from repro.runtime.shard import PartitionSchedule, ShardedAGTRam
+
+    plan = PartitionSchedule.random(
+        n_regions=4, horizon=20, seed=5, partition_fraction=0.4
+    )
+    with ev.logical_time(), ev.capture() as sink:
+        ShardedAGTRam(n_regions=4, seed=7, plan=plan).run(tiny_instance)
+    return list(sink.events)
+
+
+def assert_same_sharded_verdicts(events, path) -> None:
+    """:func:`assert_same_verdicts` for the sharded audit."""
+    with reference_verification():
+        reference = audit_sharded_events(events)
+    write_events_binary(events, path)
+    assert_same_reports(
+        reference, audit_sharded_events(events), audit_sharded_file(path)
+    )
+
+
+def _tampered_reauction(events, split) -> list[ev.Event]:
+    """The log with its first re-auction payment raised to 3x + 1."""
+    out = list(events)
+    i = next(
+        k for k in range(split, len(out)) if isinstance(out[k], ev.PaymentEvent)
+    )
+    out[i] = dataclasses.replace(out[i], amount=3 * out[i].amount + 1)
+    return out
+
+
+class TestShardedAudit:
+    def test_nested_runs_are_audited_flat(self, showcase, tmp_path):
+        events, split = showcase
+        report = audit_sharded_events(events)
+        assert report.ok, report.summary()
+        assert_same_reports(report.nested, audit_events(events[split:]))
+        assert report.nested.runs_audited == 1
+        assert report.nested.payments_verified == 18
+        # The serving tail leaves the shards' verdicts as they were.
+        assert_same_reports(
+            report.shards, audit_sharded_events(events[:split]).shards
+        )
+        assert "nested flat runs   1: 19 round(s)" in report.summary()
+        assert_same_sharded_verdicts(events, tmp_path / "log.rev")
+
+    def test_tampered_reauction_payment_is_flagged(self, showcase, tmp_path):
+        from repro.cli import main
+
+        events, split = showcase
+        tampered = _tampered_reauction(events, split)
+        report = audit_sharded_events(tampered)
+        assert not report.ok
+        assert report.violations == report.nested.violations
+        assert [v.kind for v in report.violations] == ["payment"]
+        assert_same_reports(report.nested, audit_events(tampered[split:]))
+        assert "FAIL  1 violation(s)" in report.summary()
+        path = write_events_binary(tampered, tmp_path / "log.rev")
+        assert_same_reports(audit_sharded_file(path), report)
+        jsonl = write_events_jsonl(tampered, tmp_path / "log.jsonl")
+        assert main(["audit", "--sharded", str(jsonl)]) == 1
+        assert main(["audit", "--sharded", str(path)]) == 1
+
+    def test_nested_run_end_leaves_the_shards_open(self):
+        # Agent 1 sets shard 0's price, a flat run nests, and agent 1 is
+        # quarantined in shard 0's next round: the payment is tainted,
+        # which it is not if the nested RunEnd finishes shard 0's run.
+        def in_shard(events, **changes):
+            return [
+                dataclasses.replace(
+                    e, region=0, **{k: v for k, v in changes.items() if hasattr(e, k)}
+                )
+                if hasattr(e, "region")
+                else e
+                for e in events
+            ]
+
+        later = in_shard(
+            clean_round(round=1, t=3.0, bids=((0, 1.0), (2, 0.5))),
+            obj=4,
+            residual_before=8,
+        )
+        later.insert(1, ev.QuarantineEvent(t=3.0, round=1, agent=1))
+        events = [
+            ev.RunStart(t=0.0, algorithm="Sharded-AGT-RAM"),
+            *in_shard(clean_round(round=0)),
+            *wrap_run(clean_round(round=0, t=2.0)),
+            *later,
+            ev.RunEnd(t=9.0, algorithm="Sharded-AGT-RAM"),
+        ]
+        report = audit_sharded_events(events)
+        assert report.ok, report.summary()
+        assert report.nested.rounds_audited == 1
+        (taint,) = report.shards[0].tainted_payments
+        assert (taint.round, taint.setter, taint.quarantined_at) == (0, 1, 1)
+
+    def test_mixed_region_run_goes_bid_by_bid(self, sharded_run_events, tmp_path):
+        events = list(sharded_run_events)
+        start = _first(events, ev.RoundStart)
+        bid = start + 2  # the round's second bid, inside its run
+        assert isinstance(events[bid], ev.BidEvent)
+        other = (events[start].region + 1) % 4
+        events[bid] = dataclasses.replace(events[bid], region=other)
+        report = audit_sharded_events(events)
+        assert [v.detail for v in report.shards[other].violations] == [
+            "bid outside any round"
+        ]
+        assert_same_sharded_verdicts(events, tmp_path / "log.rev")
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tampered_sharded_run(
+        self, sharded_run_events, showcase, data, tmp_path_factory
+    ):
+        base = data.draw(st.sampled_from(["tiny", "showcase"]))
+        events = sharded_run_events if base == "tiny" else showcase[0]
+        path = tmp_path_factory.mktemp("sharded") / "log.rev"
+        assert_same_sharded_verdicts(_tamper(events, data), path)
+
+    def test_event_subclasses_are_handled_as_their_kind(self, showcase):
+        @dataclasses.dataclass(frozen=True)
+        class TracedBid(ev.BidEvent):
+            pass
+
+        events, _ = showcase
+        bids = [
+            TracedBid(**dataclasses.asdict(e)) if isinstance(e, ev.BidEvent) else e
+            for e in events
+        ]
+        assert_same_reports(audit_events(bids), audit_events(events))
+        assert_same_reports(audit_sharded_events(bids), audit_sharded_events(events))

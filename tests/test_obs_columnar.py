@@ -836,17 +836,59 @@ class TestRunReader:
     def test_every_corruption_raises_the_same_error_through_the_audit(
         self, tiny_events, tmp_path
     ):
-        from repro.obs.audit import audit_file
+        from unittest import mock
+
+        from repro.obs.audit import audit_file, audit_sharded_file
 
         tiny_log = write_events_binary(tiny_events, tmp_path / "t.rev").read_bytes()
-        for name, (data, pattern) in _corrupt_logs(tmp_path, tiny_log).items():
-            p = tmp_path / f"{name}.rev"
-            p.write_bytes(data)
-            with pytest.raises(ValueError, match=pattern) as decoded:
-                list(iter_events_binary(p))
-            with pytest.raises(ValueError, match=pattern) as audited:
-                audit_file(p)
-            assert str(audited.value) == str(decoded.value), name
+        corpus = _corrupt_logs(tmp_path, tiny_log)
+        # Small read chunks put chunk boundaries inside the bid runs.
+        for chunk in (export._IO_CHUNK, 97, 1000):
+            with mock.patch.object(export, "_IO_CHUNK", chunk):
+                for name, (data, pattern) in corpus.items():
+                    p = tmp_path / f"{name}.rev"
+                    p.write_bytes(data)
+                    with pytest.raises(ValueError, match=pattern) as decoded:
+                        list(iter_events_binary(p))
+                    for audit in (audit_file, audit_sharded_file):
+                        with pytest.raises(ValueError, match=pattern) as audited:
+                            audit(p)
+                        assert str(audited.value) == str(decoded.value), name
+
+    @given(chunk=st.integers(16, 4096))
+    @settings(max_examples=40, deadline=None)
+    def test_every_bid_record_comes_inside_a_run(
+        self, tiny_events, chunk, tmp_path_factory
+    ):
+        from unittest import mock
+
+        import numpy as np
+
+        path = tmp_path_factory.mktemp("chunks") / "tiny.rev"
+        write_events_binary(tiny_events, path)
+        with mock.patch.object(export, "_IO_CHUNK", chunk):
+            items = list(export.open_record_stream(path))
+            assert audit_files([path]) == audit_events(tiny_events)
+        assert not any(isinstance(i, ev.Event) and i.type == "bid" for i in items)
+        runs = [i for i in items if isinstance(i, np.ndarray)]
+        expanded: list = []
+        for item in items:
+            if isinstance(item, np.ndarray):
+                expanded += (BidEvent(*record[2:]) for record in item.tolist())
+            else:
+                expanded.append(item)
+        assert expanded == tiny_events
+        # A round's bids that fit in a read chunk come in one run; a
+        # larger round's, in pieces of at least a chunk.
+        step = runs[0].dtype.itemsize
+        per_round: dict = {}
+        for run in runs:
+            per_round.setdefault(int(run["round"][0]), []).append(len(run))
+        for sizes in per_round.values():
+            if sum(sizes) * step < chunk:
+                assert len(sizes) == 1
+            else:
+                assert all(n * step >= chunk for n in sizes[:-1])
 
     def test_file_without_the_magic_is_read_as_jsonl(self, tmp_path):
         from repro.obs.audit import audit_file
