@@ -32,7 +32,7 @@ OUT_DIR ?= out
 
 # Campaign knobs (see docs/robustness.md, "Running a campaign"): random
 # scenario compositions run after the catalog presets.
-RESILIENCE_LOTTERY ?= 1
+RESILIENCE_LOTTERY ?= 5
 RESILIENCE_LOTTERY_SEED ?= 0
 
 install:
@@ -114,7 +114,7 @@ audit:
 # The campaign: every catalog preset (the composed scenarios, then the
 # chaos, adversary, serve and shard presets) plus $(RESILIENCE_LOTTERY)
 # random composition(s), each gated on its own thresholds, final-scheme
-# feasibility and, on the flat central, no honest agent quarantined;
+# feasibility and no honest agent quarantined (on either central);
 # failing scenarios shrink to minimal repro JSONs in $(OUT_DIR).  Each
 # scenario's event log lands in $(OUT_DIR)/events.<name>.jsonl and
 # events.<name>.rev; one flat-central log (chaos) and one sharded one

@@ -583,8 +583,8 @@ def cmd_resilience(args: argparse.Namespace) -> int:
     compositions — on the flat central (one region) or the sharded one,
     then its optional serving phase, with the online invariant monitor
     armed, and gates it on the scenario's own thresholds plus
-    final-scheme feasibility and, on the flat central, no honest agent
-    quarantined.  A failing scenario is greedily shrunk (drop planes,
+    final-scheme feasibility and no honest agent quarantined, on either
+    central.  A failing scenario is greedily shrunk (drop planes,
     halve the workload, bisect the horizon) to a minimal still-failing
     ``<name>_scenario.json`` that ``--scenario`` runs again, unless
     ``--no-shrink``.  With several scenarios, each export path gets the

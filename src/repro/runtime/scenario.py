@@ -598,8 +598,8 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
     :class:`~repro.errors.InvariantViolationError` mid-run.
 
     Besides the scenario's own gates, every run must end in a feasible
-    scheme, and a flat-central run must quarantine no honest agent
-    (sharded runs report theirs).  ``max_degradation`` and
+    scheme and quarantine no honest agent, on either central.
+    ``max_degradation`` and
     ``min_message_reduction`` compare against the plane-free flat run
     on the same instance, which runs (unrecorded) only for them.
     """
@@ -696,12 +696,11 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
     except InfeasibleInstanceError as exc:
         feasible = False
         failures.append(f"infeasible final scheme: {exc}")
-    # Gated where the detector re-prices a bid on the view it was made
-    # from.  The sharded central's regions bid on the round-start view
-    # but are screened on the shared state after earlier regions of the
-    # same round committed, so there a stale honest bid can read as a
-    # misreport; its false quarantines are reported, not gated.
-    if false_quarantines and flat:
+    # Both centrals re-price each bid on the view it was made from (the
+    # sharded one on the island's round-start valuations, however many
+    # regions committed before it), so an honest report always matches
+    # and any quarantined honest agent is a defect.
+    if false_quarantines:
         failures.append(f"honest agents quarantined: {false_quarantines}")
     if not monitor.ok:
         failures.append(

@@ -226,15 +226,21 @@ def _stream_sha256(events) -> str:
 
 class TestPinnedStreams:
     """The composed scenarios' event streams, pinned before the campaign
-    presets and the flat central joined the driver: they did not move."""
+    presets and the flat central joined the driver: they did not move.
+
+    ``byzantine``, ``showcase`` and ticket 0 were re-pinned when the
+    sharded trust boundary started re-pricing each regional bid on the
+    island's round-start view: ``byzantine`` stops flagging four honest
+    bids, and the other two record a flagged lie's round-start value.
+    """
 
     PINS = {
         "smoke": "e1c79b29b435a9d67f9095c46191666b44727d58ef4d5ded22aa4745b29f0a2c",
         "faultstorm": "b4f11b230f8394a049c82baeae79c3533008851d5522c39f5f42ed662c94f082",
-        "byzantine": "a86fc42b202cdeb177dfb0522f943ad2496884e8f52162c97a84648ffa5c91bd",
+        "byzantine": "1909a55bd7894ca1837e80f5c3a0ae716b9e9f0a72b37dabe737ce261fcaf19f",
         "splitbrain": "f5ea68a907e2a86fb7d624ff8d06a43e85b7252f48d4247c171d32ac9ea32602",
-        "showcase": "70b0e79692eaf2d5a324e5d6e7793501ddf5ed3f7492dcfe9338b4cbdb961528",
-        0: "8d2519cc4b60c28b77f89c57c18bbd01d931b20741b13bed75abac6c46ca669f",
+        "showcase": "9028735edecfb7760fb1f34264d324bdfccd79844c659d42aec12c77b1d2a655",
+        0: "c8ba5c8587056a02ae689062a69c05007d3dd66c030808bd7437851a0c704dc1",
         1: "6142a499679286f799c0d86736317c25f0643f9790006ebeec662b13e0b55ad2",
         2: "b020f8a8609dd89f246ab8a9eb3b69c918bac36450aa15f7194b55681caf9891",
     }
@@ -243,6 +249,62 @@ class TestPinnedStreams:
     def test_stream_sha256(self, key):
         sc = CATALOG[key] if isinstance(key, str) else Scenario.random(key)
         assert _stream_sha256(run_scenario(sc).events) == self.PINS[key]
+
+
+
+#: The adversarial presets, on both centrals: ``byzantine`` and
+#: ``showcase`` run the sharded one, ``adversary-*`` the flat one.
+ADVERSARIAL_PRESETS = ("byzantine", "showcase", "adversary-25", "adversary-40")
+
+
+class TestNoHonestQuarantine:
+    """Every flagged bid is an injected lie, beyond the registered seeds.
+
+    Before the sharded trust boundary screened each region on the
+    island's round-start view, ``byzantine`` quarantined honest agent 3
+    at seed 4 and ``showcase`` honest agent 1 at seed 1, and sharded
+    precision ranged down to 0.6.
+    """
+
+    @pytest.mark.parametrize("name", ADVERSARIAL_PRESETS)
+    def test_seeds_0_to_9(self, name):
+        for seed in range(10):
+            out = run_scenario(dataclasses.replace(CATALOG[name], seed=seed))
+            detection = out.report["detection"]
+            assert detection["false_quarantines"] == [], (name, seed)
+            assert detection["precision"] == 1.0, (name, seed)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [23, 24])
+    def test_composed_160x800_scenario(self, seed):
+        """The benchmark's resilience-composed scenario (showcase scaled
+        to 160x800 over eight regions); it quarantined honest agent 142
+        at seed 23 and agents 5 and 17 at seed 24."""
+        sc = dataclasses.replace(
+            CATALOG["showcase"],
+            name="resilience-composed",
+            seed=seed,
+            servers=160,
+            objects=800,
+            requests=400_000,
+            regions=8,
+            horizon=1000,
+            n_requests=20_000,
+            faults=FaultPlane(
+                crash_rate=0.02,
+                straggler_rate=0.02,
+                serving_crash_rate=0.01,
+                serving_straggler_rate=0.02,
+            ),
+            adversary=AdversaryPlane(fraction=0.125),
+            partition=PartitionPlane(
+                fraction=0.3, mean_width=6.0, crash_rate=0.02
+            ),
+        )
+        out = run_scenario(sc)
+        assert out.ok, out.failures
+        assert out.report["detection"]["false_quarantines"] == []
+        assert out.report["detection"]["precision"] == 1.0
 
 
 #: The presets that replaced the single-plane campaign commands.

@@ -13,6 +13,7 @@ from repro.drp.instance import DRPInstance
 from repro.errors import ConfigurationError
 from repro.obs import events as ev
 from repro.obs.audit import audit_sharded_events
+from repro.runtime.adversary import AdversaryPlan, AdversarySpec
 from repro.runtime.messages import BidMessage
 from repro.runtime.shard import (
     PartitionSchedule,
@@ -365,6 +366,71 @@ class TestNullEquivalence:
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigurationError):
             ShardedAGTRam(engine="turbo")
+
+
+def _honest_armed_run(instance, **kw):
+    """A sharded run with the trust boundary armed but no lie told: the
+    plan's only attacker waits for a round the run never reaches, so
+    every bid is its sender's honest round-start valuation."""
+    plan = AdversaryPlan(
+        agents={0: AdversarySpec("inflate")}, window=(10**6, 10**6 + 1)
+    )
+    with ev.logical_time(), ev.capture(ev.RecordingSink()) as sink:
+        result = ShardedAGTRam(adversary=plan, **kw).run(instance)
+    return result, sink.events
+
+
+class TestRoundStartScreening:
+    """Regions clear one after another on a shared state, but every
+    region's bids come from the island's round-start view, and the trust
+    boundary must re-price them on that view."""
+
+    def test_bid_on_an_object_an_earlier_region_placed_is_not_flagged(
+        self, read_heavy_instance
+    ):
+        half = read_heavy_instance.n_servers // 2
+        part = np.repeat([0, 1], half)
+        _, events = _honest_armed_run(
+            read_heavy_instance, partition=part, seed=0
+        )
+        # Region 0 commits object k, then region 1 (which clears after
+        # it in the same round) screens an honest bid for k: the commit
+        # moved k's NN column, so the live state prices that bid lower
+        # than the view it was made from.
+        won = {
+            (e.round, e.obj)
+            for e in events
+            if isinstance(e, ev.WinnerEvent) and e.region == 0
+        }
+        later = [
+            e for e in events
+            if isinstance(e, ev.BidEvent)
+            and e.region == 1
+            and (e.round, e.obj) in won
+        ]
+        assert later, "no region-1 bid for an object region 0 just placed"
+        flagged = [e for e in events if isinstance(e, ev.ManipulationEvent)]
+        assert flagged == []
+
+    @pytest.mark.parametrize("regions", [2, 4])
+    def test_engines_agree_under_an_armed_boundary(
+        self, read_heavy_instance, regions
+    ):
+        """The naive engine's cached matrix is the round-start view until
+        the round ends; the delta engine reads the live state.  Screening
+        on the round-start view makes the two runs one stream."""
+
+        def digest(engine):
+            result, events = _honest_armed_run(
+                read_heavy_instance, n_regions=regions, seed=0, engine=engine
+            )
+            h = hashlib.sha256()
+            for e in events:
+                h.update(json.dumps(e.to_dict(), sort_keys=True).encode())
+            h.update(np.asarray(result.extra["payments"]).tobytes())
+            return h.hexdigest()
+
+        assert digest("naive") == digest("vectorized")
 
 
 class TestQuiescence:
