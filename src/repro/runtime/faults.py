@@ -48,7 +48,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Callable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import events as ev
@@ -225,6 +228,40 @@ class FaultSchedule:
     def is_straggler(self, rnd: int, agent: int) -> bool:
         return (rnd, agent) in self.stragglers
 
+    @cached_property
+    def _crash_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every crash interval as ``(agent, start, end)`` columns."""
+        rows = [
+            (a, start, end)
+            for a, ivals in self.agent_crashes.items()
+            for start, end in ivals
+        ]
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        return cols[:, 0], cols[:, 1], cols[:, 2]
+
+    @cached_property
+    def _stragglers_by_round(self) -> dict[int, np.ndarray]:
+        by_round: dict[int, list[int]] = {}
+        for rnd, agent in self.stragglers:
+            by_round.setdefault(rnd, []).append(agent)
+        return {r: np.array(a, dtype=np.int64) for r, a in by_round.items()}
+
+    def down_mask(self, rnd: int, n_agents: int) -> np.ndarray:
+        """(n_agents,) bool: :meth:`agent_down` of every agent at ``rnd``."""
+        agents, starts, ends = self._crash_columns
+        mask = np.zeros(n_agents, dtype=bool)
+        hit = agents[(starts <= rnd) & (rnd < ends) & (agents < n_agents)]
+        mask[hit] = True
+        return mask
+
+    def straggler_mask(self, rnd: int, n_agents: int) -> np.ndarray:
+        """(n_agents,) bool: :meth:`is_straggler` of every agent at ``rnd``."""
+        mask = np.zeros(n_agents, dtype=bool)
+        agents = self._stragglers_by_round.get(rnd)
+        if agents is not None:
+            mask[agents[agents < n_agents]] = True
+        return mask
+
     def central_crashes_at(self, rnd: int) -> bool:
         return rnd in self.central_crashes
 
@@ -249,7 +286,10 @@ class FaultSchedule:
         (round, agent).  Central crashes combine the explicit
         ``central_crashes`` rounds with a Bernoulli ``central_crash_rate``
         per round.  Sampling order is fixed (agents then rounds), so the
-        schedule is a pure function of the arguments.
+        schedule is a pure function of the arguments.  Each Bernoulli
+        plane is drawn as one array (the same stream as one uniform per
+        cell), even at rate 0, so every plane consumes a fixed number of
+        draws whatever the rates.
         """
         if n_agents < 1 or horizon < 0:
             raise ConfigurationError("need n_agents >= 1 and horizon >= 0")
@@ -272,15 +312,13 @@ class FaultSchedule:
                     crashes.setdefault(agent, []).append((rnd, rnd + length))
                     rnd += length
                 rnd += 1
-        stragglers = {
-            (rnd, agent)
-            for agent in range(n_agents)
-            for rnd in range(horizon)
-            if rng.random() < straggler_rate
-        }
+        # Agent-major: cell ``agent * horizon + rnd``.
+        hit = np.flatnonzero(rng.random(n_agents * horizon) < straggler_rate)
+        late_agents, late_rounds = np.divmod(hit, max(horizon, 1))
+        stragglers = set(zip(late_rounds.tolist(), late_agents.tolist()))
         central = set(int(r) for r in central_crashes)
         central.update(
-            rnd for rnd in range(horizon) if rng.random() < central_crash_rate
+            np.flatnonzero(rng.random(horizon) < central_crash_rate).tolist()
         )
         return cls(
             agent_crashes={a: tuple(iv) for a, iv in crashes.items()},
