@@ -119,7 +119,10 @@ audit:
 # scenario's event log lands in $(OUT_DIR)/events.<name>.jsonl and
 # events.<name>.rev; one flat-central log (chaos) and one sharded one
 # (showcase, whose serving tail nests a flat re-auction run) are then
-# re-verified offline in both formats, the REVB ones from bid runs.
+# re-verified offline in both formats, the REVB ones from bid runs, and
+# so is the flat-central serve-drift log (REVB), whose serving tail holds
+# drift re-auctions.  A log that serves requests also gets the serving
+# audit of its tail.
 resilience:
 	python -m repro resilience \
 		--lottery $(RESILIENCE_LOTTERY) \
@@ -130,6 +133,7 @@ resilience:
 	python -m repro audit $(OUT_DIR)/events.chaos.rev
 	python -m repro audit --sharded $(OUT_DIR)/events.showcase.jsonl
 	python -m repro audit --sharded $(OUT_DIR)/events.showcase.rev
+	python -m repro audit $(OUT_DIR)/events.serve-drift.rev
 
 lint:
 	ruff check src/repro/obs

@@ -30,7 +30,7 @@ def main() -> None:
         )
     )
 
-    sim = SemiDistributedSimulator(max_workers=4).run(instance)
+    sim = SemiDistributedSimulator().run(instance)
     eng = run_agt_ram(instance)
     metrics = sim.extra["metrics"]
 

@@ -8,7 +8,8 @@ compare    run several algorithms and print the comparison table
 sweep      capacity or R/W sweep, printed as table + ASCII chart
 axioms     run AGT-RAM with an audit and verify the six axioms
 bench      machine-readable perf harness (BENCH_*.json + regression diff)
-audit      offline axiom verification of a recorded JSONL event log
+audit      offline axiom verification of a recorded event log (and of
+           a scenario log's serving tail)
 resilience the campaign driver: run catalog presets, lottery draws or
            scenario JSON files, gate them, shrink failures
 
@@ -522,17 +523,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.sharded:
-        from repro.obs.audit import audit_sharded_files
-
-        try:
-            report = audit_sharded_files(args.log)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(report.summary())
-        return 0 if report.ok else 1
-    from repro.obs.audit import audit_files
+    from repro.obs.audit import audit_log
 
     window = args.window if args.window else (64 if args.stream else 0)
 
@@ -546,12 +537,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
             print(f"  … {rounds_done} rounds audited, {status}")
 
     try:
-        report = audit_files(args.log, window=window, on_window=progress)
+        report, serving = audit_log(
+            args.log, sharded=args.sharded, window=window, on_window=progress
+        )
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.summary())
-    return 0 if report.ok else 1
+    # A scenario log's serving tail: placement consistency of every
+    # served request (a log with no serving events has nothing to add).
+    if serving.requests_audited or not serving.ok:
+        print("serving tail")
+        print(serving.summary())
+    return 0 if report.ok and serving.ok else 1
 
 
 def _load_scenarios(names: Sequence[str]) -> list:
@@ -582,13 +580,14 @@ def cmd_resilience(args: argparse.Namespace) -> int:
     catalog presets, scenario JSON files and/or ``--lottery`` random
     compositions — on the flat central (one region) or the sharded one,
     then its optional serving phase, with the online invariant monitor
-    armed, and gates it on the scenario's own thresholds plus
-    final-scheme feasibility and no honest agent quarantined, on either
-    central.  A failing scenario is greedily shrunk (drop planes,
-    halve the workload, bisect the horizon) to a minimal still-failing
-    ``<name>_scenario.json`` that ``--scenario`` runs again, unless
-    ``--no-shrink``.  With several scenarios, each export path gets the
-    scenario name before its suffix.  Deterministic: every plane draws
+    (the offline audits, run live) armed, and gates it on the
+    scenario's own thresholds plus final-scheme feasibility and no
+    honest agent quarantined, on either central.  A failing scenario
+    is greedily shrunk (drop planes, halve the workload, bisect the
+    horizon) to a minimal still-failing ``<name>_scenario.json`` that
+    ``--scenario`` runs again, unless ``--no-shrink``.  With several
+    scenarios, each export path gets the scenario name before its
+    suffix.  Deterministic: every plane draws
     from its own substream of the scenario seed and the event log runs
     on the logical clock, so same-argument runs (and the ``--report``
     JSON) are byte-for-byte identical.
@@ -836,8 +835,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "audit",
-        help="verify a recorded event log offline (winner/payment/capacity), "
-        "or prove naive/vectorized engine equivalence",
+        help="verify a recorded event log offline (winner/payment/capacity, "
+        "and the serving tail's placement consistency when the log serves "
+        "requests), or prove naive/vectorized engine equivalence",
     )
     p.add_argument(
         "log",

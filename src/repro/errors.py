@@ -42,10 +42,11 @@ class ConvergenceError(ReproError):
 
 
 class InvariantViolationError(ReproError):
-    """An online safety invariant was violated during a strict run.
+    """A safety check failed during a strict run.
 
-    Raised by :class:`repro.runtime.invariants.InvariantMonitor` when a
-    check fails under ``strict=True``; the violating
+    Raised by :class:`repro.runtime.invariants.InvariantMonitor` when
+    one of the audits it runs live (or its availability floor) fails
+    under ``strict=True``; the violating
     :class:`~repro.obs.events.InvariantEvent` has already been emitted
     into the active sink when this propagates.
     """

@@ -1,9 +1,9 @@
-"""Offline mechanism audit: re-verify the paper's axioms from a log.
+"""Mechanism and serving audits: re-verify the paper's axioms from a log.
 
 Tanaka et al. (PAPERS.md) make the point that *faithfulness* of a
 mechanism implementation is itself an auditable property.  This module
 turns AGT-RAM's axioms into exactly that: given nothing but a recorded
-JSONL event log (:mod:`repro.obs.export`), it re-checks, round by round,
+event log (:mod:`repro.obs.export`), it re-checks, round by round,
 that
 
 * the winner was the **argmax** of the round's bids (Figure 2 line 10),
@@ -13,7 +13,18 @@ that
   rejected report) instead,
 * **capacity** was never violated: each allocated object fit the
   winner's recorded residual, residuals shrink consistently across
-  rounds, and every capacity rejection was justified.
+  rounds, every capacity rejection was justified, and no (server,
+  object) pair was committed while already live in the run (a
+  **double allocation**; only a declared reconcile-time revocation
+  frees a pair).
+
+The same auditors run **online**: every checker here is a push-fed
+consumer (feed it one event at a time, read its report after) that
+hands each violation to a hook the moment it finds it.
+:class:`~repro.runtime.invariants.InvariantMonitor` feeds them the live
+stream and turns each violation into an
+:class:`~repro.obs.events.InvariantEvent`, so a run's live verdict and
+the offline verdict on its log come from one piece of code.
 
 **Faulty runs** are audited *modulo the fault log*: a
 :class:`~repro.obs.events.TimeoutEvent` declares which agents' bids
@@ -41,13 +52,17 @@ manipulated.
 
 Any discrepancy — a corrupted log, a buggy reimplementation, a
 non-truthful payment rule — surfaces as a :class:`AuditViolation`.
-``python -m repro audit run.jsonl`` is the CLI wrapper.
+The serving audit (:func:`audit_serving_events`) checks a serving
+campaign's tail for placement consistency, with
+:class:`ServingViolation`\\ s.  ``python -m repro audit run.jsonl`` is
+the CLI wrapper; it runs the serving checks too when the log holds a
+serving campaign.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -103,6 +118,7 @@ __all__ = [
     "ServingAuditReport",
     "audit_serving_events",
     "audit_serving_file",
+    "audit_log",
 ]
 
 #: Relative tolerance for payment/bid float comparisons.
@@ -266,6 +282,10 @@ def _member(agents: Any, among: Iterable[int]) -> Any:
     return mask
 
 
+def _keep(violation: Any) -> None:
+    """The default violation hook: the report's list is the only record."""
+
+
 def _bid_events(run: Any) -> Iterator[BidEvent]:
     """A packed run of bid records as one :class:`BidEvent` per bid."""
     names = run.dtype.names[2:]  # past the record header
@@ -290,6 +310,14 @@ class _Handlers(dict[type, Optional[Callable[[Any], None]]]):
         handler = self[type(item)]
         if handler is not None:
             handler(item)
+
+    def consume(self, items: Iterable[Any]) -> None:
+        """Hand each of ``items`` to its handler, as calling the table
+        on each would (a bulk feed: one call per item fewer)."""
+        for item in items:
+            handler = self[type(item)]
+            if handler is not None:
+                handler(item)
 
 
 @dataclass
@@ -375,16 +403,23 @@ class _Auditor:
     """Streaming verifier; feed events in order, read the report after.
 
     :attr:`feed` takes an event, or a packed run of bid records (an item
-    of :func:`repro.obs.export.open_record_stream`).
+    of :func:`repro.obs.export.open_record_stream`).  Each violation
+    goes to ``on_violation`` as soon as it is found.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, on_violation: Callable[[AuditViolation], None] = _keep
+    ) -> None:
         self.report = AuditReport()
+        self.on_violation = on_violation
         self._run_stack: list[str] = []
         self._round: Optional[_Round] = None
         #: Per-run, per-agent expected residual capacity after the last
         #: commit (cross-round consistency check).
         self._residuals: dict[int, float] = {}
+        #: Per-run live (server, object) pairs, each with the winner that
+        #: committed it (double-allocation check).
+        self.live: dict[tuple[int, int], WinnerEvent] = {}
         #: Per-run second-price records awaiting quarantine resolution:
         #: (round, winner, amount, price-setter agents).
         self._priced: list[tuple[int, int, float, tuple[int, ...]]] = []
@@ -421,11 +456,11 @@ class _Auditor:
         return self._run_stack[-1] if self._run_stack else "<no run>"
 
     def _flag(self, round_index: int, kind: str, detail: str) -> None:
-        self.report.violations.append(
-            AuditViolation(
-                run=self._run_label, round=round_index, kind=kind, detail=detail
-            )
+        violation = AuditViolation(
+            run=self._run_label, round=round_index, kind=kind, detail=detail
         )
+        self.report.violations.append(violation)
+        self.on_violation(violation)
 
     def _finalize_run(self) -> None:
         """Resolve buffered second-price records against the quarantine
@@ -468,6 +503,7 @@ class _Auditor:
     def _run_start(self, event: RunStart) -> None:
         self._run_stack.append(event.algorithm)
         self._residuals = {}
+        self.live.clear()
         self.report.runs_audited += 1
 
     def _run_end(self, event: RunEnd) -> None:
@@ -475,6 +511,7 @@ class _Auditor:
         if self._run_stack:
             self._run_stack.pop()
         self._residuals = {}
+        self.live.clear()
 
     def _round_start(self, event: RoundStart) -> None:
         if self._round is not None:
@@ -734,6 +771,16 @@ class _Auditor:
             self.report.payments_verified += 1
 
     def _verify_capacity(self, rnd: _Round, w: WinnerEvent) -> None:
+        held = self.live.get((w.agent, w.obj))
+        if held is None:
+            self.live[w.agent, w.obj] = w
+        else:
+            self._flag(
+                rnd.index,
+                "capacity",
+                f"double allocation: (server {w.agent}, object {w.obj}) "
+                f"committed but already live since round {held.round}",
+            )
         if w.obj_size > w.residual_before:
             self._flag(
                 rnd.index,
@@ -764,8 +811,10 @@ def audit_stream(
 
     The verifier is inherently streaming: per-round state is dropped at
     each ``RoundEnd``, so memory is bounded by the widest single round
-    (plus the violation and tainted-payment lists — empty on a clean
-    log) no matter how many gigabytes the stream spans.  Feed it a lazy
+    (plus the run's residual chain and live placement, one entry per
+    server and per committed replica, and the violation and
+    tainted-payment lists — empty on a clean log) no matter how many
+    gigabytes the stream spans.  Feed it a lazy
     iterator (:func:`~repro.obs.export.open_event_stream`), not a
     materialized list, to actually realize that bound.  The stream may
     also carry :func:`~repro.obs.export.open_record_stream`'s packed
@@ -783,13 +832,16 @@ def audit_stream(
     auditor = _Auditor()
     report = auditor.report
     feed = auditor.feed
-    next_mark = window
-    for item in events:
-        feed(item)
-        if window and report.rounds_audited >= next_mark:
-            if on_window is not None:
-                on_window(report.rounds_audited, report)
-            next_mark += window
+    if not window:
+        feed.consume(events)
+    else:
+        next_mark = window
+        for item in events:
+            feed(item)
+            if report.rounds_audited >= next_mark:
+                if on_window is not None:
+                    on_window(report.rounds_audited, report)
+                next_mark += window
     auditor.finish()
     return report
 
@@ -817,17 +869,19 @@ def audit_files(
     to a whole-log audit.  A binary log's runs of bid records reach the
     auditor as packed record arrays, with no event object per bid.
     """
+    return audit_stream(_records(paths), window=window, on_window=on_window)
+
+
+def _records(paths: Sequence[str | Path]) -> Iterator[Any]:
+    """The records of one logical event log spread over files, the
+    reader of every file audit: each path resolved to its chunks now
+    (:func:`~repro.obs.export.event_log_chunks`), the chunks decoded
+    lazily by :func:`~repro.obs.export.open_record_stream` (events, and
+    a binary log's runs of bid records as packed record arrays)."""
     from repro.obs.export import event_log_chunks, open_record_stream
 
-    resolved: list[Path] = []
-    for p in paths:
-        resolved.extend(event_log_chunks(p))
-
-    def chained() -> Iterable[Any]:
-        for path in resolved:
-            yield from open_record_stream(path)
-
-    return audit_stream(chained(), window=window, on_window=on_window)
+    resolved = [chunk for p in paths for chunk in event_log_chunks(p)]
+    return (item for path in resolved for item in open_record_stream(path))
 
 
 def audit_file(path: str | Path) -> AuditReport:
@@ -864,17 +918,19 @@ class ShardedAuditReport:
     :class:`~repro.obs.events.ReconcileEvent`\\ s, which is what the
     flat audit cannot do.
 
-    The **cross-shard pass** re-derives the reconciliation from the log
-    alone: it tracks the global ``(server, object)`` placement across
-    all shards (a commit of an already-live pair is a
-    ``double_allocation`` violation), groups each partition window's
-    commits by island (from the :class:`~repro.obs.events.PartitionEvent`
-    assignment), recomputes the contested objects and the
-    lowest-cost-winner resolution, and checks the heal-time
+    The shards share one live ``(server, object)`` placement per run,
+    so a commit of a pair already live in any shard is a double
+    allocation in the committing shard's report.  The **cross-shard
+    pass** re-derives the reconciliation from the log alone: it groups
+    each partition window's commits by island (from the
+    :class:`~repro.obs.events.PartitionEvent` assignment), recomputes
+    the contested objects and the lowest-cost-winner resolution, and
+    checks the heal-time
     :class:`ReconcileEvent` declared exactly that outcome — conflicts,
-    kept/revoked pairs, refunded capacity and clawed-back payments.  A
-    heal without a reconcile, an undeclared divergence, or a revoked
-    pair that was never committed all surface as cross violations.
+    kept/revoked pairs, refunded capacity and clawed-back payments, and
+    frees the revoked pairs in the shared placement.  A heal without a
+    reconcile, an undeclared divergence, or a revoked pair that is not
+    live all surface as cross violations.
 
     ``nested`` is the flat :class:`AuditReport` of the log's untagged
     rounds (region −1): the flat runs a scenario log nests in its
@@ -961,13 +1017,19 @@ class _CrossShardAuditor:
     """The reconciliation re-derivation over the demuxed commit stream."""
 
     def __init__(
-        self, report: ShardedAuditReport, shards: dict[int, _Auditor]
+        self,
+        report: ShardedAuditReport,
+        shards: dict[int, _Auditor],
+        on_violation: Callable[[AuditViolation], None] = _keep,
     ) -> None:
         self.report = report
+        self.on_violation = on_violation
         #: The per-shard auditors, whose residual chains refunds credit.
         self.shards = shards
-        #: Live global placement: (server, obj) -> its commit record.
-        self.placement: dict[tuple[int, int], _ShardCommit] = {}
+        #: Live global placement, (server, obj) -> the winner that
+        #: committed it: every shard auditor's ``live`` map, so each
+        #: checks its commits against all shards' (double allocation).
+        self.placement: dict[tuple[int, int], WinnerEvent] = {}
         #: The active window's island assignment (None when healed).
         self.islands: Optional[tuple[int, ...]] = None
         self.window_commits: list[_ShardCommit] = []
@@ -975,23 +1037,14 @@ class _CrossShardAuditor:
         self.partition_round = -1
 
     def _flag(self, rnd: int, kind: str, detail: str) -> None:
-        self.report.cross_violations.append(
-            AuditViolation(run="cross-shard", round=rnd, kind=kind,
-                           detail=detail)
+        violation = AuditViolation(
+            run="cross-shard", round=rnd, kind=kind, detail=detail
         )
+        self.report.cross_violations.append(violation)
+        self.on_violation(violation)
 
     def commit(self, c: _ShardCommit) -> None:
         self.report.commits_seen += 1
-        pair = (c.server, c.obj)
-        if pair in self.placement:
-            self._flag(
-                c.round, "capacity",
-                f"double allocation: (server {c.server}, object {c.obj}) "
-                f"committed in shard {c.region} but already live since "
-                f"round {self.placement[pair].round}",
-            )
-            return
-        self.placement[pair] = c
         if self.islands is not None:
             self.window_commits.append(c)
 
@@ -1001,14 +1054,7 @@ class _CrossShardAuditor:
         for i in range(len(self.window_commits) - 1, -1, -1):
             c = self.window_commits[i]
             if c.region == region and c.server == server:
-                self.window_commits[i] = _ShardCommit(
-                    region=c.region, server=c.server, obj=c.obj,
-                    value=c.value, size=c.size, round=c.round,
-                    payment=amount,
-                )
-                pair = (c.server, c.obj)
-                if pair in self.placement:
-                    self.placement[pair] = self.window_commits[i]
+                self.window_commits[i] = replace(c, payment=amount)
                 return
 
     def on_partition(self, e: PartitionEvent) -> None:
@@ -1103,17 +1149,17 @@ class _CrossShardAuditor:
         # rounds against refunded residuals).
         self.report.revocations_seen += len(e.revoked)
         for server, obj in e.revoked:
-            c = self.placement.pop((server, obj), None)
-            if c is None:
+            w = self.placement.pop((server, obj), None)
+            if w is None:
                 self._flag(
                     e.round, "structure",
                     f"reconcile revokes (server {server}, object {obj}) "
                     "which is not a live allocation",
                 )
                 continue
-            auditor = self.shards.get(c.region)
+            auditor = self.shards.get(w.region)
             if auditor is not None and server in auditor._residuals:
-                auditor._residuals[server] += c.size
+                auditor._residuals[server] += w.obj_size
         self.window_reconciled = True
 
     def on_heal(self, e: HealEvent) -> None:
@@ -1167,12 +1213,15 @@ class _ShardedAuditor:
     finish their run at any other ``RunEnd`` — the sharded run's own.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, on_violation: Callable[[AuditViolation], None] = _keep
+    ) -> None:
         self.report = ShardedAuditReport()
+        self.on_violation = on_violation
         self.shards: dict[int, _Auditor] = {}
-        self.nested = _Auditor()
+        self.nested = _Auditor(on_violation)
         self.report.nested = self.nested.report
-        self.cross = _CrossShardAuditor(self.report, self.shards)
+        self.cross = _CrossShardAuditor(self.report, self.shards, on_violation)
         self._label = "Sharded-AGT-RAM"
         #: The auditor whose round is open.
         self._open: Optional[_Auditor] = None
@@ -1226,8 +1275,9 @@ class _ShardedAuditor:
             return self._open or self.nested
         auditor = self.shards.get(region)
         if auditor is None:
-            auditor = self.shards[region] = _Auditor()
+            auditor = self.shards[region] = _Auditor(self.on_violation)
             auditor.feed(RunStart(t=0.0, algorithm=f"{self._label}/shard{region}"))
+            auditor.live = self.cross.placement
             self.report.shards[region] = auditor.report
         return auditor
 
@@ -1331,9 +1381,7 @@ def audit_sharded_stream(events: Iterable[Event]) -> ShardedAuditReport:
     records in place of their bid events.
     """
     auditor = _ShardedAuditor()
-    feed = auditor.feed
-    for event in events:
-        feed(event)
+    auditor.feed.consume(events)
     return auditor.finish()
 
 
@@ -1349,17 +1397,7 @@ def audit_sharded_files(paths: Sequence[str | Path]) -> ShardedAuditReport:
     log's runs of bid records reach their shard's auditor as packed
     record arrays, with no event object per bid.
     """
-    from repro.obs.export import event_log_chunks, open_record_stream
-
-    resolved: list[Path] = []
-    for p in paths:
-        resolved.extend(event_log_chunks(p))
-
-    def chained() -> Iterable[Any]:
-        for path in resolved:
-            yield from open_record_stream(path)
-
-    return audit_sharded_stream(chained())
+    return audit_sharded_stream(_records(paths))
 
 
 def audit_sharded_file(path: str | Path) -> ShardedAuditReport:
@@ -1433,132 +1471,179 @@ class ServingAuditReport:
         return "\n".join(lines)
 
 
-def audit_serving_events(events: Iterable[Event]) -> ServingAuditReport:
+class _ServingAuditor:
+    """Streaming serving verifier; feed events in order, read the report
+    after.
+
+    :attr:`feed` takes any item of a log and ignores what is not a
+    serving event (mechanism events, packed runs of bid records).  Each
+    violation goes to ``on_violation`` as soon as it is found.
+    """
+
+    def __init__(
+        self, on_violation: Callable[[ServingViolation], None] = _keep
+    ) -> None:
+        self.report = ServingAuditReport()
+        self.on_violation = on_violation
+        #: Object -> primary server, from the ServeStart (None before).
+        self._primaries: Optional[tuple[int, ...]] = None
+        #: Every (server, object) copy at this logical time: the
+        #: replicas as evolved by the re-auction deltas, and the
+        #: primaries (which never drop their copy).
+        self._copies: set[tuple[int, int]] = set()
+        count = self._count
+        self.feed = _Handlers(
+            {
+                ServeStart: self._serve_start,
+                RequestEvent: self._request,
+                ShedEvent: partial(count, "sheds_seen"),
+                HedgeEvent: partial(count, "hedges_seen"),
+                FailoverEvent: partial(count, "failovers_seen"),
+                RequestTimeout: partial(count, "timeouts_seen"),
+                ReauctionEvent: self._reauction,
+                ServeEnd: self._serve_end,
+            }
+        )
+
+    def _flag(self, tick: int, kind: str, detail: str) -> None:
+        violation = ServingViolation(tick, kind, detail)
+        self.report.violations.append(violation)
+        self.on_violation(violation)
+
+    def _count(self, name: str, event: Event) -> None:
+        setattr(self.report, name, getattr(self.report, name) + 1)
+
+    def _serve_start(self, e: ServeStart) -> None:
+        if self._primaries is not None:
+            self._flag(0, "structure", "second serve_start in one log")
+        self._primaries = e.primaries
+        self._copies = set(e.replicas)
+        for k, p in enumerate(e.primaries):
+            if (p, k) in self._copies:
+                self._flag(
+                    0,
+                    "structure",
+                    f"replica list duplicates primary copy ({p}, {k})",
+                )
+        self._copies.update((p, k) for k, p in enumerate(e.primaries))
+
+    def _request(self, e: RequestEvent) -> None:
+        report = self.report
+        report.requests_audited += 1
+        if self._primaries is None:
+            self._flag(e.tick, "structure", "request before serve_start")
+        elif e.outcome != "ok":
+            report.failed += 1
+        else:
+            report.served_ok += 1
+            if e.replica < 0:
+                self._flag(
+                    e.tick,
+                    "placement",
+                    f"request for object {e.obj} marked ok with no "
+                    "serving replica",
+                )
+            elif (e.replica, e.obj) not in self._copies:
+                self._flag(
+                    e.tick,
+                    "placement",
+                    f"object {e.obj} served by server {e.replica}, "
+                    "which holds no replica at this logical time",
+                )
+
+    def _reauction(self, e: ReauctionEvent) -> None:
+        self.report.reauctions_seen += 1
+        primaries = self._primaries
+        if primaries is None:
+            self._flag(e.tick, "structure", "reauction before serve_start")
+            return
+        copies = self._copies
+        for pair in e.removed:
+            server, obj = pair
+            if 0 <= obj < len(primaries) and primaries[obj] == server:
+                self._flag(
+                    e.tick,
+                    "placement",
+                    f"reauction removed primary copy ({server}, {obj})",
+                )
+            elif pair not in copies:
+                self._flag(
+                    e.tick,
+                    "structure",
+                    f"reauction removed ({server}, {obj}) which was "
+                    "not in the placement",
+                )
+            else:
+                copies.discard(pair)
+        for pair in e.added:
+            server, obj = pair
+            if pair in copies:
+                self._flag(
+                    e.tick,
+                    "structure",
+                    f"reauction added duplicate replica ({server}, {obj})",
+                )
+            else:
+                copies.add(pair)
+
+    def _serve_end(self, e: ServeEnd) -> None:
+        if self._primaries is None:
+            self._flag(0, "structure", "serve_end before serve_start")
+            return
+        report = self.report
+        for name, logged, seen in (
+            ("served", e.served, report.served_ok),
+            ("failed", e.failed, report.failed),
+            ("shed", e.shed, report.sheds_seen),
+        ):
+            if logged != seen:
+                self._flag(
+                    0,
+                    "structure",
+                    f"serve_end claims {logged} {name} request(s) but "
+                    f"the log records {seen}",
+                )
+
+
+def audit_serving_events(events: Iterable[Any]) -> ServingAuditReport:
     """Verify a serving campaign's log for placement consistency.
 
     Mechanism events (including the nested re-auction runs' own
     bid/winner/payment stream) are ignored here — feed the same log to
     :func:`audit_events` for the axiom checks.
     """
-    report = ServingAuditReport()
-    primaries: Optional[tuple[int, ...]] = None
-    placement: set[tuple[int, int]] = set()
-    counted = {"ok": 0, "failed": 0, "shed": 0}
-
-    def flag(tick: int, kind: str, detail: str) -> None:
-        report.violations.append(ServingViolation(tick, kind, detail))
-
-    for e in events:
-        if isinstance(e, ServeStart):
-            if primaries is not None:
-                flag(0, "structure", "second serve_start in one log")
-            primaries = e.primaries
-            placement = set(e.replicas)
-            for k, p in enumerate(primaries):
-                if (p, k) in placement:
-                    flag(
-                        0,
-                        "structure",
-                        f"replica list duplicates primary copy ({p}, {k})",
-                    )
-        elif isinstance(e, RequestEvent):
-            report.requests_audited += 1
-            if primaries is None:
-                flag(e.tick, "structure", "request before serve_start")
-                continue
-            if e.outcome == "ok":
-                report.served_ok += 1
-                counted["ok"] += 1
-                if e.replica < 0:
-                    flag(
-                        e.tick,
-                        "placement",
-                        f"request for object {e.obj} marked ok with no "
-                        "serving replica",
-                    )
-                elif not (
-                    (e.replica, e.obj) in placement
-                    or (0 <= e.obj < len(primaries) and primaries[e.obj] == e.replica)
-                ):
-                    flag(
-                        e.tick,
-                        "placement",
-                        f"object {e.obj} served by server {e.replica}, "
-                        "which holds no replica at this logical time",
-                    )
-            else:
-                report.failed += 1
-                counted["failed"] += 1
-        elif isinstance(e, ShedEvent):
-            report.sheds_seen += 1
-            counted["shed"] += 1
-        elif isinstance(e, HedgeEvent):
-            report.hedges_seen += 1
-        elif isinstance(e, FailoverEvent):
-            report.failovers_seen += 1
-        elif isinstance(e, RequestTimeout):
-            report.timeouts_seen += 1
-        elif isinstance(e, ReauctionEvent):
-            report.reauctions_seen += 1
-            if primaries is None:
-                flag(e.tick, "structure", "reauction before serve_start")
-                continue
-            for pair in e.removed:
-                server, obj = pair
-                if 0 <= obj < len(primaries) and primaries[obj] == server:
-                    flag(
-                        e.tick,
-                        "placement",
-                        f"reauction removed primary copy ({server}, {obj})",
-                    )
-                elif pair not in placement:
-                    flag(
-                        e.tick,
-                        "structure",
-                        f"reauction removed ({server}, {obj}) which was "
-                        "not in the placement",
-                    )
-                else:
-                    placement.discard(pair)
-            for pair in e.added:
-                server, obj = pair
-                if pair in placement or (
-                    0 <= obj < len(primaries) and primaries[obj] == server
-                ):
-                    flag(
-                        e.tick,
-                        "structure",
-                        f"reauction added duplicate replica ({server}, {obj})",
-                    )
-                else:
-                    placement.add(pair)
-        elif isinstance(e, ServeEnd):
-            if primaries is None:
-                flag(0, "structure", "serve_end before serve_start")
-                continue
-            for name, logged in (
-                ("served", e.served),
-                ("failed", e.failed),
-                ("shed", e.shed),
-            ):
-                seen = counted["ok" if name == "served" else name]
-                if logged != seen:
-                    flag(
-                        0,
-                        "structure",
-                        f"serve_end claims {logged} {name} request(s) but "
-                        f"the log records {seen}",
-                    )
-    return report
+    auditor = _ServingAuditor()
+    auditor.feed.consume(events)
+    return auditor.report
 
 
 def audit_serving_file(path: str | Path) -> ServingAuditReport:
     """Load an event log (JSONL or binary, possibly chunked) and audit
     its serving campaign."""
-    from repro.obs.export import event_log_chunks, open_event_stream
+    return audit_serving_events(_records([path]))
 
-    def chained() -> Iterable[Event]:
-        for chunk in event_log_chunks(path):
-            yield from open_event_stream(chunk)
 
-    return audit_serving_events(chained())
+def audit_log(
+    paths: Sequence[str | Path],
+    *,
+    sharded: bool = False,
+    window: int = 0,
+    on_window: Optional[Callable[[int, AuditReport], None]] = None,
+) -> tuple[AuditReport | ShardedAuditReport, ServingAuditReport]:
+    """Audit one logical event log in one pass, as ``python -m repro
+    audit`` does: its mechanism audit (:func:`audit_files`, or
+    :func:`audit_sharded_files` when ``sharded``; ``window`` and
+    ``on_window`` apply to the flat one) and the serving audit of its
+    serving tail, which a log that serves no request leaves empty."""
+    serving = _ServingAuditor()
+
+    def teed() -> Iterator[Any]:
+        for item in _records(paths):
+            serving.feed(item)
+            yield item
+
+    if sharded:
+        mechanism: AuditReport | ShardedAuditReport = audit_sharded_stream(teed())
+    else:
+        mechanism = audit_stream(teed(), window=window, on_window=on_window)
+    return mechanism, serving.report

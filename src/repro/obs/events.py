@@ -458,23 +458,19 @@ class AdversaryEvent(Event):
 
 @dataclass(frozen=True)
 class InvariantEvent(Event):
-    """An online safety-invariant monitor observed a violation.
+    """A safety check failed during a run.
 
     Emitted by :class:`repro.runtime.invariants.InvariantMonitor` the
-    moment a check fails *during* a run (the offline audit re-derives
-    the same properties after the fact).  ``invariant`` names the
-    violated check:
-
-    * ``"capacity"`` — a commit exceeded the winner's residual capacity
-      (or broke the monitor's reconstructed residual chain);
-    * ``"double_allocation"`` — a (server, object) pair was committed
-      while already live, without an intervening declared revocation;
-    * ``"payment_bound"`` — a round's payment exceeded the winning bid
-      (second-price payments never do);
-    * ``"availability_floor"`` — the served fraction over the sliding
-      request window dropped below the configured floor;
-    * ``"undeclared_revocation"`` — a reconcile declared a revocation
-      for a pair that was never committed.
+    moment a check fails.  The monitor runs the audits of
+    :mod:`repro.obs.audit` live, so ``invariant`` is the kind of the
+    violation they found — ``"winner"``, ``"payment"``, ``"capacity"``
+    (double allocation included) or ``"structure"`` from the mechanism
+    audits, ``"placement"`` or ``"structure"`` from the serving audit —
+    and ``detail`` the violation as the offline report prints it.  The
+    one check of the monitor's own is ``"availability_floor"``: the
+    served fraction over the sliding request window dropped below the
+    configured floor (``value`` the fraction, ``bound`` the floor).
+    docs/robustness.md, "Online safety invariants", is the catalog.
 
     ``round`` is the mechanism round (``-1`` on the serving path) and
     ``tick`` the serving request index (``-1`` on the mechanism path).

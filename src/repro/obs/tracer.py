@@ -33,12 +33,10 @@ Design goals, in order:
 The module-level registry (:func:`current`, :func:`install`,
 :func:`capture`) lets deeply-buried code find the active tracer without
 threading it through every signature.  It is :mod:`contextvars`-based,
-so concurrent captures — thread-pool workers under
-:class:`~repro.runtime.parallel.ParallelBidEvaluator`, future async
-code — each see their own tracer instead of clobbering a process-wide
-global.  Worker threads spawned *outside* any capture see the disabled
-default; code that fans out work should propagate its context (see
-``ParallelBidEvaluator.evaluate``).
+so concurrent captures — threads, future async code — each see their
+own tracer instead of clobbering a process-wide global.  Worker threads
+spawned *outside* any capture see the disabled default; code that fans
+out work should propagate its context (``contextvars.copy_context``).
 """
 
 from __future__ import annotations

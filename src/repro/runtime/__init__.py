@@ -10,8 +10,6 @@ package simulates that protocol at message granularity:
   output per round is the binary replicate / don't-replicate decision,
 * :mod:`repro.runtime.simulator` — a round-based simulation driving
   :class:`~repro.core.agents.ReplicaAgent` objects through Figure 2,
-* :mod:`repro.runtime.parallel` — thread-pool evaluation of the PARFOR
-  loops (agents genuinely compute bids concurrently),
 * :mod:`repro.runtime.metrics` — rounds / messages / bytes accounting,
 * :mod:`repro.runtime.faults` — fault injection: crash/recover
   schedules, lossy channels, bid deadlines with quorum degradation, and
@@ -56,7 +54,6 @@ from repro.runtime.adversary import (
 from repro.runtime.central import CentralBody, Decision
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.simulator import SemiDistributedSimulator
-from repro.runtime.parallel import ParallelBidEvaluator
 from repro.runtime.replay import RealizedCost, replay_requests, replay_trace
 
 __all__ = [
@@ -90,7 +87,6 @@ __all__ = [
     "Decision",
     "RuntimeMetrics",
     "SemiDistributedSimulator",
-    "ParallelBidEvaluator",
     "RealizedCost",
     "replay_requests",
     "replay_trace",

@@ -26,14 +26,15 @@ scenario with the plane absent.
 
 **Online verification.**  The whole run is captured through an
 :class:`~repro.runtime.invariants.InvariantMonitor` under the logical
-event clock, so safety violations are caught *while* they happen (and
-abort the run under ``strict``).  Afterwards the log is split at the
-mechanism/serving boundary and replayed through the offline audits
-(:func:`~repro.obs.audit.audit_sharded_events` for the regional
-mechanism or :func:`~repro.obs.audit.audit_events` for the flat one,
-:func:`~repro.obs.audit.audit_serving_events` plus the flat mechanism
-audit for the serving tail and its nested re-auctions), the recovery
-accountant (:func:`~repro.obs.recovery.recovery_accounting`) and the
+event clock.  The monitor runs the offline audits live: the sharded
+audit for the regional mechanism or the flat one for the flat central,
+then, from the serving campaign's ``ServeStart``, the serving audit and
+the flat audit of the serving tail's nested re-auctions.  So safety
+violations are caught *while* they happen (and abort the run under
+``strict``), and the report's ``audits`` block is the very verdict
+``python -m repro audit`` gives on the exported log.  After the run
+come the recovery accountant
+(:func:`~repro.obs.recovery.recovery_accounting`) and the
 detection-recall join.  Everything runs on the logical clock, so a
 scenario's report is byte-for-byte reproducible from its JSON.
 
@@ -603,12 +604,6 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
     ``min_message_reduction`` compare against the plane-free flat run
     on the same instance, which runs (unrecorded) only for them.
     """
-    from repro.obs.audit import (
-        audit_events,
-        audit_serving_events,
-        audit_sharded_events,
-    )
-
     mat = materialize(scenario)
     reference = None
     if (
@@ -617,6 +612,7 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
     ):
         with ev.capture(ev.NULL_SINK):
             reference = SemiDistributedSimulator().run(mat.instance)
+    flat = scenario.regions == 1
     monitor = InvariantMonitor(
         ev.ColumnarSink(),
         config=InvariantConfig(
@@ -624,8 +620,8 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
             availability_window=scenario.availability_window,
             strict=strict,
         ),
+        sharded=not flat,
     )
-    flat = scenario.regions == 1
     with ev.logical_time(), ev.capture(monitor):
         if flat:
             placement = SemiDistributedSimulator(
@@ -656,15 +652,9 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
                 n_requests=scenario.n_requests,
             )
 
+    mech_audit, serving_audit, reauction_audit = monitor.finish()
     events = monitor.events
     mech_events = events[:split]
-    serving_events = events[split:]
-
-    mech_audit = (audit_events if flat else audit_sharded_events)(mech_events)
-    serving_audit = audit_serving_events(serving_events)
-    # The serving tail's nested drift re-auctions are flat mechanism
-    # runs; the flat audit covers them (and nothing else down here).
-    reauction_audit = audit_events(serving_events)
 
     recovery = recovery_accounting(events)
 

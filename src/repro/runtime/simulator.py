@@ -68,7 +68,6 @@ from repro.runtime.messages import (
 from repro.obs import events as ev
 from repro.obs import tracer as obs
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.parallel import ParallelBidEvaluator
 from repro.utils.timing import Timer, perf_counter
 from repro.utils.validation import check_index
 
@@ -91,9 +90,6 @@ class SemiDistributedSimulator:
         already holds: the bid sweep reads every unlisted agent's bid
         from one ``best_per_server()`` call.  Only listed agents
         evaluate their own rows (:meth:`ReplicaAgent.make_bid`).
-    max_workers:
-        Thread-pool width for the listed agents' bid evaluations (None
-        = serial); unlisted agents never reach the pool.
     keep_messages:
         Retain full message objects in the log (memory-heavy; counts and
         bytes are always kept).
@@ -156,7 +152,6 @@ class SemiDistributedSimulator:
         *,
         payment_rule: str = "second_price",
         strategies: Optional[Mapping[int, Strategy]] = None,
-        max_workers: Optional[int] = None,
         keep_messages: bool = False,
         nn_update_period: int = 1,
         failed_agents: Optional[set[int]] = None,
@@ -180,7 +175,6 @@ class SemiDistributedSimulator:
             raise ValueError("central_failure_round must be >= 0")
         self.central = CentralBody(payment_rule)
         self.strategies = dict(strategies) if strategies else {}
-        self.max_workers = max_workers
         self.keep_messages = keep_messages
         self.nn_update_period = nn_update_period
         self.failed_agents = set(failed_agents or ())
@@ -330,7 +324,7 @@ class SemiDistributedSimulator:
             else:
                 agents.append(ReplicaAgent(server=i))
 
-        with timer, ParallelBidEvaluator(self.max_workers) as evaluator:
+        with timer:
             state = ReplicationState.primaries_only(instance)
             engine = make_local_engine(self.engine, instance, state)
             if eventing:
@@ -496,12 +490,9 @@ class SemiDistributedSimulator:
                 bid_objs = np.full(m, -1, dtype=np.int64)
                 values[idx] = vals[idx]
                 bid_objs[idx] = objs[idx]
-                strategic = [i for i in ordered if i in self.strategies]
-                if strategic:
-                    deviators = [agents[i] for i in strategic]
-                    for i, bid in zip(
-                        strategic, evaluator.evaluate(deviators, engine)
-                    ):
+                for i in ordered:
+                    if i in self.strategies:
+                        bid = agents[i].make_bid(engine)
                         if bid is None:
                             values[i] = NEG_INF
                         else:

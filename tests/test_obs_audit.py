@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 from functools import partial
@@ -11,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 from _audit_reference import reference_verification
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import events as ev
@@ -22,11 +23,13 @@ from repro.obs.audit import (
     audit_events,
     audit_file,
     audit_files,
+    audit_serving_events,
     audit_sharded_events,
     audit_sharded_file,
     audit_stream,
 )
 from repro.obs.export import write_events_binary, write_events_jsonl
+from repro.runtime.invariants import InvariantMonitor
 
 
 def clean_round(
@@ -58,6 +61,18 @@ def wrap_run(rounds: list[ev.Event]) -> list[ev.Event]:
         *rounds,
         ev.RunEnd(t=9.0, algorithm="AGT-RAM", otc=100.0, rounds=1),
     ]
+
+
+def double_commit() -> list[ev.Event]:
+    """Agent 0 takes object 3 in round 0 and again in round 1, on a
+    residual chain that adds up."""
+    again = [
+        dataclasses.replace(e, residual_before=8)
+        if isinstance(e, ev.WinnerEvent)
+        else e
+        for e in clean_round(round=1, t=2.0)
+    ]
+    return wrap_run(clean_round(round=0) + again)
 
 
 def replace_event(events, index, **changes):
@@ -110,6 +125,20 @@ class TestCleanLogs:
 
 
 class TestViolations:
+    def test_double_commit_is_flagged(self, tmp_path):
+        events = double_commit()
+        report = audit_events(events)
+        assert [v.kind for v in report.violations] == ["capacity"]
+        assert report.violations[0].detail == (
+            "double allocation: (server 0, object 3) committed but already "
+            "live since round 0"
+        )
+        for path in (
+            write_events_jsonl(events, tmp_path / "log.jsonl"),
+            write_events_binary(events, tmp_path / "log.rev"),
+        ):
+            assert_same_reports(audit_file(path), report)
+
     def test_corrupted_payment_is_flagged(self):
         events = wrap_run(clean_round())
         idx = next(
@@ -456,6 +485,7 @@ def _violation_logs() -> dict[str, list[ev.Event]]:
         "residual-discontinuity": wrap_run(
             clean_round(round=0, t=1.0) + clean_round(round=1, t=2.0)
         ),
+        "double-commit": double_commit(),
         "unjustified-reject": _inserted(base, -2, reject),
         "duplicate-reason-reject": _inserted(
             base, -2, dataclasses.replace(reject, reason="duplicate")
@@ -528,15 +558,41 @@ def assert_same_reports(*reports) -> None:
             raise AssertionError(f"{other!r} pickles unlike {reports[0]!r}")
 
 
+def assert_live_verdicts(events, *, sharded=False) -> None:
+    """``events`` emitted through an :class:`InvariantMonitor` give the
+    offline reports: the mechanism audit of the events before the first
+    ``ServeStart``, the serving and the flat audit of the rest; and each
+    violation became one ``InvariantEvent``."""
+    split = next(
+        (i for i, e in enumerate(events) if isinstance(e, ev.ServeStart)),
+        len(events),
+    )
+    monitor = InvariantMonitor(sharded=sharded)
+    for e in events:
+        monitor.emit(e)
+    live = monitor.finish()
+    mechanism = audit_sharded_events if sharded else audit_events
+    assert_same_reports(
+        live,
+        (
+            mechanism(events[:split]),
+            audit_serving_events(events[split:]),
+            audit_events(events[split:]),
+        ),
+    )
+    assert len(monitor.violations) == sum(len(r.violations) for r in live)
+
+
 def assert_same_verdicts(events, path) -> None:
     """The dict-based reference checks on ``events``, the array checks
-    on ``events``, and ``audit_file`` on their REVB file (bid runs) give
-    one report, and ``on_window`` fires at the same points with the same
-    reports from events as from the file."""
+    on ``events``, ``audit_file`` on their REVB file (bid runs) and the
+    live monitor give one report, and ``on_window`` fires at the same
+    points with the same reports from events as from the file."""
     with reference_verification():
         reference = audit_events(events)
     write_events_binary(events, path)
     assert_same_reports(reference, audit_events(events), audit_file(path))
+    assert_live_verdicts(events)
     for window in (1, 5, 64):
         from_events = _window_marks(partial(audit_stream, events), window)
         from_file = _window_marks(partial(audit_files, [path]), window)
@@ -552,8 +608,9 @@ def tiny_run_events(tiny_instance) -> list[ev.Event]:
     return list(sink.iter_events())
 
 
-def _tampered(value, data):
-    """``value`` with one field-shaped perturbation drawn from ``data``."""
+def _tampered(value, data, *, pairs=False):
+    """``value`` with one field-shaped perturbation drawn from ``data``
+    (``pairs``: a tuple field of (server, object) pairs)."""
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -566,7 +623,20 @@ def _tampered(value, data):
         )
     if isinstance(value, str):
         return value + "x"
-    return value[1:] if value else (0,)
+    if value:
+        return value[1:]
+    return ((0, 0),) if pairs else (0,)
+
+
+class _Draws:
+    """Scripted answers to ``data.draw``, in draw order: an ``@example``
+    for an ``st.data()`` argument."""
+
+    def __init__(self, *answers) -> None:
+        self._answers = itertools.cycle(answers)
+
+    def draw(self, strategy, label=None):
+        return next(self._answers)
 
 
 def _tamper(events, data) -> list[ev.Event]:
@@ -584,9 +654,10 @@ def _tamper(events, data) -> list[ev.Event]:
         if how == "drop":
             del events[i]
         else:
-            names = [f.name for f in dataclasses.fields(events[i])]
-            name = data.draw(st.sampled_from(names))
-            new = _tampered(getattr(events[i], name), data)
+            fields = {f.name: f for f in dataclasses.fields(events[i])}
+            name = data.draw(st.sampled_from(list(fields)))
+            pairs = "tuple[tuple[int, int]" in str(fields[name].type)
+            new = _tampered(getattr(events[i], name), data, pairs=pairs)
             events[i] = dataclasses.replace(events[i], **{name: new})
     return events
 
@@ -706,6 +777,11 @@ def sharded_run_events(tiny_instance) -> list[ev.Event]:
     return list(sink.events)
 
 
+#: The tiny sharded run's first reconcile, which keeps and revokes no
+#: pair: perturbing a pair field there once made ``_tamper`` raise.
+EMPTY_RECONCILE = 153
+
+
 def assert_same_sharded_verdicts(events, path) -> None:
     """:func:`assert_same_verdicts` for the sharded audit."""
     with reference_verification():
@@ -714,6 +790,7 @@ def assert_same_sharded_verdicts(events, path) -> None:
     assert_same_reports(
         reference, audit_sharded_events(events), audit_sharded_file(path)
     )
+    assert_live_verdicts(events, sharded=True)
 
 
 def _tampered_reauction(events, split) -> list[ev.Event]:
@@ -754,6 +831,7 @@ class TestShardedAudit:
         assert "FAIL  1 violation(s)" in report.summary()
         path = write_events_binary(tampered, tmp_path / "log.rev")
         assert_same_reports(audit_sharded_file(path), report)
+        assert_live_verdicts(tampered, sharded=True)
         jsonl = write_events_jsonl(tampered, tmp_path / "log.jsonl")
         assert main(["audit", "--sharded", str(jsonl)]) == 1
         assert main(["audit", "--sharded", str(path)]) == 1
@@ -804,7 +882,13 @@ class TestShardedAudit:
         ]
         assert_same_sharded_verdicts(events, tmp_path / "log.rev")
 
+    def test_pinned_draw_hits_empty_pairs(self, sharded_run_events):
+        reconcile = sharded_run_events[EMPTY_RECONCILE]
+        assert isinstance(reconcile, ev.ReconcileEvent)
+        assert reconcile.kept == reconcile.revoked == ()
+
     @given(data=st.data())
+    @example(data=_Draws("tiny", "perturb", EMPTY_RECONCILE, "kept"))
     @settings(max_examples=40, deadline=None)
     def test_tampered_sharded_run(
         self, sharded_run_events, showcase, data, tmp_path_factory

@@ -2,9 +2,46 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+import tempfile
+from pathlib import Path
+
+import pytest
+
 from repro.obs import events as ev
 from repro.obs.audit import audit_serving_events, audit_serving_file
-from repro.obs.export import write_events_jsonl
+from repro.obs.export import write_events_binary, write_events_jsonl
+from repro.runtime.invariants import InvariantMonitor
+
+
+def audited(events):
+    """The serving audit of ``events``, which must be the same report
+    (pickle for pickle) from the events, from their JSONL and REVB
+    files, and live from an :class:`InvariantMonitor` (whose serving
+    audit starts at the first ``ServeStart``)."""
+    report = audit_serving_events(events)
+    with tempfile.TemporaryDirectory() as tmp:
+        from_files = [
+            audit_serving_file(write(events, Path(tmp) / name))
+            for write, name in (
+                (write_events_jsonl, "log.jsonl"),
+                (write_events_binary, "log.rev"),
+            )
+        ]
+    split = next(
+        (i for i, e in enumerate(events) if isinstance(e, ev.ServeStart)),
+        len(events),
+    )
+    monitor = InvariantMonitor()
+    for e in events:
+        monitor.emit(e)
+    _, live, _ = monitor.finish()
+    expected = pickle.dumps(report)
+    for other in from_files:
+        assert pickle.dumps(other) == expected
+    assert pickle.dumps(live) == pickle.dumps(audit_serving_events(events[split:]))
+    return report
 
 
 def serve_log(
@@ -82,7 +119,7 @@ def reauction(*, added=(), removed=(), tick=0):
 
 class TestCleanLogs:
     def test_replica_and_primary_serves_pass(self):
-        report = audit_serving_events(
+        report = audited(
             serve_log(requests=[(1, 0, "ok"), (0, 0, "ok"), (2, 1, "ok")])
         )
         assert report.ok
@@ -90,22 +127,22 @@ class TestCleanLogs:
         assert report.served_ok == 3
 
     def test_failed_requests_are_not_placement_violations(self):
-        report = audit_serving_events(serve_log(requests=[(-1, 0, "failed")]))
+        report = audited(serve_log(requests=[(-1, 0, "failed")]))
         assert report.ok
         assert report.failed == 1
 
     def test_empty_stream_is_ok(self):
-        assert audit_serving_events([]).ok
+        assert audited([]).ok
 
     def test_summary_mentions_verdict(self):
-        report = audit_serving_events(serve_log(requests=[(1, 0, "ok")]))
+        report = audited(serve_log(requests=[(1, 0, "ok")]))
         assert "PASS" in report.summary()
 
 
 class TestViolations:
     def test_serving_from_non_replica_flagged(self):
         # Server 2 holds no copy of object 0.
-        report = audit_serving_events(serve_log(requests=[(2, 0, "ok")]))
+        report = audited(serve_log(requests=[(2, 0, "ok")]))
         assert not report.ok
         assert any(v.kind == "placement" for v in report.violations)
 
@@ -116,7 +153,7 @@ class TestViolations:
         )
         # Reorder: reauction happens before the request is served.
         start, req, re_ev, end = events
-        report = audit_serving_events([start, re_ev, req, end])
+        report = audited([start, re_ev, req, end])
         assert not report.ok
         assert any(v.kind == "placement" for v in report.violations)
 
@@ -131,18 +168,18 @@ class TestViolations:
             t=3.0, served=1, shed=0, failed=0, hedges=0, failovers=0,
             reauctions=1, availability=1.0, p50=1.0, p99=1.0,
         )
-        report = audit_serving_events([start, re_ev, late_request, end])
+        report = audited([start, re_ev, late_request, end])
         assert report.ok
 
     def test_removing_primary_flagged(self):
-        report = audit_serving_events(
+        report = audited(
             serve_log(middle=[reauction(removed=((0, 0),))])
         )
         assert not report.ok
         assert any(v.kind == "placement" for v in report.violations)
 
     def test_removing_absent_pair_is_structure_violation(self):
-        report = audit_serving_events(
+        report = audited(
             serve_log(middle=[reauction(removed=((1, 1),))])
         )
         assert not report.ok
@@ -156,7 +193,7 @@ class TestViolations:
                 reauctions=0, availability=1.0, p50=1.0, p99=1.0,
             )
         )
-        report = audit_serving_events(events)
+        report = audited(events)
         assert not report.ok
         assert any(v.kind == "structure" for v in report.violations)
 
@@ -168,3 +205,72 @@ class TestFileRoundTrip:
             serve_log(requests=[(1, 0, "ok"), (2, 1, "ok")]), path
         )
         assert audit_serving_file(path).ok
+
+
+class TestLogOrder:
+    def test_request_before_serve_start_flagged(self):
+        start, req, end = serve_log(requests=[(1, 0, "ok")])
+        report = audited([req, start, end])
+        assert [v.detail for v in report.violations] == [
+            "request before serve_start",
+            "serve_end claims 1 served request(s) but the log records 0",
+        ]
+
+    def test_second_serve_start_flagged(self):
+        start, req, end = serve_log(requests=[(1, 0, "ok")])
+        report = audited([start, req, start, end])
+        assert [v.detail for v in report.violations] == [
+            "second serve_start in one log"
+        ]
+
+
+@pytest.fixture(scope="module")
+def serve_drift_log():
+    """The serve-drift preset's log: a flat-central run, then a serving
+    tail whose drift re-auction is a nested flat run."""
+    from repro.runtime.scenario import CATALOG, run_scenario
+
+    out = run_scenario(CATALOG["serve-drift"])
+    assert out.ok, out.failures
+    return list(out.monitor.iter_events())
+
+
+class TestAuditCommand:
+    """``repro audit`` checks a scenario log's serving tail too."""
+
+    def test_serving_tail_is_checked(self, serve_drift_log, tmp_path, capsys):
+        from repro.cli import main
+
+        path = write_events_binary(serve_drift_log, tmp_path / "log.rev")
+        assert main(["audit", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "serving tail\nrequests audited   4000\n" in out
+        assert "re-auctions        1\n" in out
+        assert out.count("PASS") == 2
+
+    def test_serving_violation_fails_the_audit(
+        self, serve_drift_log, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        events = list(serve_drift_log)
+        i = next(
+            k for k, e in enumerate(events)
+            if isinstance(e, ev.RequestEvent) and e.outcome == "ok"
+        )
+        events[i] = dataclasses.replace(events[i], replica=-1)
+        path = write_events_binary(events, tmp_path / "log.rev")
+        assert main(["audit", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "PASS  every round paid" in out  # the mechanism is intact
+        assert "marked ok with no serving replica" in out
+
+    def test_mechanism_log_has_no_serving_tail(self, tiny_instance, tmp_path, capsys):
+        from repro.cli import main
+        from repro.core.agt_ram import run_agt_ram
+
+        with ev.capture() as sink:
+            run_agt_ram(tiny_instance)
+        path = write_events_binary(sink.events, tmp_path / "log.rev")
+        assert main(["audit", str(path)]) == 0
+        assert "serving tail" not in capsys.readouterr().out

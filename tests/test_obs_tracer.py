@@ -167,48 +167,6 @@ class TestConcurrency:
             assert saw_own
             assert counters == {"hits": 1}
 
-    def test_parallel_evaluator_workers_see_callers_tracer(self, tiny_instance):
-        from repro.core.agents import ReplicaAgent
-        from repro.drp.benefit import BenefitEngine
-        from repro.drp.state import ReplicationState
-
-        class CountingAgent(ReplicaAgent):
-            def make_bid(self, engine):
-                current().count("worker_saw_tracer")
-                return super().make_bid(engine)
-
-        from repro.runtime.parallel import ParallelBidEvaluator
-
-        state = ReplicationState(tiny_instance)
-        engine = BenefitEngine(tiny_instance, state)
-        agents = [CountingAgent(server=i) for i in range(tiny_instance.n_servers)]
-        with ParallelBidEvaluator(max_workers=4) as evaluator:
-            with capture() as tracer:
-                evaluator.evaluate(agents, engine)
-        assert tracer.counters["worker_saw_tracer"] == tiny_instance.n_servers
-
-    def test_parallel_evaluator_workers_see_callers_event_sink(self, tiny_instance):
-        from repro.core.agents import ReplicaAgent
-        from repro.drp.benefit import BenefitEngine
-        from repro.drp.state import ReplicationState
-        from repro.obs import events as ev
-        from repro.runtime.parallel import ParallelBidEvaluator
-
-        class EmittingAgent(ReplicaAgent):
-            def make_bid(self, engine):
-                sink = ev.current()
-                if sink.enabled:
-                    sink.emit(ev.BidEvent(t=ev.now(), agent=self.server))
-                return super().make_bid(engine)
-
-        state = ReplicationState(tiny_instance)
-        engine = BenefitEngine(tiny_instance, state)
-        agents = [EmittingAgent(server=i) for i in range(tiny_instance.n_servers)]
-        with ParallelBidEvaluator(max_workers=4) as evaluator:
-            with ev.capture() as sink:
-                evaluator.evaluate(agents, engine)
-        assert len(sink.events) == tiny_instance.n_servers
-
 
 class TestLibraryIntegration:
     def test_agt_ram_emits_round_phases(self, tiny_instance):

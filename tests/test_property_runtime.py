@@ -1,7 +1,7 @@
 """Property fuzzing of the protocol simulator's option space.
 
 Random instances x random option combinations (lazy NN cadence, agent
-failures, central failure, strategies, thread pool): whatever the
+failures, central failure, strategies): whatever the
 configuration, the simulator must terminate with a feasible scheme,
 non-negative savings for truthful play, and a coherent message log.
 """
@@ -28,8 +28,6 @@ def simulator_options(draw):
     opts["nn_update_period"] = draw(st.sampled_from([1, 2, 5, 9]))
     if draw(st.booleans()):
         opts["central_failure_round"] = draw(st.integers(0, 5))
-    if draw(st.booleans()):
-        opts["max_workers"] = draw(st.sampled_from([2, 4]))
     return opts
 
 

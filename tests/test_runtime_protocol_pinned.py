@@ -11,9 +11,8 @@ its report's JSON, drift re-auctions' ``otc_before``/``otc_after``
 floats included.
 
 The sweep differential: an agent with an explicit ``TruthfulStrategy()``
-in ``strategies`` evaluates its own row (``ReplicaAgent.make_bid``, on
-the ``ParallelBidEvaluator`` pool when ``max_workers`` is set), so a run
-in which every agent has one is the per-agent reference for the default
+in ``strategies`` evaluates its own row (``ReplicaAgent.make_bid``), so
+a run in which every agent has one is the per-agent reference for the default
 run, which reads truthful bids from the engine.
 
 The round differential: a run without faults, adversary or quarantine
@@ -224,7 +223,6 @@ def _observed(instance, **kw):
 
 
 class TestEngineSweepDifferential:
-    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pool"])
     @pytest.mark.parametrize(
         "protocol",
         [
@@ -241,12 +239,10 @@ class TestEngineSweepDifferential:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_engine_sweep_matches_per_agent_bids(self, instance, protocol, workers):
+    def test_engine_sweep_matches_per_agent_bids(self, instance, protocol):
         every = {i: TruthfulStrategy() for i in range(instance.n_servers)}
-        swept = _observed(instance, max_workers=workers, **protocol)
-        reference = _observed(
-            instance, max_workers=workers, strategies=every, **protocol
-        )
+        swept = _observed(instance, **protocol)
+        reference = _observed(instance, strategies=every, **protocol)
         np.testing.assert_array_equal(swept[0], reference[0])
         np.testing.assert_array_equal(swept[1], reference[1])
         np.testing.assert_array_equal(swept[2], reference[2])

@@ -3,12 +3,18 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import events as ev
-from repro.obs.audit import audit_sharded_events
+from repro.obs.audit import (
+    audit_events,
+    audit_serving_events,
+    audit_sharded_events,
+)
+from repro.obs.export import open_record_stream, write_events_binary
 from repro.runtime.shard import ShardedAGTRam
 from repro.runtime.simulator import SemiDistributedSimulator
 from repro.runtime.scenario import (
@@ -367,6 +373,38 @@ class TestCampaignPresets:
         out = preset_outcomes["adversary-25"]
         assert out.report["serving"] is None
         assert out.split == len(out.events)
+
+
+class TestLiveAudits:
+    """The report's ``audits`` block is the offline verdict on the
+    exported log: the monitor runs the same audits live."""
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_preset_matches_offline_audit_of_its_log(self, name, tmp_path):
+        sc = CATALOG[name]
+        out = run_scenario(sc)
+        path = write_events_binary(out.monitor.iter_events(), tmp_path / "log.rev")
+        records = list(open_record_stream(path))
+        split = next(
+            (i for i, r in enumerate(records) if isinstance(r, ev.ServeStart)),
+            len(records),
+        )
+        mechanism = audit_events if sc.regions == 1 else audit_sharded_events
+        offline = (
+            mechanism(records[:split]),
+            audit_serving_events(records[split:]),
+            audit_events(records[split:]),
+        )
+        assert pickle.dumps(out.monitor.finish()) == pickle.dumps(offline)
+        mech, serving, reauctions = offline
+        assert out.report["audits"] == {
+            "mechanism_ok": mech.ok,
+            "mechanism_violations": [str(v) for v in mech.violations],
+            "serving_ok": serving.ok,
+            "serving_violations": [str(v) for v in serving.violations],
+            "reauction_ok": reauctions.ok,
+            "reauction_violations": [str(v) for v in reauctions.violations],
+        }
 
 
 class TestFlatCentral:

@@ -1,4 +1,4 @@
-"""Tests for the semi-distributed simulator and parallel evaluator."""
+"""Tests for the semi-distributed simulator."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.core.strategies import OverProjection
 from repro.drp.feasibility import check_state
 from repro.errors import ConfigurationError
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.parallel import ParallelBidEvaluator
 from repro.runtime.simulator import SemiDistributedSimulator
 
 
@@ -31,11 +30,6 @@ class TestSimulatorEquivalence:
         eng = run_agt_ram(tiny_instance)
         assert np.allclose(sim.extra["payments"], eng.extra["payments"])
         assert np.allclose(sim.extra["utilities"], eng.extra["utilities"])
-
-    def test_parallel_matches_serial(self, tiny_instance):
-        serial = SemiDistributedSimulator().run(tiny_instance)
-        par = SemiDistributedSimulator(max_workers=4).run(tiny_instance)
-        assert np.array_equal(serial.state.x, par.state.x)
 
     def test_state_feasible(self, tiny_instance):
         check_state(SemiDistributedSimulator().run(tiny_instance).state)
@@ -84,44 +78,6 @@ class TestRuntimeMetrics:
         m = RuntimeMetrics()
         s = m.summary()
         assert {"rounds", "messages", "bytes", "parallel_speedup"} <= set(s)
-
-
-class TestParallelBidEvaluator:
-    def test_serial_mode(self, tiny_instance):
-        from repro.core.agents import ReplicaAgent
-        from repro.drp.benefit import BenefitEngine
-        from repro.drp.state import ReplicationState
-
-        state = ReplicationState.primaries_only(tiny_instance)
-        engine = BenefitEngine(tiny_instance, state)
-        agents = [ReplicaAgent(server=i) for i in range(tiny_instance.n_servers)]
-        with ParallelBidEvaluator(None) as ev:
-            bids = ev.evaluate(agents, engine)
-        assert len(bids) == tiny_instance.n_servers
-
-    def test_parallel_equals_serial(self, tiny_instance):
-        from repro.core.agents import ReplicaAgent
-        from repro.drp.benefit import BenefitEngine
-        from repro.drp.state import ReplicationState
-
-        state = ReplicationState.primaries_only(tiny_instance)
-        engine = BenefitEngine(tiny_instance, state)
-        agents = [ReplicaAgent(server=i) for i in range(tiny_instance.n_servers)]
-        with ParallelBidEvaluator(None) as s, ParallelBidEvaluator(4) as p:
-            serial = s.evaluate(agents, engine)
-            parallel = p.evaluate(agents, engine)
-        assert [(b.obj, b.value) for b in serial if b] == [
-            (b.obj, b.value) for b in parallel if b
-        ]
-
-    def test_bad_workers(self):
-        with pytest.raises(ValueError):
-            ParallelBidEvaluator(0)
-
-    def test_close_idempotent(self):
-        ev = ParallelBidEvaluator(2)
-        ev.close()
-        ev.close()
 
 
 class TestFailedAgents:
