@@ -18,6 +18,7 @@ pays and truthfulness collapses (benchmarked in
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,6 +53,17 @@ def second_best_payment(reported: Sequence[float], winner: int) -> float:
     arr = np.asarray(reported, dtype=np.float64)
     if not (0 <= winner < len(arr)):
         raise IndexError(f"winner index {winner} out of range for {len(arr)} agents")
+    # The best report on either side of the winner, read off views.
+    # Below +inf (so not NaN either) on both sides, -inf entries only
+    # stand for absent reports, and a nonzero best has one bit pattern.
+    left = float(arr[:winner].max(initial=-math.inf))
+    right = float(arr[winner + 1 :].max(initial=-math.inf))
+    if left < math.inf and right < math.inf:
+        best = left if left > right else right
+        if best != 0.0:
+            return best if best > 0.0 else 0.0
+    # A NaN or +inf report to drop, or a zero best whose sign is the one
+    # ``max`` picks among the finite reports in order.
     others = np.delete(arr, winner)
     others = others[np.isfinite(others)]
     if len(others) == 0:

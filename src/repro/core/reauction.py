@@ -74,6 +74,30 @@ def _affected(instance: DRPInstance, objects: Sequence[int]) -> np.ndarray:
     return np.unique(np.asarray(ids, dtype=np.int64))
 
 
+def _read_terms(instance: DRPInstance, state: ReplicationState) -> list[float]:
+    """:func:`~repro.drp.cost.read_cost_terms` of every object under
+    ``state.x``, reading the nearest-replica distances off
+    ``state.nn_dist`` instead of gathering each object's replica columns.
+
+    Same bits: ``nn_dist[:, k]`` holds the very minimum the replica
+    columns give, and each dot keeps ``read_cost_terms``' operand
+    strides — the primary's cost column for a lone copy, else a
+    contiguous distance column — since BLAS sums a pair of unit-stride
+    vectors in another order than a strided pair.
+    """
+    sizes = instance.sizes.tolist()
+    primaries = instance.primaries.tolist()
+    reads = instance.reads
+    cost_cols = instance.cost.T  # row p views column p, strides and all
+    dist = state.nn_dist
+    lone = (state.x.sum(axis=0) == 1).tolist()
+    terms = []
+    for k in range(instance.n_objects):
+        d = cost_cols[primaries[k]] if lone[k] else dist[:, k].copy()
+        terms.append(float(sizes[k]) * float(reads[:, k] @ d))
+    return terms
+
+
 def build_sub_instance(
     instance: DRPInstance,
     state: ReplicationState,
@@ -162,7 +186,7 @@ def reauction_objects(
     # ``merged`` differs from ``state`` only in the re-auctioned
     # columns, so every other object's read term is shared.
     cols = ks.tolist()
-    terms = read_cost_terms(eval_instance, state.x, range(instance.n_objects))
+    terms = _read_terms(eval_instance, state)
     otc_before = otc_from_read_terms(eval_instance, state.x, terms)
     for k, term in zip(cols, read_cost_terms(eval_instance, merged.x, cols)):
         terms[k] = term

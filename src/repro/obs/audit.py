@@ -1591,17 +1591,20 @@ class _ServingAuditor:
             self._flag(0, "structure", "serve_end before serve_start")
             return
         report = self.report
-        for name, logged, seen in (
-            ("served", e.served, report.served_ok),
-            ("failed", e.failed, report.failed),
-            ("shed", e.shed, report.sheds_seen),
+        for what, logged, seen in (
+            ("served request(s)", e.served, report.served_ok),
+            ("failed request(s)", e.failed, report.failed),
+            ("shed request(s)", e.shed, report.sheds_seen),
+            ("hedge(s)", e.hedges, report.hedges_seen),
+            ("failover(s)", e.failovers, report.failovers_seen),
+            ("re-auction(s)", e.reauctions, report.reauctions_seen),
         ):
             if logged != seen:
                 self._flag(
                     0,
                     "structure",
-                    f"serve_end claims {logged} {name} request(s) but "
-                    f"the log records {seen}",
+                    f"serve_end claims {logged} {what} but the log "
+                    f"records {seen}",
                 )
 
 

@@ -250,7 +250,8 @@ class FaultSchedule:
         """(n_agents,) bool: :meth:`agent_down` of every agent at ``rnd``."""
         agents, starts, ends = self._crash_columns
         mask = np.zeros(n_agents, dtype=bool)
-        hit = agents[(starts <= rnd) & (rnd < ends) & (agents < n_agents)]
+        live = (agents >= 0) & (agents < n_agents)
+        hit = agents[(starts <= rnd) & (rnd < ends) & live]
         mask[hit] = True
         return mask
 
@@ -259,7 +260,7 @@ class FaultSchedule:
         mask = np.zeros(n_agents, dtype=bool)
         agents = self._stragglers_by_round.get(rnd)
         if agents is not None:
-            mask[agents[agents < n_agents]] = True
+            mask[agents[(agents >= 0) & (agents < n_agents)]] = True
         return mask
 
     def central_crashes_at(self, rnd: int) -> bool:

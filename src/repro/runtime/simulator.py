@@ -567,13 +567,7 @@ class SemiDistributedSimulator:
                         if eventing:
                             obj, value = sends[agent_id][0]
                             sink.emit(
-                                ev.BidEvent(
-                                    t=ev.now(),
-                                    round=round_idx,
-                                    agent=agent_id,
-                                    obj=obj,
-                                    value=value,
-                                )
+                                ev.BidEvent(ev.now(), round_idx, agent_id, obj, value)
                             )
 
                     if injector is not None and missing:
@@ -624,16 +618,14 @@ class SemiDistributedSimulator:
                         range(len(s_ids)),
                     )
                     if eventing:
+                        # One stamp reservation for the round's bids:
+                        # under logical_time the same ticks one now()
+                        # per bid would take.
+                        t, step = ev.now_block(len(s_ids))
+                        emit = sink.emit
                         for agent_id, obj, value in zip(s_ids, s_objs, s_vals):
-                            sink.emit(
-                                ev.BidEvent(
-                                    t=ev.now(),
-                                    round=round_idx,
-                                    agent=agent_id,
-                                    obj=obj,
-                                    value=value,
-                                )
-                            )
+                            emit(ev.BidEvent(t, round_idx, agent_id, obj, value))
+                            t += step
                     t0 = perf_counter() if traced else 0.0
                     outcome = self.central.clear(values, bid_objs)
                     if traced:

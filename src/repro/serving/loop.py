@@ -32,7 +32,7 @@ protocol campaigns — request ticks map onto fault rounds through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +54,8 @@ from repro.serving.streams import ServeRequest
 from repro.utils.rng import SeedLike, substream
 
 __all__ = ["ServeConfig", "ServeReport", "serve"]
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,21 @@ def _replica_pairs(state: ReplicationState) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _cell_counts(cells: list[int], shape: tuple[int, int]) -> np.ndarray:
+    """(M, N) request counts of flat ``server * N + obj`` cells."""
+    counts = np.bincount(
+        np.asarray(cells, dtype=np.intp), minlength=shape[0] * shape[1]
+    )
+    return counts.reshape(shape)
+
+
+def _exponentials(rng: np.random.Generator, scale: float) -> Iterator[float]:
+    """``rng.exponential(scale)`` draws one by one, taken from blocks:
+    a block holds the very values, in order, of as many scalar calls."""
+    while True:
+        yield from rng.exponential(scale, 1024).tolist()
+
+
 def serve(
     instance: DRPInstance,
     state: ReplicationState,
@@ -181,6 +198,13 @@ def serve(
     not ``"read"``/``"write"`` or whose ``server``/``obj`` is out of
     range raises :class:`~repro.errors.ConfigurationError` naming its
     tick and field, before it is admitted or counted.
+
+    Each input of a request's decision is derived when it changes, not
+    per request: the crashed and straggling servers once per fault
+    round, and each origin's cost row and each (origin, object) pair's
+    nearest-first replicas on first use
+    (:class:`~repro.serving.router.RequestRouter`; the pairs are read
+    again after each re-auction).
     """
     cfg = config or ServeConfig()
     plan = faults or FaultSchedule.null()
@@ -201,6 +225,7 @@ def serve(
             threshold=cfg.drift_threshold,
             top_k=cfg.drift_top_k,
         )
+    demand_total = float(demand_ref.sum())
     lat_rng = substream(seed, "serving/latency")
     backoff_rng = substream(seed, "serving/backoff")
     # Auto-calibrated deadline: cover the worst origin→replica link
@@ -220,235 +245,219 @@ def serve(
         workload=workload,
         n_requests=0 if n_requests is None else int(n_requests),
     )
-    # Observed demand since the last re-auction, the override matrices
-    # a drift-triggered sub-auction optimizes for.
-    obs_reads = np.zeros_like(instance.reads)
-    obs_writes = np.zeros_like(instance.writes)
+    n_servers, n_objects = instance.n_servers, instance.n_objects
+    # Observed demand since the last re-auction, as flat (server,
+    # object) cells; counted into the override matrices a
+    # drift-triggered sub-auction optimizes for.
+    read_cells: list[int] = []
+    write_cells: list[int] = []
     latencies: list[float] = []
 
     sink = ev.current()
-    if sink.enabled:
-        sink.emit(
+    eventing = sink.enabled
+    emit = sink.emit
+    now = ev.now
+    if eventing:
+        emit(
             ev.ServeStart(
-                t=ev.now(),
-                workload=workload,
-                n_requests=report.n_requests,
-                n_servers=instance.n_servers,
-                n_objects=instance.n_objects,
-                primaries=tuple(int(p) for p in instance.primaries),
-                replicas=_replica_pairs(router.state),
+                now(),
+                workload,
+                report.n_requests,
+                n_servers,
+                n_objects,
+                tuple(int(p) for p in instance.primaries),
+                _replica_pairs(router.state),
             )
         )
 
-    def attempt_latency(origin: int, target: int, rnd: int) -> float:
-        lat = cfg.latency_scale * float(
-            instance.cost[origin, target]
-        ) + float(lat_rng.exponential(cfg.latency_noise))
-        if plan.is_straggler(rnd, target):
-            lat *= cfg.straggler_factor
+    lat_scale, slowdown = cfg.latency_scale, cfg.straggler_factor
+    noise = _exponentials(lat_rng, cfg.latency_noise).__next__
+    # The fault round's crashed and straggling servers, indexed by id.
+    down: list[bool] = []
+    slow: list[bool] = []
+
+    def attempt_latency(row: Sequence[float], target: int) -> float:
+        lat = lat_scale * row[target] + noise()
+        if slow[target]:
+            lat *= slowdown
         return lat
 
-    n_servers, n_objects = instance.n_servers, instance.n_objects
+    per_round = cfg.requests_per_round
+    max_attempts = cfg.max_attempts
+    hedging = cfg.hedge_enabled
+    backoff = cfg.backoff
+    score, healthy_at = health.score, health.threshold
+    read_candidates, write_target = router.read_candidates, router.write_target
+    cost_row = router.cost_row
+    rnd = -1
+    admitted = served = failed = shed = hedges = failovers = timeouts = 0
     for tick, req in enumerate(stream):
+        client, origin, obj, kind = req.client, req.server, req.obj, req.kind
         # A malformed request is the caller's error, reported before it
         # moves any counter (plain comparisons: this runs per request).
-        if req.kind != "read" and req.kind != "write":
+        if kind != "read" and kind != "write":
             raise ConfigurationError(
                 f"request at tick {tick}: kind must be 'read' or 'write', "
-                f"got {req.kind!r}"
+                f"got {kind!r}"
             )
-        if not 0 <= req.server < n_servers:
+        if not 0 <= origin < n_servers:
             raise ConfigurationError(
                 f"request at tick {tick}: server must be in "
-                f"[0, {n_servers}), got {req.server}"
+                f"[0, {n_servers}), got {origin}"
             )
-        if not 0 <= req.obj < n_objects:
+        if not 0 <= obj < n_objects:
             raise ConfigurationError(
                 f"request at tick {tick}: obj must be in "
-                f"[0, {n_objects}), got {req.obj}"
+                f"[0, {n_objects}), got {obj}"
             )
-        rnd = tick // cfg.requests_per_round
         if not bucket.admit():
-            report.shed += 1
-            if sink.enabled:
-                sink.emit(
-                    ev.ShedEvent(
-                        t=ev.now(),
-                        tick=tick,
-                        client=req.client,
-                        obj=req.obj,
-                        kind=req.kind,
-                        tokens=bucket.tokens,
-                    )
-                )
+            shed += 1
+            if eventing:
+                emit(ev.ShedEvent(now(), tick, client, obj, kind, bucket.tokens))
             continue
-        report.admitted += 1
-        if req.kind == "read":
-            obs_reads[req.server, req.obj] += 1
-        else:
-            obs_writes[req.server, req.obj] += 1
+        admitted += 1
+        if tick // per_round != rnd:
+            rnd = tick // per_round
+            down = plan.down_mask(rnd, n_servers).tolist()
+            slow = plan.straggler_mask(rnd, n_servers).tolist()
+        if detector is not None:
+            cell = origin * n_objects + obj
+            (read_cells if kind == "read" else write_cells).append(cell)
 
-        if req.kind == "write":
+        if kind == "write":
             # Writes target the primary; when it is down, the
             # next-nearest live replica accepts the update as a hinted
             # hand-off (it hosts the object, so the write lands on a
             # legitimate copy and is forwarded once the primary heals).
-            primary = router.write_target(req.obj)
-            others = router.read_candidates(
-                req.server, req.obj, exclude=(primary,)
+            primary = write_target(obj)
+            candidates = [primary] + read_candidates(
+                origin, obj, exclude=(primary,)
             )
-            candidates = [primary] + others
         else:
-            ordered = router.read_candidates(req.server, req.obj)
-            healthy = [s for s in ordered if health.healthy(s)]
-            sick = [s for s in ordered if not health.healthy(s)]
-            if healthy and sick and sick[0] == ordered[0]:
-                # The nearest replica is marked down: route around it
-                # without spending an attempt.
-                report.failovers += 1
-                if sink.enabled:
-                    sink.emit(
-                        ev.FailoverEvent(
-                            t=ev.now(),
-                            tick=tick,
-                            obj=req.obj,
-                            from_server=sick[0],
-                            to_server=healthy[0],
-                            reason="unhealthy",
+            candidates = read_candidates(origin, obj)
+            healthy = [s for s in candidates if score[s] >= healthy_at]
+            if len(healthy) < len(candidates):
+                sick = [s for s in candidates if not score[s] >= healthy_at]
+                if healthy and sick[0] == candidates[0]:
+                    # The nearest replica is marked down: route around
+                    # it without spending an attempt.
+                    failovers += 1
+                    if eventing:
+                        emit(
+                            ev.FailoverEvent(
+                                now(), tick, obj, sick[0], healthy[0], "unhealthy"
+                            )
                         )
-                    )
-            candidates = healthy + sick
+                candidates = healthy + sick
 
-        # A request may retry a server it already tried (cycling) when
-        # it has fewer distinct candidates than the attempt budget.
-        plan_targets = [
-            candidates[a % len(candidates)]
-            for a in range(cfg.max_attempts)
-        ] if candidates else []
-
+        row = cost_row(origin)
         total_latency = 0.0
         replica = -1
         attempts = 0
         hedged = False
-        for pos, target in enumerate(plan_targets):
+        # A request may retry a server it already tried (cycling) when
+        # it has fewer distinct candidates than the attempt budget.
+        n_candidates = len(candidates)
+        for pos in range(max_attempts if n_candidates else 0):
+            target = candidates[pos % n_candidates]
             attempts += 1
-            crashed = plan.agent_down(target, rnd)
-            lat = (
-                float("inf")
-                if crashed
-                else attempt_latency(req.server, target, rnd)
-            )
+            lat = _INF if down[target] else attempt_latency(row, target)
             if lat > timeout:
-                report.timeouts += 1
+                timeouts += 1
                 health.record(target, False)
                 total_latency += timeout
-                if sink.enabled:
-                    sink.emit(
+                if eventing:
+                    emit(
                         ev.RequestTimeout(
-                            t=ev.now(),
-                            tick=tick,
-                            obj=req.obj,
-                            replica=target,
-                            attempt=attempts,
-                            deadline=timeout,
+                            now(), tick, obj, target, attempts, timeout
                         )
                     )
-                if pos + 1 < len(plan_targets):
-                    total_latency += cfg.backoff.delay(attempts, backoff_rng)
-                    report.failovers += 1
-                    if sink.enabled:
-                        sink.emit(
+                if pos + 1 < max_attempts:
+                    total_latency += backoff.delay(attempts, backoff_rng)
+                    failovers += 1
+                    if eventing:
+                        emit(
                             ev.FailoverEvent(
-                                t=ev.now(),
-                                tick=tick,
-                                obj=req.obj,
-                                from_server=target,
-                                to_server=plan_targets[pos + 1],
-                                reason="timeout",
+                                now(),
+                                tick,
+                                obj,
+                                target,
+                                candidates[(pos + 1) % n_candidates],
+                                "timeout",
                             )
                         )
                 continue
             # Attempt succeeded.  Hedge slow reads to the next-nearest
-            # replica: the duplicate is issued once the first attempt
-            # outlives the trailing quantile, and whichever answer
-            # lands first wins.
+            # live replica: the duplicate is issued once the first
+            # attempt outlives the trailing quantile, and whichever
+            # answer lands first wins.
             threshold = quantiles.quantile()
             final = lat
             winner = target
-            if (
-                cfg.hedge_enabled
-                and req.kind == "read"
-                and lat > threshold
-            ):
-                backups = [
-                    s
-                    for s in candidates
-                    if s != target and not plan.agent_down(s, rnd)
-                ]
-                if backups:
-                    backup = backups[0]
-                    lat2 = threshold + attempt_latency(
-                        req.server, backup, rnd
-                    )
-                    report.hedges += 1
-                    hedged = True
-                    if lat2 < final:
-                        final = lat2
-                        winner = backup
-                    if sink.enabled:
-                        sink.emit(
-                            ev.HedgeEvent(
-                                t=ev.now(),
-                                tick=tick,
-                                obj=req.obj,
-                                primary=target,
-                                backup=backup,
-                                winner=winner,
-                                threshold=threshold,
+            if hedging and kind == "read" and lat > threshold:
+                for backup in candidates:
+                    if backup != target and not down[backup]:
+                        lat2 = threshold + attempt_latency(row, backup)
+                        hedges += 1
+                        hedged = True
+                        if lat2 < final:
+                            final = lat2
+                            winner = backup
+                        if eventing:
+                            emit(
+                                ev.HedgeEvent(
+                                    now(),
+                                    tick,
+                                    obj,
+                                    target,
+                                    backup,
+                                    winner,
+                                    threshold,
+                                )
                             )
-                        )
+                        break
             total_latency += final
             replica = winner
             health.record(winner, True)
             quantiles.observe(final)
             break
 
-        ok = replica >= 0
-        if ok:
-            report.served += 1
+        if replica >= 0:
+            served += 1
             latencies.append(total_latency)
         else:
-            report.failed += 1
-        if sink.enabled:
-            sink.emit(
+            failed += 1
+        if eventing:
+            emit(
                 ev.RequestEvent(
-                    t=ev.now(),
-                    tick=tick,
-                    client=req.client,
-                    server=req.server,
-                    obj=req.obj,
-                    kind=req.kind,
-                    replica=replica,
-                    latency=total_latency,
-                    attempts=attempts,
-                    hedged=hedged,
-                    outcome="ok" if ok else "failed",
+                    now(),
+                    tick,
+                    client,
+                    origin,
+                    obj,
+                    kind,
+                    replica,
+                    total_latency,
+                    attempts,
+                    hedged,
+                    "ok" if replica >= 0 else "failed",
                 )
             )
 
         # Drift check after serving: the router keeps answering from
         # the stale placement until the re-auction commits.
-        if detector is not None and detector.observe(req.obj):
+        if detector is not None and detector.observe(obj):
             objects = detector.drifted_objects()
-            scale = float(demand_ref.sum()) / max(
-                1.0, float(obs_reads.sum() + obs_writes.sum())
+            scale = demand_total / max(
+                1.0, float(len(read_cells) + len(write_cells))
             )
+            shape = (n_servers, n_objects)
             outcome = reauction_objects(
                 instance,
                 router.state,
                 objects,
-                reads=obs_reads * scale,
-                writes=obs_writes * scale,
+                reads=_cell_counts(read_cells, shape) * scale,
+                writes=_cell_counts(write_cells, shape) * scale,
             )
             router.swap_state(outcome.state)
             report.reauctions += 1
@@ -463,26 +472,29 @@ def serve(
                     "rounds": outcome.rounds,
                 }
             )
-            if sink.enabled:
-                sink.emit(
+            if eventing:
+                emit(
                     ev.ReauctionEvent(
-                        t=ev.now(),
-                        tick=tick,
-                        trigger="drift",
-                        objects=outcome.objects,
-                        added=outcome.added,
-                        removed=outcome.removed,
-                        otc_before=outcome.otc_before,
-                        otc_after=outcome.otc_after,
-                        rounds=outcome.rounds,
+                        now(),
+                        tick,
+                        "drift",
+                        outcome.objects,
+                        outcome.added,
+                        outcome.removed,
+                        outcome.otc_before,
+                        outcome.otc_after,
+                        outcome.rounds,
                     )
                 )
             detector.rebase()
-            obs_reads[:] = 0.0
-            obs_writes[:] = 0.0
+            read_cells.clear()
+            write_cells.clear()
             if report.reauctions >= cfg.max_reauctions:
                 detector = None
 
+    report.admitted, report.served, report.failed = admitted, served, failed
+    report.shed, report.hedges = shed, hedges
+    report.failovers, report.timeouts = failovers, timeouts
     if report.n_requests == 0:
         report.n_requests = report.admitted + report.shed
     if latencies:
@@ -490,19 +502,19 @@ def serve(
         report.p50 = float(np.percentile(arr, 50))
         report.p99 = float(np.percentile(arr, 99))
         report.mean_latency = float(arr.mean())
-    if sink.enabled:
-        sink.emit(
+    if eventing:
+        emit(
             ev.ServeEnd(
-                t=ev.now(),
-                served=report.served,
-                shed=report.shed,
-                failed=report.failed,
-                hedges=report.hedges,
-                failovers=report.failovers,
-                reauctions=report.reauctions,
-                availability=report.availability,
-                p50=report.p50,
-                p99=report.p99,
+                now(),
+                report.served,
+                report.shed,
+                report.failed,
+                report.hedges,
+                report.failovers,
+                report.reauctions,
+                report.availability,
+                report.p50,
+                report.p99,
             )
         )
     return report

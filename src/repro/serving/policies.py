@@ -16,6 +16,7 @@ Four small, fully deterministic building blocks:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,10 @@ class QuantileTracker:
     cached value is served in between), keeping per-request cost O(1)
     amortized.  Until ``min_samples`` observations arrive the quantile
     reports ``inf`` — the hedger stays off while it has no signal.
+
+    The recomputation sorts the window as a Python list and applies
+    ``np.quantile``'s default ``linear`` rule to it, operation for
+    operation, so the value has ``np.quantile``'s bits.
     """
 
     def __init__(
@@ -114,13 +119,13 @@ class QuantileTracker:
         self.window = window
         self.min_samples = min_samples
         self.refresh = refresh
-        self._buf = np.zeros(window, dtype=np.float64)
+        self._buf = [0.0] * window
         self._n = 0
         self._cached = float("inf")
         self._since_refresh = 0
 
     def observe(self, latency: float) -> None:
-        self._buf[self._n % self.window] = latency
+        self._buf[self._n % self.window] = float(latency)
         self._n += 1
         self._since_refresh += 1
 
@@ -129,10 +134,38 @@ class QuantileTracker:
         if self._n < self.min_samples:
             return float("inf")
         if self._since_refresh >= self.refresh or self._cached == float("inf"):
-            filled = self._buf[: min(self._n, self.window)]
-            self._cached = float(np.quantile(filled, self.q))
+            self._cached = _linear_quantile(
+                self._buf[: min(self._n, self.window)], self.q
+            )
             self._since_refresh = 0
         return self._cached
+
+
+def _linear_quantile(values: list[float], q: float) -> float:
+    """``float(np.quantile(values, q))`` for a Python ``q`` in (0, 1).
+
+    numpy's ``linear`` method: the virtual index ``(n - 1) * q`` between
+    the order statistics ``a`` (its floor) and ``b`` (the next one; both
+    the maximum at the top end, where the weight becomes ``index + 1``),
+    then ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` once the
+    weight ``t`` reaches 0.5.  Any NaN in the window makes it NaN.
+    """
+    if math.isnan(sum(values)) and any(v != v for v in values):
+        return float("nan")
+    ordered = sorted(values)
+    n = len(ordered)
+    index = (n - 1) * q
+    if index >= n - 1:
+        below = above = -1
+    else:
+        below = math.floor(index)
+        above = below + 1
+    t = index - below
+    a, b = ordered[below], ordered[above]
+    diff = b - a
+    if t >= 0.5:
+        return b - diff * (1 - t)
+    return a + diff * t
 
 
 class EwmaHealth:
@@ -140,7 +173,9 @@ class EwmaHealth:
 
     Each outcome moves the score toward 1 (success) or 0 (failure) by
     factor ``alpha``; a server whose score drops below ``threshold``
-    is reported unhealthy until successes pull it back up.
+    is reported unhealthy until successes pull it back up.  ``score``
+    is a list of Python floats (the same IEEE arithmetic as a float64
+    array), so a caller splitting many servers reads it directly.
     """
 
     def __init__(
@@ -154,7 +189,7 @@ class EwmaHealth:
             raise ConfigurationError("threshold must be in [0, 1]")
         self.alpha = alpha
         self.threshold = threshold
-        self.score = np.ones(n_servers, dtype=np.float64)
+        self.score = [1.0] * n_servers
 
     def record(self, server: int, ok: bool) -> None:
         s = self.score[server]
@@ -163,4 +198,4 @@ class EwmaHealth:
         )
 
     def healthy(self, server: int) -> bool:
-        return bool(self.score[server] >= self.threshold)
+        return self.score[server] >= self.threshold

@@ -29,13 +29,19 @@ from repro.errors import ConfigurationError
 __all__ = ["RequestRouter"]
 
 
+#: ``read_candidates``' default ``exclude``: nothing to drop.
+_NO_EXCLUDE: tuple[int, ...] = ()
+
+
 class RequestRouter:
     """Nearest-replica-first routing with failover ordering.
 
-    Each object's replica list is read off the installed placement once,
-    on first use, and kept until :meth:`swap_state` installs another
-    one.  An installed state must therefore not be mutated in place:
-    install a new state instead (``serve`` installs private copies).
+    Each object's replica list, and each (origin, object) pair's
+    nearest-first order of it, is read off the installed placement
+    once, on first use, and kept until :meth:`swap_state` installs
+    another one.  An installed state must therefore not be mutated in
+    place: install a new state instead (``serve`` installs private
+    copies).
     """
 
     def __init__(self, instance: DRPInstance, state: ReplicationState):
@@ -45,6 +51,8 @@ class RequestRouter:
         self._n_objects = instance.n_objects
         #: object -> its replica servers in ``state`` (python ints, ascending)
         self._replicas: dict[int, list[int]] = {}
+        #: origin * N + object -> that object's replicas, nearest first
+        self._ordered: dict[int, tuple[int, ...]] = {}
         #: origin -> its row of the cost matrix (indexing yields python floats)
         self._cost_rows: dict[int, array] = {}
 
@@ -53,6 +61,7 @@ class RequestRouter:
         previous = self.state
         self.state = state
         self._replicas = {}
+        self._ordered = {}
         return previous
 
     def _reject(self, origin: int, obj: int) -> None:
@@ -64,8 +73,29 @@ class RequestRouter:
             f"object id must be in [0, {self._n_objects}), got {obj}"
         )
 
+    def cost_row(self, origin: int) -> array:
+        """``origin``'s row of the cost matrix (indexing it yields python
+        floats), read off the instance on first use."""
+        row = self._cost_rows.get(origin)
+        if row is None:
+            row = array("d", self.instance.cost[origin].tolist())
+            self._cost_rows[origin] = row
+        return row
+
+    def _order(self, origin: int, obj: int) -> tuple[int, ...]:
+        """``obj``'s replicas by link cost from ``origin``."""
+        reps = self._replicas.get(obj)
+        if reps is None:
+            reps = np.flatnonzero(self.state.x[:, obj]).tolist()
+            self._replicas[obj] = reps
+        if len(reps) < 2:
+            return tuple(reps)
+        # A stable sort of the ascending ids: equal costs keep the lower
+        # server id first, the order ``np.lexsort((reps, costs))`` gives.
+        return tuple(sorted(reps, key=self.cost_row(origin).__getitem__))
+
     def read_candidates(
-        self, origin: int, obj: int, *, exclude: Iterable[int] = ()
+        self, origin: int, obj: int, *, exclude: Iterable[int] = _NO_EXCLUDE
     ) -> list[int]:
         """Replica servers for a read, nearest first, primary included.
 
@@ -78,22 +108,17 @@ class RequestRouter:
         # Plain comparisons: this runs once per request.
         if not (0 <= origin < self._n_servers and 0 <= obj < self._n_objects):
             self._reject(origin, obj)
-        reps = self._replicas.get(obj)
-        if reps is None:
-            reps = np.flatnonzero(self.state.x[:, obj]).tolist()
-            self._replicas[obj] = reps
+        key = origin * self._n_objects + obj
+        ordered = self._ordered.get(key)
+        if ordered is None:
+            ordered = self._order(origin, obj)
+            self._ordered[key] = ordered
+        if exclude is _NO_EXCLUDE:
+            return list(ordered)
+        # Dropping servers from a stable sort's output leaves the order
+        # sorting the remaining servers would give.
         dropped = {int(s) for s in exclude}
-        if dropped:
-            reps = [s for s in reps if s not in dropped]
-        if len(reps) < 2:
-            return list(reps)
-        row = self._cost_rows.get(origin)
-        if row is None:
-            row = array("d", self.instance.cost[origin].tolist())
-            self._cost_rows[origin] = row
-        # A stable sort of the ascending ids: equal costs keep the lower
-        # server id first, the order ``np.lexsort((reps, costs))`` gives.
-        return sorted(reps, key=row.__getitem__)
+        return [s for s in ordered if s not in dropped]
 
     def write_target(self, obj: int) -> int:
         """Writes go to the primary (the cost model's update path)."""

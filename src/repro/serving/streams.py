@@ -77,13 +77,9 @@ def worldcup_stream(
     mapping = map_clients_to_servers(
         n_clients, n_servers, seed=substream(seed, "serving/client-map")
     )
+    origin = mapping.tolist()
     for req in gen.iter_requests(n_requests, chunk_size=chunk_size):
-        yield ServeRequest(
-            client=req.client,
-            server=int(mapping[req.client]),
-            obj=req.obj,
-            kind=req.kind,
-        )
+        yield ServeRequest(req.client, origin[req.client], req.obj, req.kind)
 
 
 def epoch_stream(
@@ -98,12 +94,16 @@ def epoch_stream(
     ``n_requests`` is split as evenly as possible across the epochs;
     within an epoch, each request draws a (server, object, kind) cell
     with probability proportional to the epoch's read/write weight for
-    it.  The origin server doubles as the client id.
+    it.  The origin server doubles as the client id.  Cells are drawn
+    ``chunk_size`` at a time (>= 1) and each chunk is decoded into
+    servers, objects and kinds on arrays.
     """
     if not epochs:
         raise ConfigurationError("need at least one epoch")
     if n_requests < 0:
         raise ConfigurationError("n_requests must be >= 0")
+    if chunk_size < 1:
+        raise ConfigurationError("chunk_size must be >= 1")
     rng = substream(seed, "serving/epoch-stream")
     per = n_requests // len(epochs)
     extra = n_requests - per * len(epochs)
@@ -120,15 +120,12 @@ def epoch_stream(
         while emitted < quota:
             batch = min(chunk_size, quota - emitted)
             idx = rng.choice(len(combined), size=batch, p=p)
-            for flat in idx:
-                is_write = flat >= m * n
-                cell = int(flat) % (m * n)
-                server, obj = divmod(cell, n)
+            servers, objs = np.divmod(idx % (m * n), n)
+            for server, obj, is_write in zip(
+                servers.tolist(), objs.tolist(), (idx >= m * n).tolist()
+            ):
                 yield ServeRequest(
-                    client=server,
-                    server=server,
-                    obj=obj,
-                    kind="write" if is_write else "read",
+                    server, server, obj, "write" if is_write else "read"
                 )
             emitted += batch
 

@@ -236,6 +236,23 @@ class TestSharedOtcTerms:
 
     @given(instance=drp_instances(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
+    def test_column_ordered_overrides(self, instance, seed):
+        """Demand overrides whose columns are contiguous (Fortran
+        order): each object's read column is then unit-stride, so the
+        distance operand's layout decides how BLAS sums the dot."""
+        rng = np.random.default_rng(seed)
+        state = run_agt_ram(instance).state
+        m, n = instance.n_servers, instance.n_objects
+        reads = np.asfortranarray(rng.uniform(0.0, 40.0, (m, n)))
+        writes = np.asfortranarray(rng.uniform(0.0, 8.0, (m, n)))
+        objects = rng.integers(0, n, size=2).tolist()
+        out = reauction_objects(instance, state, objects, reads=reads, writes=writes)
+        evaluated = replace(instance, reads=reads, writes=writes)
+        assert out.otc_before == otc_of_matrix(evaluated, state.x)
+        assert out.otc_after == otc_of_matrix(evaluated, out.state.x)
+
+    @given(instance=drp_instances(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
     def test_otc_of_matrix_keeps_its_bits(self, instance, seed):
         rng = np.random.default_rng(seed)
         x = rng.random((instance.n_servers, instance.n_objects)) < 0.4

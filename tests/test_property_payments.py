@@ -4,10 +4,11 @@ single-bidder rounds, NaN/±inf garbage (satellite of the Byzantine PR).
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.payments import (
@@ -25,6 +26,31 @@ finite_value = st.floats(
 )
 
 bid_vectors = st.lists(any_value, min_size=1, max_size=12)
+# Reports drawn so that NaN, ±inf, ±0.0 and ties at the top are common.
+edgy_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf]),
+    any_value,
+)
+
+
+def copying_second_best_payment(reported, winner):
+    """The rule as it was written before it read the rivals off views:
+    a copy without the winner, filtered to its finite reports."""
+    arr = np.asarray(reported, dtype=np.float64)
+    if not (0 <= winner < len(arr)):
+        raise IndexError(f"winner index {winner} out of range for {len(arr)} agents")
+    others = np.delete(arr, winner)
+    others = others[np.isfinite(others)]
+    if len(others) == 0:
+        return 0.0
+    best = float(others.max())
+    if best < 0.0:
+        return 0.0
+    return best
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
 
 
 class TestSecondPriceTotality:
@@ -101,6 +127,26 @@ class TestSecondPriceTotality:
             return
         with pytest.raises(IndexError):
             second_best_payment(reported, winner)
+
+
+class TestSameBitsAsTheCopyingRule:
+    @given(reported=st.lists(edgy_value, min_size=1, max_size=40), data=st.data())
+    @settings(max_examples=500)
+    @example(reported=[0.0, -0.0, 3.0], data=None)
+    @example(reported=[-0.0, 0.0, 3.0], data=None)
+    @example(reported=[-0.0, -0.0, 3.0], data=None)
+    @example(reported=[math.nan, 0.0, math.inf, -0.0, 3.0], data=None)
+    def test_same_price_bits(self, reported, data):
+        winners = (
+            range(len(reported))
+            if data is None
+            else [data.draw(st.integers(0, len(reported) - 1))]
+        )
+        for winner in winners:
+            want = _bits(copying_second_best_payment(reported, winner))
+            assert _bits(second_best_payment(reported, winner)) == want
+            arr = np.asarray(reported, dtype=np.float64)
+            assert _bits(second_best_payment(arr, winner)) == want
 
 
 class TestFirstPriceAndUtility:

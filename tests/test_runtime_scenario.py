@@ -181,6 +181,57 @@ class TestComposedAudit:
         assert len(stripped) < len(mech)  # the split actually reconciled
         assert not audit_sharded_events(stripped).ok
 
+    def test_serve_end_counter_tamper_is_detected(
+        self, showcase_outcome, tmp_path, capsys
+    ):
+        """``ServeEnd``'s hedges, failovers and re-auctions must match
+        the events the log records, offline (events, REVB, ``repro
+        audit``) and live."""
+        from repro.cli import main
+        from repro.errors import InvariantViolationError
+        from repro.obs.audit import audit_serving_file
+        from repro.runtime.invariants import InvariantConfig, InvariantMonitor
+
+        events = list(showcase_outcome.events)
+        end = len(events) - 1
+        assert isinstance(events[end], ev.ServeEnd)
+        kinds = [type(e) for e in events]
+        logged = (events[end].hedges, events[end].failovers, events[end].reauctions)
+        assert logged == (
+            kinds.count(ev.HedgeEvent),
+            kinds.count(ev.FailoverEvent),
+            kinds.count(ev.ReauctionEvent),
+        ) == (121, 23, 1)
+        events[end] = dataclasses.replace(
+            events[end], hedges=0, failovers=0, reauctions=7
+        )
+        claims = [
+            "serve_end claims 0 hedge(s) but the log records 121",
+            "serve_end claims 0 failover(s) but the log records 23",
+            "serve_end claims 7 re-auction(s) but the log records 1",
+        ]
+        assert [v.detail for v in audit_serving_events(events).violations] == claims
+        path = write_events_binary(events, tmp_path / "log.rev")
+        assert [v.detail for v in audit_serving_file(path).violations] == claims
+        assert main(["audit", "--sharded", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert all(claim in out for claim in claims)
+
+        monitor = InvariantMonitor(sharded=True)
+        for e in events:
+            monitor.emit(e)
+        assert [(v.invariant, v.detail) for v in monitor.violations] == [
+            ("structure", f"[structure] tick 0: {claim}") for claim in claims
+        ]
+        assert [type(e) for e in monitor.events[-3:]] == [ev.InvariantEvent] * 3
+        strict = InvariantMonitor(
+            config=InvariantConfig(strict=True), sharded=True
+        )
+        for e in events[:end]:
+            strict.emit(e)
+        with pytest.raises(InvariantViolationError, match="hedge"):
+            strict.emit(events[end])
+
 
 class TestShrinking:
     def test_impossible_gate_shrinks_to_a_minimal_repro(self):

@@ -482,3 +482,12 @@ class TestFaultScheduleArrays:
         assert not schedule.down_mask(0, 4).any()
         assert not schedule.straggler_mask(1, 4).any()
         assert schedule.down_mask(0, 10)[9] and schedule.straggler_mask(1, 10)[9]
+
+    def test_masks_ignore_negative_agents(self):
+        # agent_down(a, rnd) is False for every real agent a; a negative
+        # id must not index the masks from the end.
+        schedule = FaultSchedule(
+            agent_crashes={-1: ((0, 5),)}, stragglers=frozenset({(1, -2)})
+        )
+        assert not schedule.down_mask(0, 4).any()
+        assert not schedule.straggler_mask(1, 4).any()

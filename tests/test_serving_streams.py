@@ -51,6 +51,13 @@ class TestEpochStream:
         b = list(epoch_stream(epochs, 200, seed=9))
         assert a == b
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_below_one_rejected(self, chunk_size):
+        # 0 used to loop forever drawing empty chunks; -1 reached numpy.
+        epochs = drifting_workloads(3, 4, 1, total_requests=50, seed=1)
+        with pytest.raises(ConfigurationError, match="chunk_size"):
+            next(epoch_stream(epochs, 10, chunk_size=chunk_size))
+
 
 class TestMakeTraffic:
     @pytest.mark.parametrize("workload", SERVE_WORKLOADS)
