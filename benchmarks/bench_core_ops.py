@@ -2,7 +2,8 @@
 
 These are regression guards rather than paper reproductions: cost-matrix
 construction, full OTC evaluation, the local benefit engine's round
-update, and one complete AGT-RAM run on the small preset.
+update, one complete AGT-RAM run on the small preset, and the per-record
+cost of the event records the serving loop and the bid rounds build.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.drp.benefit import BenefitEngine
 from repro.drp.cost import total_otc
 from repro.drp.state import ReplicationState
 from repro.experiments.instances import paper_instance
+from repro.obs.events import BidEvent, RequestEvent
 from repro.topology import cost_matrix, random_graph
 
 
@@ -57,3 +59,20 @@ def test_benefit_engine_round(benchmark, instance):
 
 def test_agt_ram_end_to_end(benchmark, instance):
     benchmark.pedantic(lambda: run_agt_ram(instance), rounds=3, iterations=1)
+
+
+def test_event_record_build_and_read(benchmark):
+    """10k ``RequestEvent`` and 10k ``BidEvent`` built positionally, as
+    ``serve()`` and the simulator's bid rounds build them, then read."""
+
+    def build_and_read():
+        total = 0.0
+        for i in range(10_000):
+            req = RequestEvent(
+                float(i), i, 7, 3, i % 97, "read", 5, 1.5, 1, False, "ok"
+            )
+            bid = BidEvent(float(i), i // 16, i % 16, i % 97, 2.5, -1)
+            total += req.latency + req.tick + req.replica + bid.value + bid.agent
+        return total
+
+    benchmark(build_and_read)

@@ -892,7 +892,7 @@ def audit_file(path: str | Path) -> AuditReport:
 # -- sharded-central audit ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class _ShardCommit:
     """One committed regional allocation, as the cross-shard pass sees
     it (the payment is attached when the round's PaymentEvent lands)."""

@@ -21,6 +21,16 @@ The same disciplines as the tracer apply:
   (:meth:`Event.to_dict`) and parses back (:func:`parse_event`), which
   is what makes the JSONL log a lossless transcript.
 
+**Record contract.**  An event is built once, at emission, and never
+changed afterwards: sinks, the live monitor, exporters and audits only
+read it.  Events compare and hash by their field values.  They are
+plain (not frozen) dataclasses, so building one stores each field as
+an ordinary attribute rather than through one ``object.__setattr__``
+call per field; nothing at run time rejects an assignment, and
+``tests/test_obs_log_integrity.py`` checks instead that every emitted
+event still pickles to the bytes it had at emission after a run, its
+exports and its audits.
+
 Timestamps are ``perf_counter`` seconds (monotonic, process-local):
 good for ordering and durations, meaningless across processes.
 """
@@ -123,7 +133,7 @@ now_block = _wall_now_block
 # -- event records -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Event:
     """Base event: a timestamp plus a class-level ``type`` tag."""
 
@@ -139,7 +149,7 @@ class Event:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RunStart(Event):
     """One mechanism/baseline execution begins (template-hook emitted)."""
 
@@ -148,7 +158,7 @@ class RunStart(Event):
     algorithm: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RunEnd(Event):
     """The matching execution ends, with its headline outcome."""
 
@@ -159,7 +169,7 @@ class RunEnd(Event):
     rounds: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RoundStart(Event):
     """A mechanism round opens (Figure 2, top of the loop).
 
@@ -176,7 +186,7 @@ class RoundStart(Event):
     region: int = -1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BidEvent(Event):
     """One agent's dominant report t_i^k (Figure 2 line 08)."""
 
@@ -190,7 +200,7 @@ class BidEvent(Event):
     region: int = -1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class WinnerEvent(Event):
     """OMAX selection (line 10): the winning (agent, object, value).
 
@@ -211,7 +221,7 @@ class WinnerEvent(Event):
     region: int = -1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PaymentEvent(Event):
     """Payment issued to a round winner (lines 11-12, Axiom 5).
 
@@ -230,7 +240,7 @@ class PaymentEvent(Event):
     region: int = -1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NNUpdateEvent(Event):
     """NN-table broadcast after a commit (lines 13, 19-21)."""
 
@@ -241,7 +251,7 @@ class NNUpdateEvent(Event):
     agents: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CapacityReject(Event):
     """A provisional winner was skipped because the object no longer
     fits its residual capacity (stale bid in a batched/warm-start round)."""
@@ -260,7 +270,7 @@ class CapacityReject(Event):
     region: int = -1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RoundEnd(Event):
     """A round closes.  ``committed`` counts replicas allocated this
     round (0 terminates the game); ``otc`` is the system OTC after it."""
@@ -274,7 +284,7 @@ class RoundEnd(Event):
     region: int = -1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FaultEvent(Event):
     """One injected fault (:mod:`repro.runtime.faults`).
 
@@ -294,7 +304,7 @@ class FaultEvent(Event):
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TimeoutEvent(Event):
     """The round's bid deadline passed with bids still missing.
 
@@ -314,10 +324,10 @@ class TimeoutEvent(Event):
     quorum_met: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "agents", tuple(self.agents))
+        self.agents = tuple(self.agents)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ElectionEvent(Event):
     """A §7 central-body handover: the live agents elected a new acting
     central.  ``voters`` counts the live electorate."""
@@ -329,7 +339,7 @@ class ElectionEvent(Event):
     voters: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CheckpointEvent(Event):
     """The central body snapshotted its state (round counter + replica
     map) after ``allocations`` total commits."""
@@ -340,7 +350,7 @@ class CheckpointEvent(Event):
     allocations: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RecoveryEvent(Event):
     """A crashed component came back.
 
@@ -360,7 +370,7 @@ class RecoveryEvent(Event):
     acting_central: int = -1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ValidationEvent(Event):
     """The trust boundary rejected a malformed or infeasible bid.
 
@@ -393,7 +403,7 @@ class ValidationEvent(Event):
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ManipulationEvent(Event):
     """The online detector flagged a delivered bid as manipulated.
 
@@ -416,7 +426,7 @@ class ManipulationEvent(Event):
     recomputed: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class QuarantineEvent(Event):
     """The quarantine policy changed an agent's standing.
 
@@ -435,7 +445,7 @@ class QuarantineEvent(Event):
     until_round: int = -1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AdversaryEvent(Event):
     """Ground truth: one injected Byzantine manipulation.
 
@@ -456,7 +466,7 @@ class AdversaryEvent(Event):
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class InvariantEvent(Event):
     """A safety check failed during a run.
 
@@ -494,7 +504,7 @@ def _pairs(value: Any) -> tuple[tuple[int, int], ...]:
     return tuple((int(a), int(b)) for a, b in value)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ServeStart(Event):
     """A serving campaign begins against a frozen placement snapshot.
 
@@ -514,13 +524,11 @@ class ServeStart(Event):
     replicas: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "primaries", tuple(int(p) for p in self.primaries)
-        )
-        object.__setattr__(self, "replicas", _pairs(self.replicas))
+        self.primaries = tuple(int(p) for p in self.primaries)
+        self.replicas = _pairs(self.replicas)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ServeEnd(Event):
     """The serving campaign's headline outcome (the SLO-gate inputs)."""
 
@@ -537,7 +545,7 @@ class ServeEnd(Event):
     p99: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RequestEvent(Event):
     """One client request resolved (or abandoned) by the router.
 
@@ -562,7 +570,7 @@ class RequestEvent(Event):
     outcome: str = "ok"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RequestTimeout(Event):
     """One attempt at ``replica`` exceeded the per-request deadline.
 
@@ -580,7 +588,7 @@ class RequestTimeout(Event):
     deadline: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class HedgeEvent(Event):
     """A slow read was hedged to a second replica.
 
@@ -599,7 +607,7 @@ class HedgeEvent(Event):
     threshold: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ShedEvent(Event):
     """Admission control rejected the request before routing.
 
@@ -618,7 +626,7 @@ class ShedEvent(Event):
     tokens: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FailoverEvent(Event):
     """The router rerouted a request off a failed replica.
 
@@ -637,7 +645,7 @@ class FailoverEvent(Event):
     reason: str = "timeout"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ReauctionEvent(Event):
     """A drift-triggered incremental re-auction committed.
 
@@ -662,14 +670,12 @@ class ReauctionEvent(Event):
     rounds: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "objects", tuple(int(k) for k in self.objects)
-        )
-        object.__setattr__(self, "added", _pairs(self.added))
-        object.__setattr__(self, "removed", _pairs(self.removed))
+        self.objects = tuple(int(k) for k in self.objects)
+        self.added = _pairs(self.added)
+        self.removed = _pairs(self.removed)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PartitionEvent(Event):
     """A network partition split the sharded central into islands.
 
@@ -686,12 +692,10 @@ class PartitionEvent(Event):
     islands: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "islands", tuple(int(i) for i in self.islands)
-        )
+        self.islands = tuple(int(i) for i in self.islands)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class HealEvent(Event):
     """The partition healed: all regions communicate again.
 
@@ -708,12 +712,10 @@ class HealEvent(Event):
     divergent: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "islands", tuple(int(i) for i in self.islands)
-        )
+        self.islands = tuple(int(i) for i in self.islands)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ReconcileEvent(Event):
     """Deterministic merge of divergent island placements at heal time.
 
@@ -738,14 +740,10 @@ class ReconcileEvent(Event):
     reauctioned: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "conflicts", tuple(int(k) for k in self.conflicts)
-        )
-        object.__setattr__(self, "kept", _pairs(self.kept))
-        object.__setattr__(self, "revoked", _pairs(self.revoked))
-        object.__setattr__(
-            self, "reauctioned", tuple(int(k) for k in self.reauctioned)
-        )
+        self.conflicts = tuple(int(k) for k in self.conflicts)
+        self.kept = _pairs(self.kept)
+        self.revoked = _pairs(self.revoked)
+        self.reauctioned = tuple(int(k) for k in self.reauctioned)
 
 
 #: ``type`` tag -> event class, for parsing serialized records.

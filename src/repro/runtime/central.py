@@ -27,7 +27,7 @@ class Decision(IntEnum):
     REPLICATE = 1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RoundOutcome:
     """What the central body announces after one round of bids.
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Message:
     """Base message: sender/receiver use -1 for the central body."""
 
@@ -25,7 +25,7 @@ class Message:
         return self.WIRE_BYTES
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BidMessage(Message):
     """Agent → central: dominant valuation for a desired object
     (Figure 2 line 08).
@@ -45,7 +45,7 @@ class BidMessage(Message):
         return Message.WIRE_BYTES + 4 + 8 + 4
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AllocateMessage(Message):
     """Central → all agents: the OMAX broadcast (line 13) carrying the
     winning (server, object) pair so NN tables can be updated."""
@@ -57,7 +57,7 @@ class AllocateMessage(Message):
         return Message.WIRE_BYTES + 4 + 4
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PaymentMessage(Message):
     """Central → winner: the second-best payment (line 14)."""
 
@@ -67,7 +67,7 @@ class PaymentMessage(Message):
         return Message.WIRE_BYTES + 8
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NNUpdateMessage(Message):
     """Agent-internal NN table refresh acknowledgement (lines 19–21).
 
@@ -81,7 +81,7 @@ class NNUpdateMessage(Message):
         return Message.WIRE_BYTES + 4
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NNResyncMessage(Message):
     """Periodic NN-table resync under the lazy update protocol.
 
@@ -96,13 +96,13 @@ class NNResyncMessage(Message):
     objs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objs", tuple(self.objs))
+        self.objs = tuple(self.objs)
 
     def wire_bytes(self) -> int:
         return Message.WIRE_BYTES + 4 + 4 * len(self.objs)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class StateSyncMessage(Message):
     """Agent → recovering central: the agent's current replica holdings.
 
@@ -115,13 +115,13 @@ class StateSyncMessage(Message):
     objs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objs", tuple(self.objs))
+        self.objs = tuple(self.objs)
 
     def wire_bytes(self) -> int:
         return Message.WIRE_BYTES + 4 + 4 * len(self.objs)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ElectionMessage(Message):
     """Agent → agent: leader-election vote after a central-body failure
     (the §7 "self-repairing" behaviour).  Carries the proposed id."""

@@ -427,7 +427,7 @@ class PartitionSchedule:
 # -- reconciliation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ShardAllocation:
     """One regional commit, as reconciliation sees it."""
 

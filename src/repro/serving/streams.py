@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ServeRequest:
     """One unit of serving traffic, already anchored to an origin server."""
 

@@ -899,7 +899,7 @@ class TestShardedAudit:
         assert_same_sharded_verdicts(_tamper(events, data), path)
 
     def test_event_subclasses_are_handled_as_their_kind(self, showcase):
-        @dataclasses.dataclass(frozen=True)
+        @dataclasses.dataclass
         class TracedBid(ev.BidEvent):
             pass
 
