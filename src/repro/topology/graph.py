@@ -9,9 +9,11 @@ in :mod:`repro.topology.costs`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.errors import ConfigurationError
 
@@ -96,22 +98,8 @@ class Topology:
             yield int(u), int(v), float(w)
 
     def is_connected(self) -> bool:
-        """Union-find connectivity check (no scipy needed)."""
-        parent = np.arange(self.n_nodes)
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for u, v in self.edges:
-            ru, rv = find(int(u)), find(int(v))
-            if ru != rv:
-                parent[ru] = rv
-        return len({find(i) for i in range(self.n_nodes)}) == 1
+        """True when every node reaches every other over the links."""
+        return len(_components(self.edges, self.n_nodes)) == 1
 
     def to_networkx(self):
         """Export to a :class:`networkx.Graph` (weights under ``"weight"``)."""
@@ -131,40 +119,40 @@ class Topology:
         )
 
 
+def _components(edges, n_nodes: int) -> list[np.ndarray]:
+    """The connected components of ``edges`` (pairs, any array-like), each
+    an ascending node array, ordered by smallest node."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    graph = csr_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_nodes, n_nodes)
+    )
+    # scipy numbers components in order of their smallest node; a stable
+    # sort keeps each component's nodes ascending.
+    n_comps, labels = connected_components(graph, directed=False)
+    members = np.argsort(labels, kind="stable")
+    return np.split(members, np.cumsum(np.bincount(labels, minlength=n_comps))[:-1])
+
+
 def ensure_connected(
-    edges: list[tuple[int, int]],
+    edges: Sequence[tuple[int, int]] | np.ndarray,
     n_nodes: int,
     rng: np.random.Generator,
     weight_fn,
 ) -> list[tuple[int, int, float]]:
     """Add minimal random bridging edges so the graph is connected.
 
-    Components are found via union-find over ``edges``; one random
-    representative pair per component boundary is bridged with a weight
-    drawn from ``weight_fn(u, v)``.  Returns the list of added
+    ``edges`` is a list of pairs or an (n_edges, 2) array.  Components are
+    ordered by their smallest node and chained in random order; one
+    random representative pair per component boundary is bridged with a
+    weight drawn from ``weight_fn(u, v)``.  Returns the list of added
     ``(u, v, w)`` triples.
     """
-    parent = list(range(n_nodes))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    comps: dict[int, list[int]] = {}
-    for i in range(n_nodes):
-        comps.setdefault(find(i), []).append(i)
-    roots = list(comps)
+    comps = _components(edges, n_nodes)
+    order = list(range(len(comps)))
     added: list[tuple[int, int, float]] = []
     # Chain the components together in random order.
-    rng.shuffle(roots)
-    for a, b in zip(roots, roots[1:]):
+    rng.shuffle(order)
+    for a, b in zip(order, order[1:]):
         u = int(rng.choice(comps[a]))
         v = int(rng.choice(comps[b]))
         added.append((u, v, float(weight_fn(u, v))))

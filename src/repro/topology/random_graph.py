@@ -63,7 +63,7 @@ def random_graph(
     def bridge_weight(_u: int, _v: int) -> float:
         return float(rng.uniform(lo, hi))
 
-    extra = ensure_connected([tuple(e) for e in edges.tolist()], n_nodes, rng, bridge_weight)
+    extra = ensure_connected(edges, n_nodes, rng, bridge_weight)
     if extra:
         edges = np.concatenate(
             [edges.reshape(-1, 2), np.array([(u, v) for u, v, _ in extra], dtype=np.int64)]

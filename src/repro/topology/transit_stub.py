@@ -130,10 +130,7 @@ def transit_stub_graph(
     weights_arr = np.array([seen[tuple(e)] for e in edges_arr.tolist()])
 
     extra = ensure_connected(
-        [tuple(e) for e in edges_arr.tolist()],
-        n_nodes,
-        rng_bridge,
-        lambda _u, _v: cost(transit_link_cost),
+        edges_arr, n_nodes, rng_bridge, lambda _u, _v: cost(transit_link_cost)
     )
     if extra:
         edges_arr = np.concatenate(

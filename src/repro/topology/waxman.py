@@ -60,7 +60,7 @@ def waxman_graph(
     def bridge_weight(u: int, v: int) -> float:
         return float(max(min_cost, cost_scale * dist[u, v] / l_max))
 
-    extra = ensure_connected([tuple(e) for e in edges.tolist()], n_nodes, rng, bridge_weight)
+    extra = ensure_connected(edges, n_nodes, rng, bridge_weight)
     if extra:
         edges = np.concatenate(
             [edges.reshape(-1, 2), np.array([(u, v) for u, v, _ in extra], dtype=np.int64)]
