@@ -1,10 +1,11 @@
 """Micro-benchmarks of the library's hot paths.
 
 These are regression guards rather than paper reproductions: cost-matrix
-construction, the large preset's instance build, a random fault plan,
-full OTC evaluation, the local benefit engine's round update, one
-complete AGT-RAM run on the small preset, and the per-record cost of the
-event records the serving loop and the bid rounds build.
+construction, the large preset's instance build, the delta engine's
+start and the NN broadcast of a whole run on the large preset, a random
+fault plan, full OTC evaluation, the local benefit engine's round
+update, one complete AGT-RAM run on the small preset, and the per-record
+cost of the event records the serving loop and the bid rounds build.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ from _config import BENCH_BASE
 from repro.core.agt_ram import run_agt_ram
 from repro.drp.benefit import BenefitEngine
 from repro.drp.cost import total_otc
+from repro.drp.delta import DeltaBenefitEngine
 from repro.drp.state import ReplicationState
 from repro.experiments.instances import paper_instance
 from repro.obs.events import BidEvent, RequestEvent
@@ -64,6 +66,50 @@ def test_large_instance_build(benchmark):
         for name in LARGE_SHA256
     }
     assert got == LARGE_SHA256
+
+
+@pytest.fixture(scope="module")
+def large_run():
+    """The large preset (640 x 3200, whatever the bench scale) and the
+    (server, object) commits of its AGT-RAM run, in order (660 at the
+    preset's seed)."""
+    inst = paper_instance(bench_config("large"))
+    audit = run_agt_ram(inst, record_audit=True).extra["audit"]
+    return inst, [(r.winner, r.obj) for r in audit.rounds if r.winner >= 0]
+
+
+def test_engine_start_cached(benchmark, large_run):
+    """A start on the primaries-only scheme copies the instance's cached
+    bests (the run above filled the cache)."""
+    inst, _ = large_run
+    benchmark.pedantic(
+        DeltaBenefitEngine,
+        setup=lambda: ((inst, ReplicationState(inst)), {}),
+        rounds=20,
+    )
+
+
+def test_engine_start_sweep(benchmark, large_run):
+    """A start on any other scheme sweeps all M x N benefit cells."""
+    inst, commits = large_run
+    state = ReplicationState(inst)
+    for server, k in commits:
+        state.add_replica(server, k)
+    benchmark(DeltaBenefitEngine(inst, state).resync)
+
+
+def test_nn_broadcast(benchmark, large_run):
+    """Every commit's NN broadcast (``add_replica``) of the run, replayed
+    on a fresh primaries-only state."""
+    inst, commits = large_run
+
+    def broadcast(state):
+        for server, k in commits:
+            state.add_replica(server, k)
+
+    benchmark.pedantic(
+        broadcast, setup=lambda: ((ReplicationState(inst),), {}), rounds=10
+    )
 
 
 # resilience-composed's plan size, 160 agents by 1,000 rounds, whatever

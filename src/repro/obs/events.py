@@ -37,7 +37,9 @@ good for ordering and durations, meaningless across processes.
 
 from __future__ import annotations
 
+import copy
 import math
+import sys
 import time
 from array import array
 from contextlib import contextmanager
@@ -838,9 +840,39 @@ def logical_time() -> Iterator[None]:
 
 # -- columnar round buffers --------------------------------------------------
 
-#: Flat estimate for one materialized Event object's memory footprint,
-#: used by :attr:`ColumnarSink.nbytes` for non-buffered emissions.
-_LOOSE_EVENT_BYTES = 88
+#: Bytes of a dict object's own header, which Python 3.11+ does not
+#: allocate for an instance's attributes until ``__dict__`` is read: they
+#: live in a bare values array.  3.10 keeps every instance's dict.
+_DICT_HEADER_BYTES = 48 if sys.version_info >= (3, 11) else 0
+
+#: Events per class whose sizes :attr:`ColumnarSink.nbytes` averages.
+_SIZE_SAMPLE = 64
+
+
+def _owned_bytes(value: Any) -> int:
+    """Bytes of the objects only ``value`` holds: a float, an int outside
+    the interpreter's small-int cache, a tuple and what it owns.  Bools,
+    strings (interned literals) and the empty tuple are shared."""
+    kind = type(value)
+    if kind is float:
+        return sys.getsizeof(value)
+    if kind is int:
+        return 0 if -5 <= value <= 256 else sys.getsizeof(value)
+    if kind is tuple and value:
+        return sys.getsizeof(value) + sum(map(_owned_bytes, value))
+    return 0
+
+
+def _kept_bytes(event: Any) -> int:
+    """Bytes one captured event keeps alive: the sink's list slot, the
+    object, its attribute storage and the values only it holds.  Read
+    off a copy, since building ``__dict__`` on 3.11+ grows the object."""
+    size = 8 + sys.getsizeof(event)
+    attrs = getattr(copy.copy(event), "__dict__", None)
+    if attrs is not None:
+        size += sys.getsizeof(attrs) - _DICT_HEADER_BYTES
+        size += sum(map(_owned_bytes, attrs.values()))
+    return size
 
 
 @dataclass
@@ -1310,19 +1342,23 @@ class ColumnarSink(EventSink):
 
     The hot path never materializes per-decision objects into it; blocks
     expand lazily (and deterministically — timestamps live in the block)
-    on :meth:`iter_events`.  ``len()`` and :attr:`nbytes` are maintained
-    incrementally, so bench accounting costs nothing extra.
+    on :meth:`iter_events`.  ``len()`` and the blocks' bytes are
+    maintained incrementally; loose events are sized per class when
+    :attr:`nbytes` is read, so :meth:`emit` is a bare append.
     """
 
     def __init__(self) -> None:
         self._items: list[Any] = []
         self._n = 0
         self._nbytes = 0
+        # Items before ``_sized`` are in ``_nbytes``; each loose event
+        # class's bytes per event are fixed when it is first sized.
+        self._sized = 0
+        self._class_bytes: dict[type, int] = {}
 
     def emit(self, event: Event) -> None:
         self._items.append(event)
         self._n += 1
-        self._nbytes += _LOOSE_EVENT_BYTES
 
     def emit_block(self, block: RoundBlock) -> None:
         self._items.append(block)
@@ -1334,8 +1370,22 @@ class ColumnarSink(EventSink):
 
     @property
     def nbytes(self) -> int:
-        """Captured payload bytes: exact columnar sizes for blocks plus
-        a flat per-object estimate for loose events."""
+        """Captured payload bytes: exact columnar sizes for blocks plus,
+        for loose events, one size per event class — the mean bytes kept
+        by up to ``_SIZE_SAMPLE`` of its events, spread over those
+        captured when the class is first sized."""
+        by_class: dict[type, list[Any]] = {}
+        for item in self._items[self._sized :]:
+            if not isinstance(item, RoundBlock):
+                by_class.setdefault(type(item), []).append(item)
+        self._sized = len(self._items)
+        for kind, loose in by_class.items():
+            size = self._class_bytes.get(kind)
+            if size is None:
+                sample = loose[:: max(1, len(loose) // _SIZE_SAMPLE)]
+                size = round(sum(map(_kept_bytes, sample)) / len(sample))
+                self._class_bytes[kind] = size
+            self._nbytes += size * len(loose)
         return self._nbytes
 
     def iter_events(self) -> EventStream:

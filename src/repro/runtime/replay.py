@@ -8,9 +8,10 @@ a replication scheme, exactly as a deployed system would serve it:
 * a write travels to the primary, which broadcasts the new version to
   every other replicator.
 
-Because the two computations share nothing but the instance data, their
-agreement (a tested property) validates the whole pipeline: trace →
-aggregation → instance → cost model.
+Because the two computations share nothing but the instance data and the
+scheme (X and its nearest-replica distances), their agreement (a tested
+property) validates the whole pipeline: trace → aggregation → instance →
+cost model.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ def replay_requests(
     for i, k, rd in zip(servers, objects, is_read):
         o_k = float(sizes[k])
         if rd:
-            nn = int(state.nn_server[i, k])
-            read_cost += o_k * float(c[i, nn])
+            read_cost += o_k * float(state.nn_dist[i, k])  # c(i, NN_ik)
             transfers += 1
         else:
             p = int(primaries[k])

@@ -85,7 +85,6 @@ class TestCheckState:
         st.x[0, 1] = True
         st.used[0] += 1
         st.nn_dist[0, 1] = 0.0
-        st.nn_server[0, 1] = 0
         check_state(st)  # still fine: server 0 has room
         st.used[0] = 99
         with pytest.raises(InfeasibleInstanceError):

@@ -16,7 +16,6 @@ class TestInitialState:
 
     def test_nn_is_primary(self, line_instance):
         st = ReplicationState.primaries_only(line_instance)
-        assert st.nn_server[1, 0] == 0
         assert st.nn_dist[1, 0] == 1.0
         assert st.nn_dist[0, 1] == 2.0  # server 0 reads obj 1 from server 2
 

@@ -899,3 +899,64 @@ class TestRunReader:
             list(iter_events_binary(p))
         with pytest.raises(ValueError):
             audit_file(p)
+
+
+# -- sink accounting ---------------------------------------------------------
+
+
+class TestSinkBytes:
+    def test_loose_events_are_counted_at_the_bytes_they_keep(self):
+        """A flash-crowd serving pass under crash and straggler faults,
+        with drift re-auctions (serve-flashcrowd's mix at the small
+        preset): ``nbytes`` is within 10% of what tracemalloc sees the
+        pass keep allocated."""
+        import math
+        import tracemalloc
+
+        from repro import serving
+        from repro.core.agt_ram import run_agt_ram
+        from repro.experiments.instances import paper_instance
+        from repro.obs.report import bench_config
+        from repro.runtime.faults import FaultSchedule
+
+        n_requests, seed = 4000, 2007
+        base = paper_instance(bench_config("small").with_(seed=seed))
+
+        def traffic():
+            return serving.make_traffic("flashcrowd", base, n_requests, seed=seed)
+
+        instance = serving.with_demand(base, traffic())
+        placement = run_agt_ram(instance)
+        config = serving.ServeConfig()
+        plan = FaultSchedule.random(
+            n_agents=instance.n_servers,
+            horizon=math.ceil(n_requests / config.requests_per_round),
+            seed=seed, crash_rate=0.03, mean_outage=3.0, straggler_rate=0.03,
+        )
+        stream = traffic().stream
+        sink = ev.ColumnarSink()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with ev.logical_time(), ev.capture(sink):
+                rep = serving.serve(
+                    instance, placement.state, stream, config=config,
+                    faults=plan, seed=seed, n_requests=n_requests,
+                )
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rep.reauctions and rep.failovers  # the mix under test
+        assert not any(isinstance(i, ev.RoundBlock) for i in sink._items)
+        assert abs(sink.nbytes / kept - 1.0) < 0.10
+
+    def test_each_class_keeps_the_size_it_was_first_given(self):
+        sink = ev.ColumnarSink()
+        for i in range(100):
+            sink.emit(BidEvent(float(i), i, 300 + i, 1000 + i, 2.5 * i, -1))
+        first = sink.nbytes
+        assert first % 100 == 0 and first // 100 > 100
+        for i in range(10):
+            sink.emit(BidEvent(float(i), 0, 0, 0, 0.0, -1))
+        assert sink.nbytes == first + 10 * (first // 100)
+        assert len(sink) == 110
