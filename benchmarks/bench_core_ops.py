@@ -3,9 +3,10 @@
 These are regression guards rather than paper reproductions: cost-matrix
 construction, the large preset's instance build, the delta engine's
 start and the NN broadcast of a whole run on the large preset, a random
-fault plan, full OTC evaluation, the local benefit engine's round
-update, one complete AGT-RAM run on the small preset, and the per-record
-cost of the event records the serving loop and the bid rounds build.
+fault plan, full OTC evaluation, one production clearing round on the
+delta engine, one complete AGT-RAM run on the small preset, and the
+per-record cost of the event records the serving loop and the bid
+rounds build.
 """
 
 import hashlib
@@ -14,9 +15,8 @@ import pytest
 
 from _config import BENCH_BASE
 from repro.core.agt_ram import run_agt_ram
-from repro.drp.benefit import BenefitEngine
 from repro.drp.cost import total_otc
-from repro.drp.delta import DeltaBenefitEngine
+from repro.drp.delta import DeltaBenefitEngine, make_local_engine
 from repro.drp.state import ReplicationState
 from repro.experiments.instances import paper_instance
 from repro.obs.events import BidEvent, RequestEvent
@@ -127,7 +127,7 @@ def test_fault_plan(benchmark, crash_rate):
 def test_total_otc_eval(benchmark, instance):
     state = ReplicationState.primaries_only(instance)
     # A mid-density scheme is the representative workload.
-    engine = BenefitEngine(instance, state)
+    engine = make_local_engine(instance, state)
     for _ in range(instance.n_servers):
         vals, objs = engine.best_per_server()
         import numpy as np
@@ -141,16 +141,22 @@ def test_total_otc_eval(benchmark, instance):
 
 
 def test_benefit_engine_round(benchmark, instance):
-    state = ReplicationState.primaries_only(instance)
-    engine = BenefitEngine(instance, state)
+    """One production clearing round: read the delta engine's cached
+    bests, take the argmax, commit it and repair the bests — each from
+    a fresh primaries-only state."""
 
-    import numpy as np
+    def fresh():
+        state = ReplicationState.primaries_only(instance)
+        return (state, make_local_engine(instance, state)), {}
 
-    def one_round():
-        vals, objs = engine.best_per_server()
-        return int(np.argmax(vals))
+    def one_round(state, engine):
+        vals, objs = engine.best_view()
+        winner = int(vals.argmax())
+        obj = int(objs[winner])
+        state.add_replica(winner, obj)
+        engine.notify_allocation(winner, obj)
 
-    benchmark(one_round)
+    benchmark.pedantic(one_round, setup=fresh, rounds=50)
 
 
 def test_agt_ram_end_to_end(benchmark, instance):

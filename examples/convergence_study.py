@@ -12,30 +12,7 @@ Run:  python examples/convergence_study.py
 
 from repro import ExperimentConfig, GreedyPlacer, paper_instance, run_agt_ram
 from repro.analysis.trajectory import rounds_to_fraction, savings_trajectory
-from repro.drp.cost import primary_only_otc, total_otc
-from repro.drp.state import ReplicationState
 from repro.utils.ascii_chart import ascii_chart
-
-
-def greedy_trajectory(instance, max_steps=None):
-    """Greedy's own per-step savings curve (it is incremental too)."""
-    from repro.drp.global_engine import GlobalBenefitEngine
-    import numpy as np
-
-    baseline = primary_only_otc(instance)
-    state = ReplicationState.primaries_only(instance)
-    engine = GlobalBenefitEngine(instance, state)
-    out = [(0, 0.0)]
-    step = 0
-    while max_steps is None or step < max_steps:
-        i, k, gain = engine.best_cell()
-        if not np.isfinite(gain) or gain <= 0:
-            break
-        state.add_replica(i, k)
-        engine.notify_allocation(i, k)
-        step += 1
-        out.append((step, 100.0 * (baseline - total_otc(state)) / baseline))
-    return out
 
 
 def main() -> None:
@@ -52,7 +29,11 @@ def main() -> None:
     )
     agt = run_agt_ram(instance, record_audit=True)
     agt_traj = savings_trajectory(instance, agt)
-    greedy_traj = greedy_trajectory(instance)
+    # Greedy is AGT-RAM's loop on the global oracle, so its audit
+    # replays into its own per-step savings curve.
+    greedy_traj = savings_trajectory(
+        instance, run_agt_ram(instance, valuation="global", record_audit=True)
+    )
 
     print(
         ascii_chart(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.drp.benefit import BenefitEngine
+from repro.drp.delta import DeltaBenefitEngine, make_local_engine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
 
@@ -27,7 +27,7 @@ class AuctionContext:
 
     instance: DRPInstance
     state: ReplicationState
-    engine: BenefitEngine
+    engine: DeltaBenefitEngine
     payments: np.ndarray
     sales: int = 0
     ticks: int = 0
@@ -38,7 +38,7 @@ class AuctionContext:
         return cls(
             instance=instance,
             state=state,
-            engine=BenefitEngine(instance, state),
+            engine=make_local_engine(instance, state),
             payments=np.zeros(instance.n_servers),
         )
 

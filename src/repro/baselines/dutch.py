@@ -88,7 +88,7 @@ class DutchAuctionPlacer(ReplicaPlacer):
                 for agent in claimants:
                     # Re-check: earlier sales this level may have changed
                     # this agent's valuations or capacity.
-                    row = ctx.engine.matrix[agent]
+                    row = ctx.engine.row(agent)
                     obj = int(np.argmax(row))
                     if np.isfinite(row[obj]) and row[obj] >= price:
                         ctx.sell(int(agent), obj, price)

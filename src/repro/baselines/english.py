@@ -27,6 +27,7 @@ from repro.drp.instance import DRPInstance
 from repro.result import PlacementResult
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.timing import Timer
+from repro.utils.validation import check_nonnegative_int
 
 
 class EnglishAuctionPlacer(ReplicaPlacer):
@@ -40,7 +41,7 @@ class EnglishAuctionPlacer(ReplicaPlacer):
         Reserve price as a fraction of the opening maximum valuation;
         sales below the reserve never happen.
     max_sales:
-        Safety cap on the number of auctions.
+        Safety cap on the number of auctions, an integer >= 0.
     """
 
     name = "EA"
@@ -61,8 +62,8 @@ class EnglishAuctionPlacer(ReplicaPlacer):
             raise ValueError(
                 f"reserve_fraction must be in [0, 1), got {reserve_fraction}"
             )
-        if max_sales is not None and max_sales < 0:
-            raise ValueError("max_sales must be >= 0")
+        if max_sales is not None:
+            max_sales = check_nonnegative_int(max_sales, "max_sales")
         self.increment_fraction = increment_fraction
         self.reserve_fraction = reserve_fraction
         self.max_sales = max_sales

@@ -6,24 +6,26 @@ counterpart of AGT-RAM: in every step it evaluates the *exact* system-wide
 OTC reduction of every feasible (server, object) placement and commits
 the best one, stopping when no placement reduces OTC.
 
+That is AGT-RAM's clearing loop run on the global ΔOTC oracle
+(``AGTRam(valuation="global")``): the loop's per-agent argmax followed by
+the argmax over agents picks the row-major first maximum of the global
+benefit matrix, the cell Greedy's flat argmax picks.  So Greedy runs
+that loop, with its events muted — Greedy has no bids or prices to log,
+only its own ``RunStart``/``RunEnd``.
+
 Complexity: O(M²N) to build the benefit table, then O(M² + MN) per
-placement (one column refresh plus the global argmax) — strictly heavier
-per step than AGT-RAM's O(M + N + MN), which is the runtime gap Table 1
+placement (one column refresh plus the argmax) — strictly heavier per
+step than AGT-RAM's local oracle, which is the runtime gap Table 1
 measures.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines.base import ReplicaPlacer
-from repro.drp.cost import total_otc
-from repro.drp.global_engine import GlobalBenefitEngine
+from repro.core.agt_ram import AGTRam
 from repro.drp.instance import DRPInstance
-from repro.drp.state import ReplicationState
-from repro.obs import tracer as obs
+from repro.obs import events as ev
 from repro.result import PlacementResult
-from repro.utils.timing import Timer, perf_counter
 
 
 class GreedyPlacer(ReplicaPlacer):
@@ -32,51 +34,22 @@ class GreedyPlacer(ReplicaPlacer):
     Parameters
     ----------
     max_steps:
-        Optional cap on placements (default: run to exhaustion).
+        Optional cap on placements, an integer >= 0 (default: run to
+        exhaustion).
     """
 
     name = "Greedy"
 
     def __init__(self, *, max_steps: int | None = None):
-        if max_steps is not None and max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
-        self.max_steps = max_steps
+        self._mech = AGTRam(valuation="global", max_rounds=max_steps)
 
     def _place(self, instance: DRPInstance) -> PlacementResult:
-        timer = Timer()
-        tracer = obs.current()
-        traced = tracer.enabled
-        with timer:
-            t0 = perf_counter() if traced else 0.0
-            state = ReplicationState.primaries_only(instance)
-            engine = GlobalBenefitEngine(instance, state)
-            if traced:
-                tracer.add("engine_init", perf_counter() - t0)
-            steps = 0
-            cap = (
-                self.max_steps
-                if self.max_steps is not None
-                else instance.n_servers * instance.n_objects
-            )
-            while steps < cap:
-                t0 = perf_counter() if traced else 0.0
-                i, k, gain = engine.best_cell()
-                if traced:
-                    tracer.add("select", perf_counter() - t0)
-                if not np.isfinite(gain) or gain <= 0.0:
-                    break
-                t0 = perf_counter() if traced else 0.0
-                state.add_replica(i, k)
-                engine.notify_allocation(i, k)
-                steps += 1
-                if traced:
-                    tracer.add("commit", perf_counter() - t0)
-            if traced:
-                tracer.count("steps", steps)
+        with ev.capture(ev.NULL_SINK):
+            run = self._mech.run(instance)
         return PlacementResult(
             algorithm=self.name,
-            state=state,
-            otc=total_otc(state),
-            runtime_s=timer.elapsed,
-            rounds=steps,
+            state=run.state,
+            otc=run.otc,
+            runtime_s=run.runtime_s,
+            rounds=run.rounds,
         )

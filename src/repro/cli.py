@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 from repro.core.agt_ram import run_agt_ram
 from repro.core.axioms import verify_axioms
-from repro.drp.delta import ENGINE_NAMES
 from repro.drp.instance import DRPInstance
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.instances import paper_instance
@@ -225,14 +224,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.metrics_out
             else None
         )
-        placer_kwargs = (
-            {"AGT-RAM": {"engine": args.engine}}
-            if args.algorithm == "AGT-RAM"
-            else None
-        )
-        results = run_algorithms(
-            instance, [args.algorithm], seed=args.seed, placer_kwargs=placer_kwargs
-        )
+        results = run_algorithms(instance, [args.algorithm], seed=args.seed)
     res = results[args.algorithm]
     engine_note = (
         f"  engine {res.extra['engine']}" if "engine" in res.extra else ""
@@ -380,7 +372,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         include_protocol=not args.no_protocol,
         event_sink=sink,
-        engine=args.engine,
         include_engine_compare=not args.no_engine_compare,
     )
     rows = [
@@ -434,12 +425,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     speedup below ``--min-speedup``.
     """
     if args.compare_engines:
-        from repro.drp.delta import HAVE_NUMPY, numpy_support_error
         from repro.obs.equivalence import compare_engines_at_scale, format_comparison
 
-        if not HAVE_NUMPY:
-            print(f"error: {numpy_support_error()}", file=sys.stderr)
-            return 2
         cmp = compare_engines_at_scale(args.scale, repeats=args.repeats)
         # The identity verdict is deterministic; the speedup is a wall
         # measurement on possibly-noisy shared hardware, so before
@@ -743,12 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", "-a", default="AGT-RAM",
         choices=list(PAPER_ALGORITHMS) + ["Random"],
     )
-    p.add_argument(
-        "--engine",
-        choices=list(ENGINE_NAMES),
-        default="auto",
-        help="AGT-RAM benefit engine (ignored by other algorithms)",
-    )
     p.add_argument("--output", "-o", help="save scheme + summary")
     _add_export_args(p)
     p.set_defaults(func=cmd_run)
@@ -785,12 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--algorithms", nargs="+", help="placement algorithms to record"
-    )
-    p.add_argument(
-        "--engine",
-        choices=list(ENGINE_NAMES),
-        default="auto",
-        help="AGT-RAM benefit engine (default auto: vectorized when available)",
     )
     p.add_argument(
         "--no-engine-compare",

@@ -31,12 +31,8 @@ from repro.core.mechanism import Mechanism, MechanismAudit, RoundRecord
 from repro.core.payments import PAYMENT_RULES
 from repro.core.strategies import Strategy
 from repro.drp.cost import total_otc
-from repro.drp.delta import (
-    DeltaBenefitEngine,
-    ENGINE_NAMES,
-    make_local_engine,
-    resolve_engine,
-)
+from repro.drp.benefit import BenefitEngine
+from repro.drp.delta import DeltaBenefitEngine, make_local_engine
 from repro.drp.global_engine import GlobalBenefitEngine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
@@ -230,16 +226,16 @@ class AGTRam(Mechanism):
         trade-off as the concurrent regional mechanism
         (:class:`~repro.runtime.shard.ShardedAGTRam`).
     engine:
-        Local-CoR oracle implementation: ``"naive"`` keeps the full
-        (M, N) benefit matrix fresh and argmaxes it every round;
-        ``"vectorized"`` delta-maintains only the per-agent dominant
-        reports from the NN-broadcast dirty set
-        (:class:`~repro.drp.delta.DeltaBenefitEngine`) — bit-identical
-        winners/payments/events, O(M + |dirty|·N) per round instead of
-        O(M·N).  ``"auto"`` (default) picks the vectorized engine when
-        the declared numpy bound is available.  Only meaningful for
-        ``valuation="local"``; the global-oracle ablation always uses
-        its own engine.
+        Local-CoR oracle: ``"vectorized"`` (default), the production
+        :class:`~repro.drp.delta.DeltaBenefitEngine`, which
+        delta-maintains only the per-agent dominant reports from the
+        NN-broadcast dirty set, O(M + |dirty|·N) per round; or
+        ``"naive"``, the reference
+        :class:`~repro.drp.benefit.BenefitEngine`, which keeps the full
+        (M, N) matrix and argmaxes it every round.  Winners, payments
+        and events are bit-identical (``repro audit --compare-engines``
+        checks it).  Applies to ``valuation="local"`` only; the
+        global-oracle ablation runs its own engine.
     """
 
     name = "AGT-RAM"
@@ -252,7 +248,7 @@ class AGTRam(Mechanism):
         strategies: Optional[Mapping[int, Strategy]] = None,
         max_rounds: Optional[int] = None,
         batch_size: int = 1,
-        engine: str = "auto",
+        engine: str = "vectorized",
     ):
         if payment_rule not in PAYMENT_RULES:
             raise ConfigurationError(
@@ -263,14 +259,9 @@ class AGTRam(Mechanism):
             raise ConfigurationError(
                 f"valuation must be 'local' or 'global', got {valuation!r}"
             )
-        if engine not in ENGINE_NAMES:
+        if engine not in ("naive", "vectorized"):
             raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
-            )
-        if engine == "vectorized" and valuation != "local":
-            raise ConfigurationError(
-                "engine='vectorized' delta-maintains the local CoR oracle; "
-                "the global-oracle ablation only supports engine='naive'/'auto'"
+                f"engine must be 'naive' or 'vectorized', got {engine!r}"
             )
         self.engine = engine
         self.payment_rule = payment_rule
@@ -641,12 +632,12 @@ class AGTRam(Mechanism):
                 state = initial_state
             else:
                 state = ReplicationState.primaries_only(instance)
-            if self.valuation == "local":
-                engine_name = resolve_engine(self.engine)
-                engine = make_local_engine(engine_name, instance, state)
-            else:
-                engine_name = "naive"
+            if self.valuation == "global":
                 engine = GlobalBenefitEngine(instance, state)
+            elif self.engine == "naive":
+                engine = BenefitEngine(instance, state)
+            else:
+                engine = make_local_engine(instance, state)
             if traced:
                 tracer.add("engine_init", perf_counter() - t0)
 
@@ -669,7 +660,7 @@ class AGTRam(Mechanism):
             "utilities": utilities,
             "payment_rule": self.payment_rule,
             "valuation": self.valuation,
-            "engine": engine_name,
+            "engine": engine.engine_name,
         }
         if audit is not None:
             extra["audit"] = audit
@@ -693,7 +684,7 @@ def run_agt_ram(
     strategies: Optional[Mapping[int, Strategy]] = None,
     record_audit: bool = False,
     max_rounds: Optional[int] = None,
-    engine: str = "auto",
+    engine: str = "vectorized",
 ) -> PlacementResult:
     """Functional one-shot entry point for :class:`AGTRam`.
 

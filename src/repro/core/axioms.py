@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.mechanism import MechanismAudit
 from repro.core.payments import second_best_payment
-from repro.drp.benefit import BenefitEngine
+from repro.drp.delta import make_local_engine
 from repro.drp.feasibility import check_state
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
@@ -93,9 +93,9 @@ def axiom2_agent_disposition(
     Eq. 5 CoR at that point of the game."""
     audit = _get_audit(result)
     state = ReplicationState.primaries_only(instance)
-    engine = BenefitEngine(instance, state)
+    engine = make_local_engine(instance, state)
     for idx, rec in enumerate(_allocation_rounds(audit)):
-        expected = float(engine.matrix[rec.winner, rec.obj])
+        expected = engine.value_at(rec.winner, rec.obj)
         if not np.isclose(expected, rec.true_value, rtol=1e-9, atol=1e-9):
             return AxiomCheck(
                 "axiom2_agent_disposition",

@@ -35,11 +35,13 @@ import numpy as np
 from repro.core.payments import second_best_payment
 from repro.drp.benefit import BenefitEngine
 from repro.drp.cost import total_otc
+from repro.drp.delta import make_local_engine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
 from repro.result import PlacementResult
 from repro.utils.timing import Timer
+from repro.utils.validation import check_nonnegative_int
 
 DispositionModel = Literal["pi", "sigma", "pi-sigma"]
 
@@ -70,13 +72,19 @@ def run_with_declared_capacities(
     The mechanism masks bids by the declared residuals, but physics is
     enforced by the true storage: when a winner's award does not fit its
     real residual capacity, the award is voided and the agent is barred
-    from the rest of the game (it has demonstrably lied).
+    from the rest of the game (it has demonstrably lied).  ``max_rounds``
+    caps the rounds, an integer >= 0 (default: the M·N bound).
+
+    Every round masks the whole benefit matrix by the declared
+    residuals, so this runs the full-matrix reference engine.
     """
     declared = np.asarray(declared, dtype=np.int64)
     if declared.shape != (instance.n_servers,):
         raise ConfigurationError(
             f"declared capacities must have shape ({instance.n_servers},)"
         )
+    if max_rounds is not None:
+        max_rounds = check_nonnegative_int(max_rounds, "max_rounds")
     timer = Timer()
     m = instance.n_servers
     payments = np.zeros(m)
@@ -170,8 +178,7 @@ def cor_knowledge_gain(instance: DRPInstance, agent: int) -> float:
     exactly zero — returned for the test/bench to assert.
     """
     state = ReplicationState.primaries_only(instance)
-    engine = BenefitEngine(instance, state)
-    vals, objs = engine.best_per_server()
+    vals, objs = make_local_engine(instance, state).best_per_server()
     truthful_winner = int(np.argmax(vals))
     if not np.isfinite(vals[truthful_winner]) or vals[truthful_winner] <= 0:
         return 0.0

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.agt_ram import AGTRam
 from repro.core.payments import PAYMENT_RULES
 from repro.core.strategies import Strategy
-from repro.drp.benefit import BenefitEngine
+from repro.drp.delta import DeltaBenefitEngine, make_local_engine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
 from repro.utils.rng import SeedLike, as_generator
@@ -43,7 +43,7 @@ class UtilityComparison:
 
 
 def _play_one_round(
-    engine: BenefitEngine,
+    engine: DeltaBenefitEngine,
     agent: int,
     strategy: Strategy | None,
     payment_rule: str,
@@ -58,7 +58,7 @@ def _play_one_round(
     reported = true_vals.copy()
     objs = true_objs.copy()
     if strategy is not None:
-        row = strategy.report(engine.matrix[agent])
+        row = strategy.report(engine.row(agent))
         if np.isfinite(row).any():
             obj = int(np.argmax(row))
             objs[agent] = obj
@@ -71,7 +71,7 @@ def _play_one_round(
     if winner != agent:
         return 0.0
     payment = pay(reported, winner)
-    true_value = float(engine.matrix[agent, int(objs[agent])])
+    true_value = engine.value_at(agent, int(objs[agent]))
     return true_value - payment
 
 
@@ -88,7 +88,7 @@ def one_shot_utilities(
     (exact dominance); under first price the inequality can reverse.
     """
     state = ReplicationState.primaries_only(instance)
-    engine = BenefitEngine(instance, state)
+    engine = make_local_engine(instance, state)
     truthful = _play_one_round(engine, agent, None, payment_rule)
     deviating = _play_one_round(engine, agent, strategy, payment_rule)
     return UtilityComparison(agent=agent, truthful=truthful, deviating=deviating)

@@ -24,12 +24,7 @@ from repro.drp.cost import (
     otc_of_matrix,
 )
 from repro.drp.benefit import BenefitEngine, global_benefit, global_benefit_column
-from repro.drp.delta import (
-    DeltaBenefitEngine,
-    ENGINE_NAMES,
-    make_local_engine,
-    resolve_engine,
-)
+from repro.drp.delta import DeltaBenefitEngine, make_local_engine
 from repro.drp.global_engine import GlobalBenefitEngine, RegionalBenefitEngine
 from repro.drp.savings import otc_savings_percent, savings_percent_curve
 from repro.drp.feasibility import check_state, check_instance
@@ -49,9 +44,7 @@ __all__ = [
     "otc_of_matrix",
     "BenefitEngine",
     "DeltaBenefitEngine",
-    "ENGINE_NAMES",
     "make_local_engine",
-    "resolve_engine",
     "GlobalBenefitEngine",
     "RegionalBenefitEngine",
     "global_benefit",

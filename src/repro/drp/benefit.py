@@ -49,7 +49,25 @@ class BenefitEngine:
     The dynamic part is the NN distance, owned by the
     :class:`~repro.drp.state.ReplicationState`.  After an allocation the
     engine refreshes in O(M + N): only the allocated object's column and
-    the winner's capacity row change.
+    the winner's capacity row change, but every round's dominant reports
+    take an O(M·N) argmax.
+
+    Production callers run the delta engine
+    (:func:`~repro.drp.delta.make_local_engine`), which gives the same
+    bits.  This engine runs only where nothing else can:
+
+    1. As the reference: ``AGTRam(engine="naive")`` and
+       ``run_agt_ram(engine="naive")`` select it for the local
+       valuation; :func:`~repro.obs.equivalence.compare_engines`, the
+       emission gate, ``benchmarks/bench_scaling.py`` and the tests
+       check the delta engine against it.
+    2. In the simulator's lazy NN protocol (``nn_update_period > 1``):
+       only the full matrix keeps the stale views that protocol models.
+    3. For callers that read the whole matrix:
+       :func:`~repro.core.disposition.run_with_declared_capacities`
+       (which masks it by declared capacities every round and runs
+       several times slower on the delta engine's on-demand matrix),
+       Aε-Star's candidate ranking and :func:`local_benefit_matrix`.
     """
 
     engine_name = "naive"

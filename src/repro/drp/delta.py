@@ -1,9 +1,13 @@
-"""Delta-maintained local-CoR oracle — the vectorized hot-path engine.
+"""Delta-maintained local-CoR oracle — the production engine.
 
-:class:`~repro.drp.benefit.BenefitEngine` (the *naive* engine) keeps the
-full (M, N) benefit matrix fresh and recomputes every agent's dominant
-report with a full-matrix argmax each round: O(M·N) per round, which is
-the wall at AS-level scale (ROADMAP item 1).
+Every production caller of the local CoR valuation (AGT-RAM's clearing
+loop, the simulator's eager protocol, the sharded central, the auction
+comparators, the axiom replay and the one-shot equilibrium) runs this
+engine, built by :func:`make_local_engine`.
+:class:`~repro.drp.benefit.BenefitEngine` keeps the full (M, N) matrix
+and argmaxes it every round, O(M·N) per round; it stays as the
+reference these bits are checked against (its docstring lists the few
+places that still run it).
 
 This engine maintains only each agent's dominant report — the
 ``(best_vals, best_objs)`` columns — and repairs them after an
@@ -55,68 +59,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.drp.benefit import NEG_INF, BenefitEngine
+from repro.drp.benefit import NEG_INF
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
-from repro.errors import ConfigurationError
 from repro.obs import tracer as obs
 
-#: Engine names accepted by :func:`resolve_engine` and every ``engine=``
-#: knob (AGTRam, the simulator, ``python -m repro bench``).
-ENGINE_NAMES = ("auto", "naive", "vectorized")
 
-#: Lowest numpy version the vectorized fast path is tested against (the
-#: bound declared in pyproject.toml).
-MIN_NUMPY_VERSION = (1, 24)
-
-try:  # pragma: no cover - exercised via monkeypatch in tests
-    _parts = np.__version__.split(".")[:2]
-    _version = tuple(int(p) for p in _parts)
-except (AttributeError, ValueError):  # pragma: no cover
-    _version = (0, 0)
-
-#: Whether the vectorized engine may be used.  numpy is a hard package
-#: dependency, but the fast path additionally requires the declared
-#: version bound; tests monkeypatch this to exercise the fallback.
-HAVE_NUMPY = _version >= MIN_NUMPY_VERSION
-
-
-def numpy_support_error() -> str:
-    """Human-readable reason the vectorized engine is unavailable."""
-    return (
-        "the vectorized engine requires numpy >= "
-        f"{'.'.join(str(v) for v in MIN_NUMPY_VERSION)} "
-        f"(found {np.__version__!r}); install the bound declared in "
-        "pyproject.toml or select engine='naive'"
-    )
-
-
-def resolve_engine(name: str) -> str:
-    """Resolve an ``engine=`` knob to a concrete engine name.
-
-    ``"auto"`` picks ``"vectorized"`` when the numpy bound is satisfied
-    and silently falls back to ``"naive"`` otherwise; an *explicit*
-    ``"vectorized"`` request without numpy support raises a
-    :class:`~repro.errors.ConfigurationError` with a clear message
-    instead of an ImportError traceback.
-    """
-    if name not in ENGINE_NAMES:
-        raise ConfigurationError(
-            f"unknown engine {name!r}; expected one of {ENGINE_NAMES}"
-        )
-    if name == "auto":
-        return "vectorized" if HAVE_NUMPY else "naive"
-    if name == "vectorized" and not HAVE_NUMPY:
-        raise ConfigurationError(numpy_support_error())
-    return name
-
-
-def make_local_engine(name: str, instance: DRPInstance, state: ReplicationState):
-    """Construct the local-CoR oracle for a resolved engine name."""
-    resolved = resolve_engine(name)
-    if resolved == "vectorized":
-        return DeltaBenefitEngine(instance, state)
-    return BenefitEngine(instance, state)
+def make_local_engine(instance: DRPInstance, state: ReplicationState):
+    """The local-CoR oracle every production caller runs."""
+    return DeltaBenefitEngine(instance, state)
 
 
 class DeltaBenefitEngine:
@@ -137,8 +88,6 @@ class DeltaBenefitEngine:
     _BLOCK_CELLS = 1 << 15
 
     def __init__(self, instance: DRPInstance, state: ReplicationState):
-        if not HAVE_NUMPY:
-            raise ConfigurationError(numpy_support_error())
         if state.instance is not instance:
             raise ValueError("state does not belong to instance")
         with obs.current().span("delta_engine/init"):

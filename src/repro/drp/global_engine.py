@@ -1,9 +1,9 @@
 """Incrementally-maintained *global* benefit matrix.
 
-Centralized placement methods (Greedy, Aε-Star, and the "global oracle"
-AGT-RAM ablation) rank candidate allocations by exact ΔOTC.  Computing
-the full (M, N) matrix costs O(M²N); afterwards an allocation of object
-k on server i only invalidates
+The "global oracle" AGT-RAM ablation — and Greedy, which is that run —
+ranks candidate allocations by exact ΔOTC.  Computing the full (M, N)
+matrix costs O(M²N); afterwards an allocation of object k on server i
+only invalidates
 
 * column k (its NN distances changed) — recomputed in O(M²), and
 * row i's eligibility (its residual capacity shrank) — re-masked in O(N).
@@ -63,12 +63,6 @@ class GlobalBenefitEngine:
         if tracer.enabled:
             tracer.count("global_engine/incremental_updates")
 
-    def best_cell(self) -> tuple[int, int, float]:
-        """Global argmax: (server, object, benefit)."""
-        flat = int(np.argmax(self._benefit))
-        i, k = divmod(flat, self.instance.n_objects)
-        return i, k, float(self._benefit[i, k])
-
     def best_per_server(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-agent dominant report under the global oracle."""
         objs = self._benefit.argmax(axis=1)
@@ -105,6 +99,8 @@ class RegionalBenefitEngine:
     Maintenance mirrors :class:`GlobalBenefitEngine`: column refresh on
     allocation, row re-mask on capacity change.
     """
+
+    engine_name = "regional"
 
     def __init__(
         self,

@@ -38,19 +38,14 @@ good for ordering and durations, meaningless across processes.
 from __future__ import annotations
 
 import copy
-import math
 import sys
 import time
-from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, ClassVar, Iterable, Iterator, Optional
 
-try:  # numpy backs the columnar buffers when present
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a core dependency
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -887,9 +882,8 @@ class RoundBlock:
     sequence (see :func:`iter_block_events`), so expansion is
     deterministic no matter when — or how often — it happens.
 
-    Arrays are numpy when available; the :mod:`array`-module fallback
-    stores the bid matrices flat (row ``i`` is ``[i*n_agents :
-    (i+1)*n_agents]``).
+    Every column is a numpy array; the bid matrices are
+    ``(rounds, n_agents)``.
     """
 
     base_round: int
@@ -910,17 +904,11 @@ class RoundBlock:
 
     def bid_row(self, i: int) -> Any:
         """Round ``i``'s reported values, one per agent (−inf = no bid)."""
-        if _np is not None and isinstance(self.bid_vals, _np.ndarray):
-            return self.bid_vals[i]
-        m = self.n_agents
-        return self.bid_vals[i * m : (i + 1) * m]
+        return self.bid_vals[i]
 
     def obj_row(self, i: int) -> Any:
         """Round ``i``'s reported objects, aligned with :meth:`bid_row`."""
-        if _np is not None and isinstance(self.bid_objs, _np.ndarray):
-            return self.bid_objs[i]
-        m = self.n_agents
-        return self.bid_objs[i * m : (i + 1) * m]
+        return self.bid_objs[i]
 
     @property
     def n_committed(self) -> int:
@@ -938,23 +926,20 @@ class RoundBlock:
     @property
     def nbytes(self) -> int:
         """Raw byte size of the columnar payload."""
-        total = 0
-        for col in (
-            self.bid_vals,
-            self.bid_objs,
-            self.winners,
-            self.objs,
-            self.residuals,
-            self.payments,
-            self.otcs,
-            self.obj_sizes,
-            self.n_bids,
-        ):
-            if _np is not None and isinstance(col, _np.ndarray):
-                total += col.nbytes
-            else:
-                total += len(col) * col.itemsize
-        return total
+        return sum(
+            col.nbytes
+            for col in (
+                self.bid_vals,
+                self.bid_objs,
+                self.winners,
+                self.objs,
+                self.residuals,
+                self.payments,
+                self.otcs,
+                self.obj_sizes,
+                self.n_bids,
+            )
+        )
 
 
 def iter_block_events(block: RoundBlock) -> Iterator[Event]:
@@ -967,28 +952,22 @@ def iter_block_events(block: RoundBlock) -> Iterator[Event]:
     ``WinnerEvent``/``PaymentEvent``/``NNUpdateEvent`` when the round
     committed, and ``RoundEnd``.  Each round's finite reports come out
     as python lists in one step per column (one ``flatnonzero`` and a
-    ``tolist()`` on the numpy backend), never one array scalar per bid.
+    ``tolist()``), never one array scalar per bid.
     """
     t = block.t0
     step = block.t_step
     rule = block.payment_rule
     m = block.n_agents
-    numpy_rows = _np is not None and isinstance(block.bid_vals, _np.ndarray)
     for i in range(block.rounds):
         rnd = block.base_round + i
         yield RoundStart(t, rnd)
         t += step
         vals = block.bid_row(i)
         objs = block.obj_row(i)
-        if numpy_rows:
-            finite = _np.flatnonzero(_np.isfinite(vals))
-            agents = finite.tolist()
-            bid_objs = objs[finite].tolist()
-            bid_vals = vals[finite].tolist()
-        else:
-            agents = [a for a in range(m) if math.isfinite(vals[a])]
-            bid_objs = [objs[a] for a in agents]
-            bid_vals = [vals[a] for a in agents]
+        finite = _np.flatnonzero(_np.isfinite(vals))
+        agents = finite.tolist()
+        bid_objs = objs[finite].tolist()
+        bid_vals = vals[finite].tolist()
         for agent, obj, value in zip(agents, bid_objs, bid_vals):
             yield BidEvent(t, rnd, agent, obj, value)
             t += step
@@ -1027,10 +1006,9 @@ class ColumnarRoundBuffer:
     computed vectorized at :meth:`flush`, so the per-round cost is a
     handful of array stores.
 
-    numpy-backed when available; otherwise flat :mod:`array`-module
-    columns (same layout, scalar python writes).  Callers may also write
-    row :attr:`n` of a column directly — the clearing loop fills
-    :attr:`n_bids` itself (see :attr:`staged_n_bids`).
+    Callers may also write row :attr:`n` of a column directly — the
+    clearing loop fills :attr:`n_bids` itself (see
+    :attr:`staged_n_bids`).
     """
 
     def __init__(
@@ -1041,19 +1019,11 @@ class ColumnarRoundBuffer:
         capacity: int = 512,
         base_round: int = 0,
         payment_rule: str = "second_price",
-        backend: Optional[str] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if n_agents < 1:
             raise ValueError("n_agents must be >= 1")
-        if backend is None:
-            backend = "numpy" if _np is not None else "array"
-        if backend not in ("numpy", "array"):
-            raise ValueError(f"unknown buffer backend {backend!r}")
-        if backend == "numpy" and _np is None:
-            raise ValueError("numpy backend requested but numpy is missing")
-        self.backend = backend
         self.n_agents = n_agents
         self.capacity = capacity
         self.base_round = base_round
@@ -1069,33 +1039,22 @@ class ColumnarRoundBuffer:
         # Scratch that never leaves the buffer is allocated once; only
         # the columns handed off inside RoundBlocks are re-armed per
         # flush (the sink keeps the old ones).
-        if self.backend == "numpy":
-            self._finite = _np.empty((capacity, n_agents), dtype=bool)
+        self._finite = _np.empty((capacity, n_agents), dtype=bool)
         self._alloc()
 
     def _alloc(self) -> None:
         cap, m = self.capacity, self.n_agents
-        if self.backend == "numpy":
-            self.bid_vals = _np.empty((cap, m), dtype=_np.float64)
-            # int32 halves the page-fault/bandwidth bill per flush; object
-            # indices always fit (N < 2^31), and expansion re-casts to
-            # python ints anyway.
-            self.bid_objs = _np.empty((cap, m), dtype=_np.int32)
-            self.winners = _np.empty(cap, dtype=_np.int64)
-            self.objs = _np.empty(cap, dtype=_np.int64)
-            self.residuals = _np.empty(cap, dtype=_np.int64)
-            self.payments = _np.empty(cap, dtype=_np.float64)
-            self.otcs = _np.empty(cap, dtype=_np.float64)
-            self.n_bids = _np.empty(cap, dtype=_np.int64)
-        else:
-            self.bid_vals = array("d", bytes(8 * cap * m))
-            self.bid_objs = array("q", bytes(8 * cap * m))
-            self.winners = array("q", bytes(8 * cap))
-            self.objs = array("q", bytes(8 * cap))
-            self.residuals = array("q", bytes(8 * cap))
-            self.payments = array("d", bytes(8 * cap))
-            self.otcs = array("d", bytes(8 * cap))
-            self.n_bids = array("q", bytes(8 * cap))
+        self.bid_vals = _np.empty((cap, m), dtype=_np.float64)
+        # int32 halves the page-fault/bandwidth bill per flush; object
+        # indices always fit (N < 2^31), and expansion re-casts to
+        # python ints anyway.
+        self.bid_objs = _np.empty((cap, m), dtype=_np.int32)
+        self.winners = _np.empty(cap, dtype=_np.int64)
+        self.objs = _np.empty(cap, dtype=_np.int64)
+        self.residuals = _np.empty(cap, dtype=_np.int64)
+        self.payments = _np.empty(cap, dtype=_np.float64)
+        self.otcs = _np.empty(cap, dtype=_np.float64)
+        self.n_bids = _np.empty(cap, dtype=_np.int64)
 
     @property
     def full(self) -> bool:
@@ -1104,15 +1063,8 @@ class ColumnarRoundBuffer:
     def stage(self, vals: Any, objs: Any) -> None:
         """Copy the round's pre-commit reports into the next row."""
         i = self.n
-        if self.backend == "numpy":
-            self.bid_vals[i] = vals
-            self.bid_objs[i] = objs
-        else:
-            m = self.n_agents
-            self.bid_vals[i * m : (i + 1) * m] = array("d", vals)
-            self.bid_objs[i * m : (i + 1) * m] = array(
-                "q", [int(o) for o in objs]
-            )
+        self.bid_vals[i] = vals
+        self.bid_objs[i] = objs
 
     def commit(
         self,
@@ -1153,75 +1105,19 @@ class ColumnarRoundBuffer:
         if rows == 0:
             return None
         m = self.n_agents
-        if self.backend == "numpy":
-            bid_vals = self.bid_vals[:rows]
-            bid_objs = self.bid_objs[:rows]
-            winners = self.winners[:rows]
-            objs = self.objs[:rows]
-            if self.staged_n_bids:
-                n_bids = self.n_bids[:rows]
-            else:
-                n_bids = _np.count_nonzero(
-                    _np.isfinite(bid_vals, out=self._finite[:rows]), axis=1
-                )
-            committed = winners >= 0
-            sizes = _np.asarray(self.sizes)
-            obj_sizes = _np.where(
-                committed, sizes[_np.where(committed, objs, 0)], 0
-            )
-            n_events = int(n_bids.sum()) + 2 * rows + 3 * int(
-                committed.sum()
-            )
-            block_cols = (
-                bid_vals,
-                bid_objs,
-                winners,
-                objs,
-                self.residuals[:rows],
-                self.payments[:rows],
-                self.otcs[:rows],
-                obj_sizes,
-                n_bids,
-            )
+        bid_vals = self.bid_vals[:rows]
+        winners = self.winners[:rows]
+        objs = self.objs[:rows]
+        if self.staged_n_bids:
+            n_bids = self.n_bids[:rows]
         else:
-            bid_vals = self.bid_vals[: rows * m]
-            bid_objs = self.bid_objs[: rows * m]
-            winners = self.winners[:rows]
-            objs = self.objs[:rows]
-            if self.staged_n_bids:
-                n_bids = self.n_bids[:rows]
-            else:
-                n_bids = array(
-                    "q",
-                    (
-                        sum(
-                            1
-                            for a in range(m)
-                            if math.isfinite(bid_vals[i * m + a])
-                        )
-                        for i in range(rows)
-                    ),
-                )
-            obj_sizes = array(
-                "q",
-                (
-                    int(self.sizes[objs[i]]) if winners[i] >= 0 else 0
-                    for i in range(rows)
-                ),
+            n_bids = _np.count_nonzero(
+                _np.isfinite(bid_vals, out=self._finite[:rows]), axis=1
             )
-            n_committed = sum(1 for w in winners if w >= 0)
-            n_events = int(sum(n_bids)) + 2 * rows + 3 * n_committed
-            block_cols = (
-                bid_vals,
-                bid_objs,
-                winners,
-                objs,
-                self.residuals[:rows],
-                self.payments[:rows],
-                self.otcs[:rows],
-                obj_sizes,
-                n_bids,
-            )
+        committed = winners >= 0
+        sizes = _np.asarray(self.sizes)
+        obj_sizes = _np.where(committed, sizes[_np.where(committed, objs, 0)], 0)
+        n_events = int(n_bids.sum()) + 2 * rows + 3 * int(committed.sum())
         t0, t_step = now_block(n_events)
         block = RoundBlock(
             self.base_round,
@@ -1230,7 +1126,15 @@ class ColumnarRoundBuffer:
             self.payment_rule,
             t0,
             t_step,
-            *block_cols,
+            bid_vals,
+            self.bid_objs[:rows],
+            winners,
+            objs,
+            self.residuals[:rows],
+            self.payments[:rows],
+            self.otcs[:rows],
+            obj_sizes,
+            n_bids,
         )
         self.base_round += rows
         self.n = 0

@@ -474,21 +474,16 @@ def _block_records(
 ) -> Iterator[bytearray]:
     """The v1 records of ``iter_block_events(block)``, in pieces.
 
-    A numpy-backed block is encoded from its columns ``_ENCODE_BIDS``
-    bid records at a time: the step's bid records are filled in as one
-    packed record array (``bid.dtype``), and the few other records per
-    round are packed one event at a time with ``encode``.  Timestamps
-    follow the expansion's running sum ``t += t_step`` (``np.cumsum``
-    adds in the same order), never ``t0 + j * t_step``.  An
-    :mod:`array`-backed block, and one whose clock is not finite (which
-    NaN an addition of two NaNs returns is the compiled code's choice),
-    is encoded one expanded event at a time.
+    A block is encoded from its columns ``_ENCODE_BIDS`` bid records at
+    a time: the step's bid records are filled in as one packed record
+    array (``bid.dtype``), and the few other records per round are
+    packed one event at a time with ``encode``.  Timestamps follow the
+    expansion's running sum ``t += t_step`` (``np.cumsum`` adds in the
+    same order), never ``t0 + j * t_step``.  A block whose clock is not
+    finite (which NaN an addition of two NaNs returns is the compiled
+    code's choice) is encoded one expanded event at a time.
     """
-    if not (
-        isinstance(block.bid_vals, np.ndarray)
-        and math.isfinite(block.t0)
-        and math.isfinite(block.t_step)
-    ):
+    if not (math.isfinite(block.t0) and math.isfinite(block.t_step)):
         out = bytearray()
         for event in iter_block_events(block):
             out += encode(event)

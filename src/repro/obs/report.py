@@ -15,8 +15,7 @@ Document layout (``SCHEMA_VERSION`` = 3)::
       "seed": 2007,
       "repeats": 3,
       "env": {"python": ..., "numpy": ..., "platform": ...},
-      "config": {"n_servers": ..., "n_objects": ..., "total_requests": ...,
-                 "engine": "auto"},
+      "config": {"n_servers": ..., "n_objects": ..., "total_requests": ...},
       "results": [
         {
           "scenario": "placement",      # or "protocol" / "engine_compare"
@@ -199,19 +198,15 @@ def _placement_record(
     repeats: int,
     seed: int,
     sink: ev.EventSink,
-    engine: str = "auto",
 ) -> dict[str, Any]:
     from repro.experiments.runner import run_algorithms
 
-    placer_kwargs = {"AGT-RAM": {"engine": engine}} if algorithm == "AGT-RAM" else None
     best = None
     events_before = _sink_len(sink)
     bytes_before = getattr(sink, "nbytes", 0)
     with capture() as tracer, ev.capture(sink):
         for _ in range(repeats):
-            result = run_algorithms(
-                instance, [algorithm], seed=seed, placer_kwargs=placer_kwargs
-            )[algorithm]
+            result = run_algorithms(instance, [algorithm], seed=seed)[algorithm]
             if best is None or result.runtime_s < best.runtime_s:
                 best = result
     assert best is not None
@@ -310,7 +305,6 @@ def run_bench(
     repeats: int = 3,
     include_protocol: bool = True,
     event_sink: Optional[ev.EventSink] = None,
-    engine: str = "auto",
     include_engine_compare: bool = True,
 ) -> dict[str, Any]:
     """Execute the benchmark scenarios and return the JSON document.
@@ -337,17 +331,12 @@ def run_bench(
         v3 ``events_emitted`` / ``events_bytes`` accounting reads its
         counters; the per-round ``series`` in the document are derived
         from the event machinery either way.
-    engine:
-        AGT-RAM benefit engine (``auto`` / ``naive`` / ``vectorized``);
-        recorded in the document config.  Other algorithms are
-        unaffected.
     include_engine_compare:
-        Also emit an ``engine_compare`` record proving the two engines
-        are bit-for-bit identical on this preset and measuring the
-        uninstrumented speedup (requires AGT-RAM among the algorithms
-        and vectorized support; silently skipped otherwise).
+        Also emit an ``engine_compare`` record proving the production
+        engine bit-for-bit identical to the reference engine on this
+        preset and measuring the uninstrumented speedup (requires
+        AGT-RAM among the algorithms; silently skipped otherwise).
     """
-    from repro.drp.delta import HAVE_NUMPY
     from repro.experiments.instances import paper_instance
 
     if repeats < 1:
@@ -359,12 +348,11 @@ def run_bench(
     sink = event_sink if event_sink is not None else ev.ColumnarSink()
 
     results = [
-        _placement_record(alg, instance, repeats, seed, sink, engine=engine)
-        for alg in algorithms
+        _placement_record(alg, instance, repeats, seed, sink) for alg in algorithms
     ]
     if include_protocol:
         results.append(_protocol_record(instance, repeats, sink))
-    if include_engine_compare and HAVE_NUMPY and "AGT-RAM" in algorithms:
+    if include_engine_compare and "AGT-RAM" in algorithms:
         results.append(_engine_compare_record(instance, repeats))
 
     return {
@@ -381,7 +369,6 @@ def run_bench(
             "rw_ratio": cfg.rw_ratio,
             "capacity_fraction": cfg.capacity_fraction,
             "seed": cfg.seed,
-            "engine": engine,
         },
         "results": results,
     }

@@ -23,7 +23,7 @@ Model
   autonomy, paid for with ~``k`` times fewer global rounds.  One region
   is the flat mechanism bit for bit.
 * ``valuation="local"`` keeps the paper's private Eq. 5 CoR on the
-  engine ``engine=`` selects; ``"regional"`` is §7's cooperative game,
+  production delta engine; ``"regional"`` is §7's cooperative game,
   where a region's agents pool their books
   (:class:`~repro.drp.global_engine.RegionalBenefitEngine`).
 * A lost regional body is a :class:`FaultPlan` that takes every agent
@@ -106,7 +106,7 @@ import numpy as np
 from repro.core.agents import Bid
 from repro.drp.benefit import NEG_INF
 from repro.drp.cost import total_otc
-from repro.drp.delta import ENGINE_NAMES, make_local_engine, resolve_engine
+from repro.drp.delta import make_local_engine
 from repro.drp.global_engine import RegionalBenefitEngine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
@@ -592,12 +592,11 @@ class ShardedAGTRam:
         Optional :class:`~repro.runtime.adversary.QuarantinePolicy` for
         that shared boundary; ``None`` uses the defaults.  Only
         consulted when an adversary plan is supplied.
-    valuation / engine:
-        ``"local"`` (default) or ``"regional"``; ``engine`` picks the
-        local engine (``"auto"``, ``"naive"``, ``"vectorized"`` — the
-        same placements bit for bit).  The regional game has neither a
-        vectorized engine nor a trust boundary, so it takes no
-        ``engine="vectorized"`` and no adversary plan.
+    valuation:
+        ``"local"`` (default, on the delta engine) or ``"regional"``
+        (on :class:`~repro.drp.global_engine.RegionalBenefitEngine`).
+        The regional game has no trust boundary, so it takes no
+        adversary plan.
     max_rounds / keep_messages:
         Global round cap (``None``: ``M * N`` plus the partition
         calendar); keep every message object, not only the tallies.
@@ -610,7 +609,6 @@ class ShardedAGTRam:
     adversary: Optional[AdversaryPlan] = None
     quarantine: Optional[QuarantinePolicy] = None
     valuation: str = "local"
-    engine: str = "auto"
     seed: SeedLike = None
     max_rounds: Optional[int] = None
     keep_messages: bool = False
@@ -622,21 +620,15 @@ class ShardedAGTRam:
                 "valuation must be 'local' or 'regional', "
                 f"got {self.valuation!r}"
             )
-        if self.engine not in ENGINE_NAMES:
+        if (
+            self.valuation == "regional"
+            and self.adversary is not None
+            and not self.adversary.is_null
+        ):
             raise ConfigurationError(
-                f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
+                "the regional valuation takes no adversary plan: the "
+                "trust boundary prices bids with the local engine"
             )
-        if self.valuation == "regional":
-            if self.engine == "vectorized":
-                raise ConfigurationError(
-                    "the regional valuation has no vectorized engine; "
-                    "use engine='auto' or 'naive'"
-                )
-            if self.adversary is not None and not self.adversary.is_null:
-                raise ConfigurationError(
-                    "the regional valuation takes no adversary plan: the "
-                    "trust boundary prices bids with the local engine"
-                )
         if self.max_rounds is not None:
             self.max_rounds = check_nonnegative_int(self.max_rounds, "max_rounds")
 
@@ -685,13 +677,12 @@ class ShardedAGTRam:
                 f"schedule covers {plan.n_regions} regions, partition has {k}"
             )
         regional = self.valuation == "regional"
-        engine_name = "naive" if regional else resolve_engine(self.engine)
 
         def make_engine(state: ReplicationState) -> Any:
             """The engine for the start state, a partition fork or a heal."""
             if regional:
                 return RegionalBenefitEngine(instance, state, part)
-            return make_local_engine(engine_name, instance, state)
+            return make_local_engine(instance, state)
 
         label = "Sharded-AGT-RAM(regional)" if regional else "Sharded-AGT-RAM"
         rows = {r: [int(a) for a in np.flatnonzero(part == r)] for r in region_ids}
@@ -977,7 +968,7 @@ class ShardedAGTRam:
             "payments": payments,
             "partition": part,
             "region_stats": stats,
-            "engine": engine_name,
+            "engine": islands[0].engine.engine_name,
             "schedule": plan.to_dict(),
             "messages": log.total_messages(),
             "message_bytes": log.bytes_total,

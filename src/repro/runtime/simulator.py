@@ -2,10 +2,10 @@
 
 Drives explicit :class:`~repro.core.agents.ReplicaAgent` objects and a
 :class:`~repro.runtime.central.CentralBody` through Figure 2, recording
-every message.  Produces byte/round/critical-path accounting the
-vectorized engine cannot, and — by construction — the *same final
-replication scheme* as :class:`~repro.core.agt_ram.AGTRam` under
-truthful agents (a tested equivalence).
+every message.  Produces byte/round/critical-path accounting the flat
+:class:`~repro.core.agt_ram.AGTRam` loop cannot, and — by construction
+— the *same final replication scheme* under truthful agents (a tested
+equivalence).
 
 A round whose bids nothing on the way can drop, corrupt or screen (no
 fault plan, adversary or quarantine) clears on the central's report
@@ -40,12 +40,12 @@ import numpy as np
 
 from repro.core.agents import Bid, ReplicaAgent
 from repro.core.strategies import Strategy
-from repro.drp.benefit import NEG_INF
+from repro.drp.benefit import NEG_INF, BenefitEngine
 from repro.drp.cost import total_otc
-from repro.drp.delta import make_local_engine, resolve_engine
+from repro.drp.delta import make_local_engine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.result import PlacementResult
 from repro.runtime.adversary import (
     AdversaryInjector,
@@ -69,7 +69,11 @@ from repro.obs import events as ev
 from repro.obs import tracer as obs
 from repro.runtime.metrics import RuntimeMetrics
 from repro.utils.timing import Timer, perf_counter
-from repro.utils.validation import check_index
+from repro.utils.validation import (
+    check_index,
+    check_nonnegative_int,
+    check_positive_int,
+)
 
 #: The central body's address in the message log.
 CENTRAL = -1
@@ -94,13 +98,19 @@ class SemiDistributedSimulator:
         Retain full message objects in the log (memory-heavy; counts and
         bytes are always kept).
     nn_update_period:
-        NN-table broadcast cadence.  1 (the paper's eager protocol)
-        broadcasts after every allocation; T > 1 lets agents bid on
-        views up to T-1 rounds stale, trading NN-update message volume
-        for solution quality (the DESIGN.md §5 ablation).  A winner's
-        own row is always fresh — it knows what it hosts.  The periodic
-        resync is accounted as one :class:`NNResyncMessage` per agent
-        carrying every object allocated since the last broadcast.
+        NN-table broadcast cadence, an integer >= 1.  1 (the paper's
+        eager protocol) broadcasts after every allocation; T > 1 lets
+        agents bid on views up to T-1 rounds stale, trading NN-update
+        message volume for solution quality (the DESIGN.md §5
+        ablation).  A winner's own row is always fresh — it knows what
+        it hosts.  The periodic resync is accounted as one
+        :class:`NNResyncMessage` per agent carrying every object
+        allocated since the last broadcast.  The protocol picks the
+        local-CoR engine: the eager one runs the production
+        :class:`~repro.drp.delta.DeltaBenefitEngine`; a lazy one runs
+        the full-matrix :class:`~repro.drp.benefit.BenefitEngine`,
+        the only engine that keeps the stale views it models.  Both
+        give the same bits wherever both apply.
     failed_agents:
         Servers whose agent process is down for the whole run; they
         never bid and so never receive replicas, but their primaries
@@ -108,7 +118,8 @@ class SemiDistributedSimulator:
         robustness concern about per-node failures in a large system.
         Ids must be integers in ``[0, M)``, like ``strategies`` keys.
     central_failure_round:
-        If set, the central body crashes at the start of that round.
+        If set (an integer >= 0), the central body crashes at the start
+        of that round.
         The agents self-repair (paper §7): each broadcasts an election
         vote and the lowest-id live agent takes over as acting central.
         The protocol — and the final scheme — are unchanged (the
@@ -137,14 +148,6 @@ class SemiDistributedSimulator:
         trust boundary enforces (strike threshold, probation length,
         expulsion).  Supplying one arms the boundary even without an
         adversary plan; ``None`` uses the defaults when a plan is set.
-    engine:
-        Local-CoR oracle implementation: ``"naive"`` (default — the
-        full-matrix :class:`~repro.drp.benefit.BenefitEngine`),
-        ``"vectorized"`` (the delta-maintained
-        :class:`~repro.drp.delta.DeltaBenefitEngine`; requires the
-        eager protocol, ``nn_update_period=1``) or ``"auto"``.  The
-        final scheme, payments and message stream are engine-invariant
-        (a tested equivalence).
     """
 
     def __init__(
@@ -159,20 +162,12 @@ class SemiDistributedSimulator:
         faults: Optional[FaultPlan] = None,
         adversary: Optional[AdversaryPlan] = None,
         quarantine: Optional[QuarantinePolicy] = None,
-        engine: str = "naive",
     ):
-        if nn_update_period < 1:
-            raise ValueError("nn_update_period must be >= 1")
-        self.engine = resolve_engine(engine)
-        if self.engine == "vectorized" and nn_update_period != 1:
-            raise ConfigurationError(
-                "engine='vectorized' requires the eager protocol "
-                "(nn_update_period=1): the delta engine computes agent "
-                "views from the live state and cannot model the lazy "
-                "protocol's deliberately stale views"
+        nn_update_period = check_positive_int(nn_update_period, "nn_update_period")
+        if central_failure_round is not None:
+            central_failure_round = check_nonnegative_int(
+                central_failure_round, "central_failure_round"
             )
-        if central_failure_round is not None and central_failure_round < 0:
-            raise ValueError("central_failure_round must be >= 0")
         self.central = CentralBody(payment_rule)
         self.strategies = dict(strategies) if strategies else {}
         self.keep_messages = keep_messages
@@ -326,7 +321,10 @@ class SemiDistributedSimulator:
 
         with timer:
             state = ReplicationState.primaries_only(instance)
-            engine = make_local_engine(self.engine, instance, state)
+            if self.nn_update_period == 1:
+                engine = make_local_engine(instance, state)
+            else:
+                engine = BenefitEngine(instance, state)
             if eventing:
                 # Per-round OTC telemetry (stalls, fruitless rounds, the
                 # series, RoundEnd) reads the delta-maintained tracker —
@@ -855,7 +853,7 @@ class SemiDistributedSimulator:
             extra={
                 "payments": payments,
                 "utilities": utilities,
-                "engine": self.engine,
+                "engine": engine.engine_name,
                 "metrics": metrics,
                 "agents": agents,
                 "acting_central": acting_central,

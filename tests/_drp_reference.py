@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.drp.benefit import NEG_INF
-from repro.drp.delta import HAVE_NUMPY, numpy_support_error
 from repro.drp.instance import DRPInstance
 from repro.errors import CapacityError, ConfigurationError, InfeasibleInstanceError
 from repro.obs import tracer as obs
@@ -327,8 +326,6 @@ class DeltaBenefitEngine:
     _BLOCK_CELLS = 1 << 15
 
     def __init__(self, instance: DRPInstance, state: ReplicationState):
-        if not HAVE_NUMPY:
-            raise ConfigurationError(numpy_support_error())
         if state.instance is not instance:
             raise ValueError("state does not belong to instance")
         with obs.current().span("delta_engine/init"):

@@ -43,23 +43,28 @@ class TestRun:
         assert rc == 0
         assert alg in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["naive", "vectorized"])
-    def test_engine_flag_reported(self, engine, capsys):
-        rc = main(["run", *FAST, "-a", "AGT-RAM", "--engine", engine])
+    def test_engine_reported(self, capsys):
+        rc = main(["run", *FAST, "-a", "AGT-RAM"])
         assert rc == 0
-        assert f"engine {engine}" in capsys.readouterr().out
+        assert "engine vectorized" in capsys.readouterr().out
 
-    def test_engines_agree_on_otc(self, capsys):
-        main(["run", *FAST, "--engine", "naive"])
-        naive_out = capsys.readouterr().out
-        main(["run", *FAST, "--engine", "vectorized"])
-        vec_out = capsys.readouterr().out
-        # Identical OTC / savings / replicas; only runtime+engine differ.
-        assert naive_out.split("  runtime")[0] == vec_out.split("  runtime")[0]
+    def test_engines_agree_on_otc(self, tmp_path, capsys):
+        # `repro run` prints the reference engine's OTC.
+        from repro.core.agt_ram import run_agt_ram
+        from repro.io import load_instance
+
+        path = tmp_path / "inst.npz"
+        main(["generate", *FAST, "-o", str(path)])
+        main(["run", "--instance", str(path)])
+        reference = run_agt_ram(load_instance(path), engine="naive")
+        assert f"OTC {reference.otc:,.0f}  " in capsys.readouterr().out
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", *FAST, "--engine", "turbo"])
+        # The engine is no longer an option of `repro run`.
+        for name in ("turbo", "naive"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", *FAST, "--engine", name])
+            assert exc.value.code == 2
 
 
 class TestAuditCompareEngines:

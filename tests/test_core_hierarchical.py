@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.agt_ram import run_agt_ram
+from repro.drp.benefit import BenefitEngine
 from repro.drp.feasibility import check_state
 from repro.errors import ConfigurationError
 from repro.runtime.shard import ShardedAGTRam, partition_by_proximity
@@ -130,7 +131,7 @@ class TestConfiguration:
 class TestEngineSelector:
     @pytest.mark.parametrize("scenario", ["concurrent", "region-down"])
     def test_naive_and_vectorized_identical(
-        self, read_heavy_instance, region_down, scenario
+        self, read_heavy_instance, region_down, scenario, monkeypatch
     ):
         part = partition_by_proximity(read_heavy_instance, 4, seed=0)
         faults = (
@@ -138,13 +139,14 @@ class TestEngineSelector:
             if scenario == "region-down"
             else None
         )
-        runs = {
-            name: ShardedAGTRam(
-                partition=part, faults=faults, engine=name
-            ).run(read_heavy_instance)
-            for name in ("naive", "vectorized")
-        }
-        naive, fast = runs["naive"], runs["vectorized"]
+        sharded = ShardedAGTRam(partition=part, faults=faults)
+        fast = sharded.run(read_heavy_instance)
+        # The reference engine, swapped in where the central builds its
+        # engines.
+        monkeypatch.setattr(
+            "repro.runtime.shard.make_local_engine", BenefitEngine
+        )
+        naive = sharded.run(read_heavy_instance)
         # Same winners, same prices, same placement, bit for bit.
         assert np.array_equal(naive.state.x, fast.state.x)
         assert naive.otc == fast.otc
@@ -156,15 +158,16 @@ class TestEngineSelector:
         assert fast.extra["engine"] == "vectorized"
 
     def test_bad_engine_rejected(self):
-        # Checked under the regional valuation too, which runs no local
+        # Neither valuation takes an engine option: each runs its one
         # engine.
         for valuation in ("local", "regional"):
-            with pytest.raises(ConfigurationError, match="engine"):
+            with pytest.raises(TypeError, match="engine"):
                 ShardedAGTRam(valuation=valuation, engine="turbo")
 
-    def test_cooperative_has_no_vectorized_engine(self):
-        with pytest.raises(ConfigurationError, match="vectorized"):
-            ShardedAGTRam(valuation="regional", engine="vectorized")
+    def test_cooperative_has_no_vectorized_engine(self, tiny_instance):
+        # The label reports the engine that ran: the cooperative game's.
+        res = ShardedAGTRam(valuation="regional", seed=0).run(tiny_instance)
+        assert res.extra["engine"] == "regional"
 
 
 class TestRegionTaggedEvents:

@@ -14,17 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.drp.delta as delta_mod
-from repro.core.agt_ram import run_agt_ram
+from repro.core.agt_ram import AGTRam, run_agt_ram
 from repro.core.strategies import OverProjection, UnderProjection
 from repro.drp.benefit import NEG_INF, BenefitEngine, local_benefit_matrix
-from repro.drp.delta import (
-    ENGINE_NAMES,
-    DeltaBenefitEngine,
-    make_local_engine,
-    numpy_support_error,
-    resolve_engine,
-)
+from repro.drp.delta import DeltaBenefitEngine, make_local_engine
+from repro.drp.global_engine import GlobalBenefitEngine, RegionalBenefitEngine
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
@@ -50,51 +44,30 @@ def _assert_bests_exact(engine, instance, state):
 
 
 class TestResolveEngine:
+    """How a run picks its engine, and the label it reports."""
+
     def test_names_exposed(self):
-        assert ENGINE_NAMES == ("auto", "naive", "vectorized")
+        assert BenefitEngine.engine_name == "naive"
+        assert DeltaBenefitEngine.engine_name == "vectorized"
+        assert GlobalBenefitEngine.engine_name == "global"
+        assert RegionalBenefitEngine.engine_name == "regional"
 
-    def test_auto_prefers_vectorized(self):
-        assert resolve_engine("auto") == "vectorized"
+    def test_auto_prefers_vectorized(self, tiny_instance):
+        # The default is the production engine; there is no "auto".
+        assert run_agt_ram(tiny_instance).extra["engine"] == "vectorized"
 
-    def test_explicit_names_pass_through(self):
-        assert resolve_engine("naive") == "naive"
-        assert resolve_engine("vectorized") == "vectorized"
+    def test_explicit_names_pass_through(self, tiny_instance):
+        for name in ("naive", "vectorized"):
+            assert run_agt_ram(tiny_instance, engine=name).extra["engine"] == name
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            resolve_engine("turbo")
-
-    def test_auto_falls_back_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(delta_mod, "HAVE_NUMPY", False)
-        assert resolve_engine("auto") == "naive"
-
-    def test_explicit_vectorized_without_numpy_is_clear_error(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(delta_mod, "HAVE_NUMPY", False)
-        with pytest.raises(ConfigurationError, match="numpy >="):
-            resolve_engine("vectorized")
-        # A ConfigurationError, never a bare ImportError traceback, and
-        # the message tells the user both remedies.
-        msg = numpy_support_error()
-        assert "pyproject.toml" in msg
-        assert "naive" in msg
-
-    def test_engine_ctor_guarded(self, monkeypatch, tiny_instance):
-        monkeypatch.setattr(delta_mod, "HAVE_NUMPY", False)
-        st_ = ReplicationState.primaries_only(tiny_instance)
-        with pytest.raises(ConfigurationError, match="numpy >="):
-            DeltaBenefitEngine(tiny_instance, st_)
+        for name in ("turbo", "auto"):
+            with pytest.raises(ConfigurationError, match="'naive' or 'vectorized'"):
+                AGTRam(engine=name)
 
     def test_make_local_engine_types(self, tiny_instance):
         st_ = ReplicationState.primaries_only(tiny_instance)
-        assert isinstance(
-            make_local_engine("vectorized", tiny_instance, st_),
-            DeltaBenefitEngine,
-        )
-        assert isinstance(
-            make_local_engine("naive", tiny_instance, st_), BenefitEngine
-        )
+        assert isinstance(make_local_engine(tiny_instance, st_), DeltaBenefitEngine)
 
     def test_state_must_belong_to_instance(self, tiny_instance, line_instance):
         st_ = ReplicationState.primaries_only(line_instance)
@@ -298,11 +271,14 @@ class TestRunEquivalence:
         )
         assert a.otc == b.otc
 
-    def test_global_valuation_rejects_vectorized(self, tiny_instance):
-        with pytest.raises(ConfigurationError, match="global"):
-            run_agt_ram(
-                tiny_instance, engine="vectorized", valuation="global"
-            )
+    def test_global_valuation_runs_its_own_engine(self, tiny_instance):
+        # The engine switch applies to the local valuation only.
+        runs = [
+            run_agt_ram(tiny_instance, engine=name, valuation="global")
+            for name in ("naive", "vectorized")
+        ]
+        assert [r.extra["engine"] for r in runs] == ["global", "global"]
+        np.testing.assert_array_equal(runs[0].state.x, runs[1].state.x)
 
     def test_audit_trail_identical(self, tiny_instance):
         a = run_agt_ram(tiny_instance, engine="naive", record_audit=True)
@@ -316,32 +292,38 @@ class TestRunEquivalence:
 
 
 class TestSimulatorEngine:
+    """The simulator's protocol picks its engine: the eager protocol runs
+    the delta engine, a lazy one the full matrix, which alone keeps the
+    stale views it models."""
+
     def test_vectorized_requires_eager_protocol(self, tiny_instance):
         from repro.runtime.simulator import SemiDistributedSimulator
 
-        with pytest.raises(ConfigurationError, match="eager"):
-            SemiDistributedSimulator(engine="vectorized", nn_update_period=2)
+        labels = [
+            SemiDistributedSimulator(nn_update_period=t).run(tiny_instance).extra[
+                "engine"
+            ]
+            for t in (1, 2)
+        ]
+        assert labels == ["vectorized", "naive"]
 
     def test_simulator_engines_identical(self, tiny_instance):
         from repro.runtime.simulator import SemiDistributedSimulator
 
-        a = SemiDistributedSimulator(engine="naive").run(tiny_instance)
-        b = SemiDistributedSimulator(engine="vectorized").run(tiny_instance)
+        a = run_agt_ram(tiny_instance, engine="naive")
+        b = SemiDistributedSimulator().run(tiny_instance)
         np.testing.assert_array_equal(a.state.x, b.state.x)
+        np.testing.assert_array_equal(a.extra["payments"], b.extra["payments"])
         assert a.otc == b.otc
         assert a.rounds == b.rounds
-        sa, sb = a.extra["metrics"].summary(), b.extra["metrics"].summary()
-        assert sa["messages"] == sb["messages"]
-        assert sa["bytes"] == sb["bytes"]
         assert b.extra["engine"] == "vectorized"
 
     def test_lazy_protocol_still_works_with_naive(self, tiny_instance):
         from repro.runtime.simulator import SemiDistributedSimulator
 
-        result = SemiDistributedSimulator(
-            engine="naive", nn_update_period=3
-        ).run(tiny_instance)
+        result = SemiDistributedSimulator(nn_update_period=3).run(tiny_instance)
         assert result.rounds > 0
+        assert result.extra["engine"] == "naive"
 
 
 class TestEquivalenceModule:

@@ -43,11 +43,13 @@ class TestGlobalBenefitEngine:
         assert not np.isfinite(engine.matrix[~feasible & ~np.isfinite(engine.matrix)]).any()
 
     def test_best_cell(self, line_instance):
+        # The best cell is the best agent's dominant report.
         st = ReplicationState.primaries_only(line_instance)
         engine = GlobalBenefitEngine(line_instance, st)
-        i, k, g = engine.best_cell()
-        assert (i, k) == (2, 0)
-        assert g == pytest.approx(10.0)
+        vals, objs = engine.best_per_server()
+        i = int(vals.argmax())
+        assert (i, int(objs[i])) == (2, 0)
+        assert vals[i] == pytest.approx(10.0)
 
     def test_best_per_server_consistent(self, tiny_instance):
         st = ReplicationState.primaries_only(tiny_instance)

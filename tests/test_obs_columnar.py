@@ -18,7 +18,6 @@ The contracts under test (docs/observability.md):
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import struct
 from dataclasses import fields, replace
@@ -482,7 +481,7 @@ class TestEmissionIdentity:
         ]
 
 
-# -- buffer backends ---------------------------------------------------------
+# -- the round ring ----------------------------------------------------------
 
 
 def _stage_sample_rounds(buffer: ColumnarRoundBuffer) -> None:
@@ -509,28 +508,16 @@ def _expand_without_time(buffer: ColumnarRoundBuffer) -> list[dict]:
 class TestBufferBackends:
     SIZES = [5, 7, 9]
 
-    def test_array_fallback_matches_numpy(self):
-        pytest.importorskip("numpy")
-        np_buf = ColumnarRoundBuffer(3, self.SIZES, backend="numpy")
-        py_buf = ColumnarRoundBuffer(3, self.SIZES, backend="array")
-        _stage_sample_rounds(np_buf)
-        _stage_sample_rounds(py_buf)
-        expanded = [_expand_without_time(b) for b in (np_buf, py_buf)]
+    def test_expansion_is_type_exact(self):
+        buffer = ColumnarRoundBuffer(3, self.SIZES)
+        _stage_sample_rounds(buffer)
         # Type-exact: ``1 == 1.0`` and numpy scalars would pass ``==``.
-        for dicts in expanded:
-            for d in dicts:
-                assert all(type(v) in (int, float, str) for v in d.values()), d
-        np_lines, py_lines = (
-            [json.dumps(d, sort_keys=True) for d in dicts] for dicts in expanded
-        )
-        assert np_lines == py_lines
+        for d in _expand_without_time(buffer):
+            assert all(type(v) in (int, float, str) for v in d.values()), d
 
-    @pytest.mark.parametrize("backend", ["numpy", "array"])
-    def test_staged_n_bids_matches_flush_recount(self, backend):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
-        recount = ColumnarRoundBuffer(3, self.SIZES, backend=backend)
-        staged = ColumnarRoundBuffer(3, self.SIZES, backend=backend)
+    def test_staged_n_bids_matches_flush_recount(self):
+        recount = ColumnarRoundBuffer(3, self.SIZES)
+        staged = ColumnarRoundBuffer(3, self.SIZES)
         _stage_sample_rounds(recount)
         _stage_sample_rounds(staged)
         # The hot loop fills n_bids itself and flips the flag; flush
@@ -540,11 +527,8 @@ class TestBufferBackends:
             staged.n_bids[i] = count
         assert _expand_without_time(staged) == _expand_without_time(recount)
 
-    @pytest.mark.parametrize("backend", ["numpy", "array"])
-    def test_flush_rearms_and_advances_base_round(self, backend):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
-        buffer = ColumnarRoundBuffer(3, self.SIZES, capacity=2, backend=backend)
+    def test_flush_rearms_and_advances_base_round(self):
+        buffer = ColumnarRoundBuffer(3, self.SIZES, capacity=2)
         _stage_sample_rounds_first_two = [
             ([1.5, -math.inf, 2.5], (2, 2, 20, 1.5, 90.0)),
             ([0.5, 3.25, -math.inf], (1, 1, 13, 0.5, 84.0)),
@@ -690,15 +674,14 @@ def _sink_scripts(draw):
     return script
 
 
-def _play(script, backend: str) -> ev.ColumnarSink:
-    """Emit ``script`` into a fresh ColumnarSink on ``backend`` blocks."""
+def _play(script) -> ev.ColumnarSink:
+    """Emit ``script`` into a fresh ColumnarSink through the ring."""
     buffer = ColumnarRoundBuffer(
         script["m"],
         [3, 1, 4, 1, 5, 9],
         capacity=script["capacity"],
         base_round=script["base_round"],
         payment_rule=script["rule"],
-        backend=backend,
     )
     blocks = []
     for vals, objs, commit in script["rows"]:
@@ -730,16 +713,13 @@ class TestBulkExportProperties:
         from unittest import mock
 
         tmp = tmp_path_factory.mktemp("bulk")
-        sink = _play(script, "numpy")
+        sink = _play(script)
         assert sink.blocks()
         # Small encode steps split blocks, so the clock and the bid
         # records carry across steps.
         with mock.patch.object(export, "_ENCODE_BIDS", encode_bids):
             bulk, ref = _stream_and_list_bytes(sink, tmp)
             assert bulk == ref
-            array = _play(script, "array")
-            path = write_events_binary(array.iter_events(), tmp / "array.rev")
-            assert path.read_bytes() == bulk
             # A stream someone started writes only what is left.
             events = list(sink.iter_events())
             k = data.draw(st.integers(0, len(events)))

@@ -287,8 +287,9 @@ class TestEngineCompareRecord:
         assert record["naive_wall_s"] > 0
         assert record["wall_s"] > 0  # the vectorized wall
 
-    def test_engine_recorded_in_config(self, tiny_doc):
-        assert tiny_doc["config"]["engine"] == "auto"
+    def test_config_records_no_engine(self, tiny_doc):
+        # Every scenario runs the one production engine.
+        assert "engine" not in tiny_doc["config"]
 
     def test_opt_out_and_engine_override(self):
         doc = run_bench(
@@ -296,11 +297,12 @@ class TestEngineCompareRecord:
             algorithms=["AGT-RAM"],
             repeats=1,
             include_protocol=False,
-            engine="naive",
             include_engine_compare=False,
         )
-        assert doc["config"]["engine"] == "naive"
         assert [r["scenario"] for r in doc["results"]] == ["placement"]
+        # No engine override: every scenario runs the production engine.
+        with pytest.raises(TypeError, match="engine"):
+            run_bench(scale="tiny", engine="naive")
 
     def test_skipped_without_agt_ram(self):
         doc = run_bench(
@@ -323,26 +325,24 @@ class TestEngineCompareRecord:
         assert cmp["only_in_new"] == ["engine_compare/AGT-RAM"]
 
     def test_cli_engine_flag(self, tmp_path):
+        # The engine is no longer an option of `repro bench`.
         out = tmp_path / "bench.json"
-        rc = main(
-            [
-                "bench",
-                "--scale",
-                "tiny",
-                "--repeats",
-                "1",
-                "--algorithms",
-                "AGT-RAM",
-                "--engine",
-                "naive",
-                "--no-protocol",
-                "--no-engine-compare",
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 0
-        assert load_document(out)["config"]["engine"] == "naive"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "bench",
+                    "--scale",
+                    "tiny",
+                    "--algorithms",
+                    "AGT-RAM",
+                    "--engine",
+                    "naive",
+                    "--out",
+                    str(out),
+                ]
+            )
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_cli_prints_engine_compare_line(self, tmp_path, capsys):
         out = tmp_path / "bench.json"

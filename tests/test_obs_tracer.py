@@ -241,7 +241,9 @@ class TestLibraryIntegration:
             make_placer("Ae-Star").place(tiny_instance)
         spans = tracer.snapshot()["spans"]
         assert "baseline/Greedy" in spans
-        assert "baseline/Greedy/select" in spans
+        # Greedy runs AGT-RAM's clearing loop on the global oracle.
+        assert "baseline/Greedy/mechanism/AGT-RAM/engine_init" in spans
+        assert "baseline/Greedy/mechanism/AGT-RAM/clear" in spans
         assert "baseline/Ae-Star" in spans
         assert "baseline/Ae-Star/candidates" in spans
 

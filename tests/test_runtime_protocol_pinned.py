@@ -70,8 +70,8 @@ def _fault_plan(m: int) -> FaultPlan:
 
 #: Simulator configurations, each a function of the agent count.
 SIMULATOR_CASES = {
-    "naive": lambda m: dict(engine="naive"),
-    "vectorized": lambda m: dict(engine="vectorized"),
+    # The eager protocol, on the delta engine.
+    "vectorized": lambda m: dict(),
     "faults": lambda m: dict(faults=_fault_plan(m), central_failure_round=4),
     "adversary": lambda m: dict(
         adversary=AdversaryPlan.random(n_agents=m, fraction=0.25, seed=3)
@@ -88,9 +88,12 @@ SIMULATOR_CASES = {
 }
 
 #: Recorded with the implementation that sent one message object per
-#: receiver and evaluated every agent's bid from its own row.
+#: receiver and evaluated every agent's bid from its own row.  Until the
+#: simulator's protocol picked its engine, a ``naive`` case ran the eager
+#: protocol on the full-matrix engine and held the same pin.  The
+#: faults, adversary, reauction and serve cases ran the simulator on
+#: the full-matrix engine when recorded and run the delta engine now.
 PINNED = {
-    "naive": "8e275f3a127ebc46918952250c033456eb4fdbfeed4f1ebaba6bc2c268d81309",
     "vectorized": "8e275f3a127ebc46918952250c033456eb4fdbfeed4f1ebaba6bc2c268d81309",
     "faults": "84fa45c6fd88c02a0490090daaa08958ddb3ef75f28a44480731a791dd97bd72",
     "adversary": "ff9ce2d2bae3dad0eb13a9b782fdd1e09eac5bf0555618afaf45fb344fb493f6",
@@ -226,12 +229,11 @@ class TestEngineSweepDifferential:
     @pytest.mark.parametrize(
         "protocol",
         [
-            dict(engine="naive"),
-            dict(engine="vectorized"),
-            dict(engine="naive", nn_update_period=2),
-            dict(engine="naive", nn_update_period=3),
+            dict(),
+            dict(nn_update_period=2),
+            dict(nn_update_period=3),
         ],
-        ids=["naive", "vectorized", "lazy-2", "lazy-3"],
+        ids=["eager", "lazy-2", "lazy-3"],
     )
     @given(instance=drp_instances())
     @settings(
@@ -269,13 +271,11 @@ class TestArrayRoundDifferential:
     @pytest.mark.parametrize(
         "protocol",
         [
-            dict(engine="naive"),
-            dict(engine="vectorized"),
-            dict(engine="naive", nn_update_period=2),
-            dict(engine="naive", strategies=MISREPORTS),
-            dict(engine="vectorized", strategies=MISREPORTS),
+            dict(),
+            dict(nn_update_period=2),
+            dict(strategies=MISREPORTS),
         ],
-        ids=["naive", "vectorized", "lazy-2", "naive-misreports", "vectorized-misreports"],
+        ids=["eager", "lazy-2", "misreports"],
     )
     @given(instance=drp_instances())
     @settings(
@@ -333,7 +333,7 @@ class TestArrayRoundDifferential:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_array_round_matches_flat_run(self, instance, engine, strategies):
-        sim = SemiDistributedSimulator(engine=engine, strategies=strategies).run(instance)
+        sim = SemiDistributedSimulator(strategies=strategies).run(instance)
         flat = run_agt_ram(instance, engine=engine, strategies=strategies)
         np.testing.assert_array_equal(sim.state.x, flat.state.x)
         np.testing.assert_array_equal(sim.extra["payments"], flat.extra["payments"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.drp.benefit import BenefitEngine
 from repro.drp.feasibility import check_state
 from repro.drp.instance import DRPInstance
 from repro.errors import ConfigurationError
@@ -349,13 +350,14 @@ class TestNullEquivalence:
         assert report.ok, report.summary()
         assert report.partitions_seen == 0
 
-    def test_engine_choice_is_invisible(self, tiny_instance):
-        naive = ShardedAGTRam(n_regions=4, seed=7, engine="naive").run(
-            tiny_instance
+    def test_engine_choice_is_invisible(self, tiny_instance, monkeypatch):
+        fast = ShardedAGTRam(n_regions=4, seed=7).run(tiny_instance)
+        # The reference engine, swapped in where the central builds its
+        # engines (start, fork, heal).
+        monkeypatch.setattr(
+            "repro.runtime.shard.make_local_engine", BenefitEngine
         )
-        fast = ShardedAGTRam(n_regions=4, seed=7, engine="vectorized").run(
-            tiny_instance
-        )
+        naive = ShardedAGTRam(n_regions=4, seed=7).run(tiny_instance)
         assert np.array_equal(naive.state.x, fast.state.x)
         assert naive.extra["payments"] == pytest.approx(
             fast.extra["payments"]
@@ -364,7 +366,8 @@ class TestNullEquivalence:
         assert fast.extra["engine"] == "vectorized"
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # The central runs the production engine; it takes no option.
+        with pytest.raises(TypeError, match="engine"):
             ShardedAGTRam(engine="turbo")
 
 
@@ -414,15 +417,15 @@ class TestRoundStartScreening:
 
     @pytest.mark.parametrize("regions", [2, 4])
     def test_engines_agree_under_an_armed_boundary(
-        self, read_heavy_instance, regions
+        self, read_heavy_instance, regions, monkeypatch
     ):
         """The naive engine's cached matrix is the round-start view until
         the round ends; the delta engine reads the live state.  Screening
         on the round-start view makes the two runs one stream."""
 
-        def digest(engine):
+        def digest():
             result, events = _honest_armed_run(
-                read_heavy_instance, n_regions=regions, seed=0, engine=engine
+                read_heavy_instance, n_regions=regions, seed=0
             )
             h = hashlib.sha256()
             for e in events:
@@ -430,7 +433,11 @@ class TestRoundStartScreening:
             h.update(np.asarray(result.extra["payments"]).tobytes())
             return h.hexdigest()
 
-        assert digest("naive") == digest("vectorized")
+        vectorized = digest()
+        monkeypatch.setattr(
+            "repro.runtime.shard.make_local_engine", BenefitEngine
+        )
+        assert digest() == vectorized
 
 
 class TestQuiescence:
