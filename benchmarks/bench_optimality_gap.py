@@ -1,9 +1,14 @@
 """Optimality gap of every method against the exact solver.
 
-The paper cannot report this (NP-complete at its scale); at toy scale
-the exact branch-and-bound anchors the whole comparison: how much of
-the truly available savings does each method capture, and how much of
-the AGT-RAM/Greedy gap is real headroom vs. shared suboptimality.
+The paper cannot report this (NP-complete at its scale); where an
+instance is small enough, the exact MILP (``OptimalPlacer``, HiGHS)
+anchors the whole comparison: how much of the truly available savings
+does each method capture, and how much of the AGT-RAM/Greedy gap is
+real headroom vs. shared suboptimality.
+
+Rows: four 5×5 toy instances and the tiny bench preset (16×64, ~1.5 s);
+at ``REPRO_BENCH_SCALE`` medium or large also the tiny preset's knobs
+at 40 servers × 200 objects (~15 s, ~0.6 GiB), which CI runs nightly.
 """
 
 import statistics
@@ -11,7 +16,9 @@ import statistics
 from repro.baselines.optimal import OptimalPlacer
 from repro.drp.cost import primary_only_otc
 from repro.drp.instance import build_instance
+from repro.experiments.instances import paper_instance
 from repro.experiments.runner import run_algorithms
+from repro.obs.report import bench_config, bench_scale
 from repro.topology import random_graph
 from repro.utils.tables import render_table
 from repro.workload.synthetic import synthesize_workload
@@ -20,7 +27,7 @@ ALGS = ("Greedy", "AGT-RAM", "DA", "EA", "GRA")
 N_INSTANCES = 4
 
 
-def tiny_instances():
+def gap_instances():
     out = []
     for seed in range(N_INSTANCES):
         topo = random_graph(5, 0.5, seed=seed)
@@ -31,12 +38,19 @@ def tiny_instances():
             build_instance(topo, w, capacity_fraction=0.4, seed=seed,
                            name=f"tiny-{seed}")
         )
+    tiny = bench_config("tiny")
+    out.append(paper_instance(tiny.with_(name="tiny-preset")))
+    if bench_scale() in ("medium", "large"):
+        wide = tiny.with_(
+            n_servers=40, n_objects=200, total_requests=30_000, name="40x200"
+        )
+        out.append(paper_instance(wide))
     return out
 
 
 def run_gap_study():
     rows = []
-    for inst in tiny_instances():
+    for inst in gap_instances():
         base = primary_only_otc(inst)
         opt = OptimalPlacer().place(inst)
         optimal_savings = base - opt.otc
@@ -63,7 +77,7 @@ def test_optimality_gap(benchmark, report):
         render_table(
             ["instance"] + list(ALGS),
             table,
-            title="%% of the optimal savings captured (exact solver = 100)",
+            title="% of the optimal savings captured (exact solver = 100)",
         )
     )
     mean_captured = {

@@ -38,6 +38,7 @@ from repro.drp.state import ReplicationState
 from repro.obs import tracer as obs
 from repro.result import PlacementResult
 from repro.utils.timing import Timer, perf_counter
+from repro.utils.validation import check_positive_int
 
 
 class AEStarPlacer(ReplicaPlacer):
@@ -68,8 +69,9 @@ class AEStarPlacer(ReplicaPlacer):
     ):
         if epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if branching <= 0 or node_budget <= 0:
-            raise ValueError("branching and node_budget must be > 0")
+        branching = check_positive_int(branching, "branching")
+        node_budget = check_positive_int(node_budget, "node_budget")
+        candidate_pool = check_positive_int(candidate_pool, "candidate_pool")
         if candidate_pool < branching:
             raise ValueError("candidate_pool must be >= branching")
         self.epsilon = epsilon

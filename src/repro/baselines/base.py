@@ -100,8 +100,8 @@ def make_placer(name: str, **kwargs) -> ReplicaPlacer:
     """Instantiate an algorithm by its paper label.
 
     Valid names: ``"AGT-RAM"``, ``"Greedy"``, ``"GRA"``, ``"Ae-Star"``,
-    ``"DA"``, ``"EA"``, ``"Random"``.  Keyword arguments are forwarded to
-    the algorithm's constructor.
+    ``"DA"``, ``"EA"``, ``"Random"``, ``"Optimal"``.  Keyword arguments
+    are forwarded to the algorithm's constructor.
     """
     if not ALGORITHM_REGISTRY:
         ALGORITHM_REGISTRY.update(_registry())

@@ -21,6 +21,7 @@ from repro.drp.state import ReplicationState
 from repro.result import PlacementResult
 from repro.utils.rng import SeedLike, as_generator, spawn_children
 from repro.utils.timing import Timer
+from repro.utils.validation import check_nonnegative_int, check_positive_int
 
 
 class GRAPlacer(ReplicaPlacer):
@@ -55,18 +56,18 @@ class GRAPlacer(ReplicaPlacer):
         tournament: int = 3,
         seed: SeedLike = None,
     ):
+        population_size = check_positive_int(population_size, "population_size")
+        generations = check_positive_int(generations, "generations")
+        elitism = check_nonnegative_int(elitism, "elitism")
+        tournament = check_positive_int(tournament, "tournament")
         if population_size < 2:
             raise ValueError("population_size must be >= 2")
-        if generations < 1:
-            raise ValueError("generations must be >= 1")
         if not (0.0 <= crossover_rate <= 1.0):
             raise ValueError("crossover_rate must be in [0, 1]")
         if mutation_flips < 0:
             raise ValueError("mutation_flips must be >= 0")
-        if not (0 <= elitism < population_size):
+        if elitism >= population_size:
             raise ValueError("elitism must be in [0, population_size)")
-        if tournament < 1:
-            raise ValueError("tournament must be >= 1")
         self.population_size = population_size
         self.generations = generations
         self.crossover_rate = crossover_rate

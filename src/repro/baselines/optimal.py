@@ -1,182 +1,128 @@
-"""Exact optimal replica placement for small instances.
+"""Exact optimal replica placement as one mixed-integer program.
 
 The DRP is NP-complete (Eswaran 1974, cited by the paper), so exact
-solutions exist only at toy scale — but there they anchor everything:
-the optimality gap of AGT-RAM and every baseline is measured against
-this solver in the evaluation (``bench_optimality_gap.py``) and the
-test suite.
+solutions exist only for small instances — but there they anchor the
+optimality gap of AGT-RAM and every baseline (``bench_optimality_gap.py``
+and the test suite).
 
-The search enumerates, object by object, which additional servers
-replicate that object, with two prunings:
-
-* **bound** — a node is cut when its OTC, minus an optimistic bound on
-  the savings still available from undecided objects (each object's
-  best-case savings ignoring capacity interactions), cannot beat the
-  incumbent;
-* **dominance** — per object, candidate servers with zero reads for it
-  and no transit value can only add update cost... kept implicit in the
-  bound, which already prices them correctly.
-
-Complexity is exponential in M·N; callers must keep M, N tiny
-(``max_nodes`` guards against accidents).
+Per object the DRP is uncapacitated facility location; all objects
+share one storage row per server.  A binary ``y_jk`` per non-primary
+cell opens a replica at the Eq. 5 update-keeping cost
+``o_k c(P_k, j) (W_k − w_jk)``.  A continuous ``z_ijk`` in [0, 1] per
+reader i (``r_ik > 0``) and server j strictly closer to i than ``P_k``,
+plus one for the always-open ``P_k``, serves at ``r_ik o_k c(i, j)``.
+Rows: ``Σ_j z_ijk = 1`` per reader, ``z_ijk ≤ y_jk`` per closer z, and
+``Σ_k o_k y_jk ≤ headroom_j`` per server.  The objective plus
+:meth:`~repro.drp.instance.DRPInstance.primary_ship_total` is the OTC of
+Eq. 3/4, by the telescoping :func:`~repro.drp.cost.otc_breakdown`
+derives.  HiGHS solves it with ``mip_rel_gap=0``: its default gap of
+1e-4 would accept a scheme that is not optimal.  ``scipy.optimize``
+(~14 MiB, ~0.5 s) is imported by a solve, not by ``import repro``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from repro.baselines.base import ReplicaPlacer
-from repro.drp.benefit import global_benefit_column
-from repro.drp.cost import primary_only_otc, total_otc
+from repro.drp.cost import read_cost_terms, total_otc
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
 from repro.errors import ConvergenceError
 from repro.result import PlacementResult
 from repro.utils.timing import Timer
 
+#: Largest model built, in variables, so that one solve stays under 1 GiB:
+#: peak RSS grew 5.8–6.5 KiB per variable from 16×64 (7.7k variables,
+#: 1.2 s) to 40×200 (97k, 14 s; scipy 1.17, 2 vCPUs).  40×200 fits; the
+#: small bench preset (240×1200, 14.7M) is refused before anything is built.
+MAX_VARIABLES = 150_000
+
 
 class OptimalPlacer(ReplicaPlacer):
-    """Exhaustive branch-and-bound over replication schemes.
+    """The exact optimum, from one MILP (see the module docstring).
 
-    Parameters
-    ----------
-    max_nodes:
-        Hard cap on search nodes; exceeding it raises
-        :class:`~repro.errors.ConvergenceError` rather than silently
-        returning a non-optimal scheme.
+    Raises :class:`~repro.errors.ConvergenceError` when the model would
+    exceed :data:`MAX_VARIABLES` or HiGHS proves no optimum.  ``rounds``
+    and ``extra["nodes"]`` are HiGHS' node count; ``extra["objective"]``
+    is the MILP objective, the OTC less ``primary_ship_total()``.
     """
 
     name = "Optimal"
 
-    def __init__(self, *, max_nodes: int = 2_000_000):
-        if max_nodes <= 0:
-            raise ValueError("max_nodes must be > 0")
-        self.max_nodes = max_nodes
-
     def _place(self, instance: DRPInstance) -> PlacementResult:
         timer = Timer()
         with timer:
-            best_x, best_otc, nodes = self._search(instance)
-            state = ReplicationState.from_matrix(instance, best_x)
+            x, objective, nodes = _solve(instance)
+            state = ReplicationState.from_matrix(instance, x)
         return PlacementResult(
             algorithm=self.name,
             state=state,
             otc=total_otc(state),
             runtime_s=timer.elapsed,
             rounds=nodes,
-            extra={"nodes": nodes},
+            extra={"nodes": nodes, "objective": objective},
         )
 
-    # -- search --------------------------------------------------------------
 
-    def _search(self, instance: DRPInstance):
-        m, n = instance.n_servers, instance.n_objects
-        base_state = ReplicationState.primaries_only(instance)
-        base_x = base_state.x
-
-        # Optimistic per-object savings: the best single-replica gain per
-        # object, times the number of candidate servers, is a loose upper
-        # bound; we use the tighter sum of positive single-replica gains
-        # (supermodularity of reads means adding more replicas to one
-        # object can't save more than the sum of their standalone gains
-        # ... actually standalone gains overcount shared reads, which is
-        # exactly what makes this an upper bound).
-        opt_gain = np.zeros(n)
-        for k in range(n):
-            col = global_benefit_column(instance, base_state, k)
-            finite = col[np.isfinite(col)]
-            opt_gain[k] = float(finite[finite > 0].sum()) if len(finite) else 0.0
-        suffix_gain = np.concatenate([np.cumsum(opt_gain[::-1])[::-1], [0.0]])
-
-        best = {
-            "x": base_x.copy(),
-            "otc": primary_only_otc(instance),
-        }
-        nodes = 0
-
-        def candidates_for(k: int, residual: np.ndarray) -> list[int]:
-            return [
-                i
-                for i in range(m)
-                if not base_x[i, k] and instance.sizes[k] <= residual[i]
-            ]
-
-        def recurse(k: int, x: np.ndarray, residual: np.ndarray, otc_now: float):
-            nonlocal nodes
-            nodes += 1
-            if nodes > self.max_nodes:
-                raise ConvergenceError(
-                    f"optimal search exceeded {self.max_nodes} nodes; "
-                    "instance too large for exact solving"
-                )
-            if otc_now < best["otc"]:
-                best["otc"] = otc_now
-                best["x"] = x.copy()
-            if k == n:
-                return
-            # Bound: even saving every remaining object's optimistic gain
-            # cannot beat the incumbent.
-            if otc_now - suffix_gain[k] >= best["otc"]:
-                return
-            cands = candidates_for(k, residual)
-            # Score every replica subset for object k, then recurse
-            # best-first: a strong incumbent found early prunes siblings.
-            scored: list[tuple[float, tuple[int, ...]]] = []
-            for r in range(0, len(cands) + 1):
-                for subset in combinations(cands, r):
-                    for i in subset:
-                        x[i, k] = True
-                    scored.append(
-                        (self._otc_with(instance, x, otc_now, k), subset)
-                    )
-                    for i in subset:
-                        x[i, k] = False
-            scored.sort(key=lambda t: t[0])
-            for child_otc, subset in scored:
-                for i in subset:
-                    x[i, k] = True
-                    residual[i] -= instance.sizes[k]
-                recurse(k + 1, x, residual, child_otc)
-                for i in subset:
-                    x[i, k] = False
-                    residual[i] += instance.sizes[k]
-
-        # Precompute per-object primary-only OTC so deltas are local.
-        self._per_obj_base = self._per_object_otc(instance, base_x)
-        recurse(0, base_x.copy(), instance.replica_headroom().astype(np.int64).copy(),
-                primary_only_otc(instance))
-        return best["x"], best["otc"], nodes
-
-    # -- per-object OTC helpers ------------------------------------------------
-
-    @staticmethod
-    def _object_otc(instance: DRPInstance, x: np.ndarray, k: int) -> float:
-        reps = np.flatnonzero(x[:, k])
-        c = instance.cost
-        o = float(instance.sizes[k])
-        d = c[:, reps[0]] if len(reps) == 1 else c[:, reps].min(axis=1)
-        read = o * float(instance.reads[:, k] @ d)
-        cp = instance.primary_cost_rows()[k]
-        b = float(cp[reps].sum())
-        w = instance.writes[:, k].astype(np.float64)
-        write = o * float(
-            (w * (c[:, instance.primaries[k]] + b)).sum()
-            - (w[reps] * cp[reps]).sum()
+def _solve(instance: DRPInstance) -> tuple[np.ndarray, float, int]:
+    """Build and solve the model; returns ``(x, objective, nodes)``."""
+    m, n = instance.n_servers, instance.n_objects
+    c, p = instance.cost, instance.primaries
+    rstat, wterm = instance.local_value_terms()
+    # Readers, and how many servers each has strictly closer than P_k:
+    # the first ones of its cost row in ascending order.
+    ri, rk = np.nonzero(instance.reads)
+    order = np.argsort(c, axis=1, kind="stable")
+    ranked = np.take_along_axis(c, order, axis=1)
+    closer = np.stack([np.searchsorted(ranked[i], c[i, p]) for i in range(m)])
+    closer = closer[ri, rk]
+    n_y, n_r = m * n - n, len(ri)
+    n_z = n_r + int(closer.sum())
+    if n_y + n_z > MAX_VARIABLES:
+        raise ConvergenceError(
+            f"the exact model of this {m}x{n} instance has {n_y + n_z:,} "
+            f"variables, more than MAX_VARIABLES = {MAX_VARIABLES:,}"
         )
-        return read + write
+    x = np.zeros((m, n), dtype=bool)
+    x[p, np.arange(n)] = True
+    if n_y + n_z == 0:  # one server and no reads: nothing to decide
+        return x, 0.0, 0
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
 
-    def _per_object_otc(self, instance: DRPInstance, x: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self._object_otc(instance, x, k) for k in range(instance.n_objects)]
-        )
-
-    def _otc_with(
-        self, instance: DRPInstance, x: np.ndarray, otc_now: float, k: int
-    ) -> float:
-        """OTC after object k's replica set in ``x`` replaced its base set."""
-        return otc_now - self._per_obj_base[k] + self._object_otc(instance, x, k)
+    yj, yk = np.nonzero(~x)
+    y_of = np.zeros((m, n), dtype=np.int64)
+    y_of[yj, yk] = np.arange(n_y)
+    # Each reader's run of z: its primary, then its closer servers.
+    per = closer + 1
+    zr = np.repeat(np.arange(n_r), per)
+    pos = np.arange(n_z) - np.repeat(np.cumsum(per) - per, per)
+    zi, zk = ri[zr], rk[zr]
+    zj = np.where(pos == 0, p[zk], order[zi, pos - 1])
+    link = np.flatnonzero(pos)
+    n_l, z = len(link), n_y + np.arange(n_z)
+    # Rows: one per reader, one per link (z − y ≤ 0), one per server.
+    rows = np.concatenate([zr, np.repeat(n_r + np.arange(n_l), 2), n_r + n_l + yj])
+    pair = np.column_stack([z[link], y_of[zj[link], zk[link]]]).ravel()
+    cols = np.concatenate([z, pair, np.arange(n_y)])
+    vals = np.concatenate([np.ones(n_z), np.tile([1.0, -1.0], n_l), instance.sizes[yk]])
+    a = coo_array((vals, (rows, cols)), shape=(n_r + n_l + m, n_y + n_z))
+    lb = np.concatenate([np.ones(n_r), np.full(n_l + m, -np.inf)])
+    ub = np.concatenate([np.ones(n_r), np.zeros(n_l), instance.replica_headroom()])
+    res = milp(
+        np.concatenate([wterm[yj, yk], rstat[zi, zk] * c[zi, zj]]),
+        integrality=np.concatenate([np.ones(n_y), np.zeros(n_z)]),
+        bounds=Bounds(0, 1),
+        constraints=LinearConstraint(a.tocsr(), lb, ub),
+        options={"mip_rel_gap": 0},
+    )
+    if res.status != 0:
+        raise ConvergenceError(f"HiGHS proved no optimum: {res.message}")
+    x[yj, yk] = res.x[:n_y] > 0.5
+    return x, float(res.fun), int(res.mip_node_count or 0)  # None for an LP
 
 
 def brute_force_otc(instance: DRPInstance) -> float:
@@ -184,22 +130,25 @@ def brute_force_otc(instance: DRPInstance) -> float:
     never binds (used by tests to cross-check :class:`OptimalPlacer`).
 
     When every server can hold every object simultaneously, the DRP
-    decomposes per object; this enumerates all 2^(M-1) replica sets per
-    object and sums the minima.
+    decomposes per object; this prices all 2^(M-1) replica sets of each
+    object with :func:`~repro.drp.cost.read_cost_terms` and the Eq. 5
+    update-keeping terms, and adds the minima to the ship-to-primary
+    total.
     """
-    m, n = instance.n_servers, instance.n_objects
     if (instance.replica_headroom() < instance.sizes.sum()).any():
         raise ValueError("capacity binds; per-object decomposition is invalid")
+    _, wterm = instance.local_value_terms()
     base = ReplicationState.primaries_only(instance).x
-    total = 0.0
-    for k in range(n):
-        others = [i for i in range(m) if not base[i, k]]
-        best = np.inf
-        for r in range(len(others) + 1):
-            for subset in combinations(others, r):
-                x = base.copy()
-                for i in subset:
-                    x[i, k] = True
-                best = min(best, OptimalPlacer._object_otc(instance, x, k))
-        total += best
+    total = instance.primary_ship_total()
+    for k in range(instance.n_objects):
+        others = np.flatnonzero(~base[:, k])
+        costs = []
+        for added in chain.from_iterable(
+            combinations(others, r) for r in range(len(others) + 1)
+        ):
+            x = base.copy()
+            x[list(added), k] = True
+            kept = float(wterm[x[:, k], k].sum())
+            costs.append(read_cost_terms(instance, x, [k])[0] + kept)
+        total += min(costs)
     return total

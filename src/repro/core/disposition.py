@@ -41,7 +41,7 @@ from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
 from repro.result import PlacementResult
 from repro.utils.timing import Timer
-from repro.utils.validation import check_nonnegative_int
+from repro.utils.validation import check_index, check_nonnegative_int
 
 DispositionModel = Literal["pi", "sigma", "pi-sigma"]
 
@@ -150,6 +150,7 @@ def capacity_misreport_gain(
     gets barred), ``factor < 1`` under-declares (agent forfeits
     allocations).  Everyone else is truthful.
     """
+    agent = check_index(agent, "agent", instance.n_servers)
     if factor <= 0:
         raise ConfigurationError("factor must be > 0")
     truthful = run_with_declared_capacities(instance, instance.capacities)
@@ -177,6 +178,7 @@ def cor_knowledge_gain(instance: DRPInstance, agent: int) -> float:
     payment is already the runner-up's bid, so the measured gain is
     exactly zero — returned for the test/bench to assert.
     """
+    agent = check_index(agent, "agent", instance.n_servers)
     state = ReplicationState.primaries_only(instance)
     vals, objs = make_local_engine(instance, state).best_per_server()
     truthful_winner = int(np.argmax(vals))

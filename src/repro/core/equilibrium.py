@@ -27,6 +27,7 @@ from repro.drp.delta import DeltaBenefitEngine, make_local_engine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_index
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,7 @@ def one_shot_utilities(
     Under the second-price rule ``deviating <= truthful`` always holds
     (exact dominance); under first price the inequality can reverse.
     """
+    agent = check_index(agent, "agent", instance.n_servers)
     state = ReplicationState.primaries_only(instance)
     engine = make_local_engine(instance, state)
     truthful = _play_one_round(engine, agent, None, payment_rule)

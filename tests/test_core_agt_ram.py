@@ -8,6 +8,9 @@ from repro.core.strategies import OverProjection, UnderProjection
 from repro.drp.cost import primary_only_otc, total_otc
 from repro.drp.feasibility import check_state
 from repro.errors import ConfigurationError
+from repro.experiments.instances import paper_instance
+from repro.obs import events as ev
+from repro.obs.report import BENCH_SCALE_CONFIGS, bench_config
 
 
 class TestBasicRun:
@@ -192,3 +195,33 @@ class TestStrategicAgents:
         base = run_agt_ram(read_heavy_instance)
         dev = run_agt_ram(read_heavy_instance, strategies=strategies)
         assert dev.replicas_allocated <= base.replicas_allocated
+
+
+class _LooseSink(ev.ColumnarSink):
+    """A columnar sink that also lists its loose events, so the last
+    ``RunEnd`` is read without expanding every block."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.loose: list[ev.Event] = []
+
+    def emit(self, event: ev.Event) -> None:
+        super().emit(event)
+        self.loose.append(event)
+
+
+class TestOtcSourcesAgree:
+    """The OTC an evented run reports from its ledger (``_OtcLedger``
+    settles every ``RoundEnd``) and in ``RunEnd`` is the closed form
+    ``total_otc`` of its state; the emission gate pins the ledger to the
+    state's incremental tracker byte for byte."""
+
+    @pytest.mark.parametrize("scale", list(BENCH_SCALE_CONFIGS))
+    def test_ledger_and_run_end_match_closed_form(self, scale):
+        with ev.capture(_LooseSink()) as sink:
+            res = run_agt_ram(paper_instance(bench_config(scale)))
+        closed = total_otc(res.state)
+        last_round = sink.blocks()[-1]
+        (run_end,) = [e for e in sink.loose if isinstance(e, ev.RunEnd)]
+        assert float(last_round.otcs[-1]) == pytest.approx(closed, rel=1e-9)
+        assert run_end.otc == pytest.approx(closed, rel=1e-9)

@@ -9,8 +9,35 @@ from repro.core.disposition import (
     cor_knowledge_gain,
     run_with_declared_capacities,
 )
+from repro.core.equilibrium import one_shot_utilities
+from repro.core.strategies import OverProjection
 from repro.drp.feasibility import check_state
 from repro.errors import ConfigurationError
+
+#: The helpers that take one agent id, each with its other arguments.
+AGENT_HELPERS = {
+    "capacity_misreport_gain": lambda inst, a: capacity_misreport_gain(inst, a, 2.0),
+    "cor_knowledge_gain": cor_knowledge_gain,
+    "one_shot_utilities": lambda inst, a: one_shot_utilities(
+        inst, a, OverProjection(2.0)
+    ),
+}
+
+
+class TestAgentIds:
+    """An agent id names a server: no wrap-around, float or bool index."""
+
+    @pytest.mark.parametrize("helper", sorted(AGENT_HELPERS))
+    @pytest.mark.parametrize("agent", [-1, -5, 16, 2.5, True], ids=repr)
+    def test_rejected(self, tiny_instance, helper, agent):
+        assert tiny_instance.n_servers == 16
+        with pytest.raises(ConfigurationError, match="agent"):
+            AGENT_HELPERS[helper](tiny_instance, agent)
+
+    @pytest.mark.parametrize("helper", sorted(AGENT_HELPERS))
+    def test_numpy_integer_accepted(self, tiny_instance, helper):
+        run = AGENT_HELPERS[helper]
+        assert run(tiny_instance, np.int64(3)) == run(tiny_instance, 3)
 
 
 class TestDeclaredCapacities:
