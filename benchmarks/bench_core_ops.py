@@ -6,7 +6,8 @@ start and the NN broadcast of a whole run on the large preset, a random
 fault plan, full OTC evaluation, one production clearing round on the
 delta engine, one complete AGT-RAM run on the small preset, and the
 per-record cost of the event records the serving loop and the bid
-rounds build.
+rounds build, and the REVB round trip of the serving tail's
+string-bearing records.
 """
 
 import hashlib
@@ -19,7 +20,16 @@ from repro.drp.cost import total_otc
 from repro.drp.delta import DeltaBenefitEngine, make_local_engine
 from repro.drp.state import ReplicationState
 from repro.experiments.instances import paper_instance
-from repro.obs.events import BidEvent, RequestEvent
+from repro.obs.events import (
+    BidEvent,
+    FailoverEvent,
+    FaultEvent,
+    HedgeEvent,
+    PaymentEvent,
+    RequestEvent,
+    RequestTimeout,
+)
+from repro.obs.export import read_events_binary, write_events_binary
 from repro.obs.report import bench_config
 from repro.runtime.faults import FaultSchedule
 from repro.topology import cost_matrix, powerlaw_graph, random_graph
@@ -178,3 +188,56 @@ def test_event_record_build_and_read(benchmark):
         return total
 
     benchmark(build_and_read)
+
+
+def _serving_tail() -> list:
+    """A fixed serving-tail log: 5,000 requests, with failovers, hedges,
+    attempt timeouts, payments and faults among them — the kinds whose
+    records carry strings."""
+    events: list = []
+    for i in range(5_000):
+        t = float(i)
+        failed = i % 50 == 0
+        events.append(
+            RequestEvent(
+                t, i, i % 31, i % 13, i % 97, "write" if i % 10 == 0 else "read",
+                -1 if failed else (i * 7) % 13, 1.5 + i % 7, 1 + (i % 3 == 0),
+                i % 11 == 0, "failed" if failed else "ok",
+            )
+        )
+        if i % 7 == 0:
+            reason = "timeout" if i % 14 else "unhealthy"
+            events.append(FailoverEvent(t, i, i % 97, i % 13, (i + 1) % 13, reason))
+        if i % 11 == 0:
+            events.append(HedgeEvent(t, i, i % 97, i % 13, (i + 2) % 13, i % 13, 4.25))
+        if i % 13 == 0:
+            events.append(RequestTimeout(t, i, i % 97, i % 13, 1, 8.0))
+        if i % 17 == 0:
+            events.append(PaymentEvent(t, i, i % 13, 0.5 * i, "second_price", i % 8))
+        if i % 19 == 0:
+            events.append(
+                FaultEvent(t, i, "straggler", i % 13, "bid", f"region {i % 8}")
+            )
+    return events
+
+
+#: sha256 of :func:`_serving_tail` as REVB v1, recorded with the segment
+#: codec (one ``struct`` run per fixed-width segment, each string on its
+#: own) that the per-layout compiled codec replaced.
+REVB_SERVING_TAIL_SHA256 = (
+    "a15c6385a8ffe9f569cee847f7f163a9073c682008480e12a9d9c8391c1beb1b"
+)
+
+
+def test_revb_string_kinds(benchmark, tmp_path):
+    """Write and read the serving tail's string-bearing records, pinned
+    to their bytes."""
+    events = _serving_tail()
+    path = tmp_path / "tail.rev"
+
+    def write_and_read():
+        write_events_binary(events, path)
+        return read_events_binary(path)
+
+    assert benchmark(write_and_read) == events
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REVB_SERVING_TAIL_SHA256

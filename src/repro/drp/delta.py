@@ -57,6 +57,8 @@ instance, cached on it, and copied by every later start.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.drp.benefit import NEG_INF
@@ -65,9 +67,19 @@ from repro.drp.state import ReplicationState
 from repro.obs import tracer as obs
 
 
-def make_local_engine(instance: DRPInstance, state: ReplicationState):
-    """The local-CoR oracle every production caller runs."""
-    return DeltaBenefitEngine(instance, state)
+def make_local_engine(
+    instance: DRPInstance,
+    state: ReplicationState,
+    start: Optional[tuple[np.ndarray, np.ndarray]] = None,
+):
+    """The local-CoR oracle every production caller runs.
+
+    ``start`` is the cached ``(values, objects)`` of an engine whose
+    state holds the same bits as ``state`` (``state`` is its copy): the
+    new engine starts from a copy of them, since a sweep would give the
+    same bests.
+    """
+    return DeltaBenefitEngine(instance, state, start)
 
 
 class DeltaBenefitEngine:
@@ -87,7 +99,12 @@ class DeltaBenefitEngine:
     #: argmax passes and a full sweep allocates no (M, N) temporary.
     _BLOCK_CELLS = 1 << 15
 
-    def __init__(self, instance: DRPInstance, state: ReplicationState):
+    def __init__(
+        self,
+        instance: DRPInstance,
+        state: ReplicationState,
+        start: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    ):
         if state.instance is not instance:
             raise ValueError("state does not belong to instance")
         with obs.current().span("delta_engine/init"):
@@ -111,7 +128,11 @@ class DeltaBenefitEngine:
             # capture scope); caching its enabled flag keeps contextvar
             # lookups out of the per-allocation repair path.
             self._counting = obs.current().enabled
-            self._rebuild()
+            if start is None:
+                self._rebuild()
+            else:
+                np.copyto(self._best_vals, start[0])
+                np.copyto(self._best_objs, start[1])
 
     # -- maintenance --------------------------------------------------------
 

@@ -99,6 +99,7 @@ from repro.obs.events import (
     TimeoutEvent,
     ValidationEvent,
     WinnerEvent,
+    iter_bid_run,
 )
 
 __all__ = [
@@ -284,12 +285,6 @@ def _member(agents: Any, among: Iterable[int]) -> Any:
 
 def _keep(violation: Any) -> None:
     """The default violation hook: the report's list is the only record."""
-
-
-def _bid_events(run: Any) -> Iterator[BidEvent]:
-    """A packed run of bid records as one :class:`BidEvent` per bid."""
-    names = run.dtype.names[2:]  # past the record header
-    return map(BidEvent, *(run[name].tolist() for name in names))
 
 
 class _Handlers(dict[type, Optional[Callable[[Any], None]]]):
@@ -545,7 +540,7 @@ class _Auditor:
         if rnd is not None and rnd.add_run(run):
             self.report.bids_seen += len(run)
             return
-        for bid in _bid_events(run):
+        for bid in iter_bid_run(run):
             self._bid(bid)
 
     def _winner(self, event: WinnerEvent) -> None:
@@ -1325,7 +1320,7 @@ class _ShardedAuditor:
         if (regions == region).all():
             self._target(region).feed(run)
         else:
-            for bid in _bid_events(run):
+            for bid in iter_bid_run(run):
                 self._round_event(bid)
 
     def _winner_event(self, event: WinnerEvent) -> None:

@@ -96,6 +96,7 @@ __all__ = [
     "RoundBlock",
     "ColumnarRoundBuffer",
     "iter_block_events",
+    "iter_bid_run",
     "now",
     "now_block",
 ]
@@ -995,6 +996,14 @@ def iter_block_events(block: RoundBlock) -> Iterator[Event]:
         t += step
 
 
+def iter_bid_run(run: Any) -> Iterator[BidEvent]:
+    """Expand a packed run of bid records (the REVB bid-record layout,
+    :func:`repro.obs.export.bid_run`) into one :class:`BidEvent` per
+    record, fields as python values."""
+    names = run.dtype.names[2:]  # past the record header
+    return map(BidEvent, *(run[name].tolist() for name in names))
+
+
 class ColumnarRoundBuffer:
     """Preallocated struct-of-arrays ring for hot-loop round emission.
 
@@ -1169,6 +1178,17 @@ class EventSink:
         for event in iter_block_events(block):
             self.emit(event)
 
+    def emit_bids(self, run: Any) -> None:
+        """Receive one round's bids as a packed run of bid records
+        (:func:`repro.obs.export.bid_run`).
+
+        The default expands the run through :func:`iter_bid_run` into
+        the ordinary :meth:`emit` stream.  :class:`ColumnarSink` keeps
+        the run whole.
+        """
+        for event in iter_bid_run(run):
+            self.emit(event)
+
 
 class NullSink(EventSink):
     """The disabled sink — drops everything, costs one attribute read."""
@@ -1179,6 +1199,9 @@ class NullSink(EventSink):
         return None
 
     def emit_block(self, block: RoundBlock) -> None:
+        return None
+
+    def emit_bids(self, run: Any) -> None:
         return None
 
 
@@ -1197,10 +1220,12 @@ class RecordingSink(EventSink):
 
 def _expand_items(items: Iterable[Any]) -> Iterator[Event]:
     for item in items:
-        if isinstance(item, RoundBlock):
+        if isinstance(item, Event):
+            yield item
+        elif isinstance(item, RoundBlock):
             yield from iter_block_events(item)
         else:
-            yield item
+            yield from iter_bid_run(item)
 
 
 class EventStream:
@@ -1212,8 +1237,8 @@ class EventStream:
     generator speed.  A bulk consumer that gets the stream before anyone
     has iterated it may claim the raw items instead
     (:meth:`take_items`) — :func:`repro.obs.export.write_events_binary`
-    encodes blocks straight from their columns that way.  Either way the
-    stream is consumed once, like a generator.
+    encodes blocks straight from their columns and copies bid runs that
+    way.  Either way the stream is consumed once, like a generator.
     """
 
     __slots__ = ("_items", "_it")
@@ -1231,9 +1256,9 @@ class EventStream:
         return next(iter(self))
 
     def take_items(self) -> Optional[list[Any]]:
-        """The raw items — loose events and :class:`RoundBlock`\\ s, in
-        order — if iteration has not started, else None.  Taking them
-        consumes the stream."""
+        """The raw items — loose events, :class:`RoundBlock`\\ s and
+        packed bid runs, in order — if iteration has not started, else
+        None.  Taking them consumes the stream."""
         if self._it is not None:
             return None
         self._it = iter(())
@@ -1242,19 +1267,24 @@ class EventStream:
 
 class ColumnarSink(EventSink):
     """Block-aware recording sink: stores flushed :class:`RoundBlock`\\ s
-    raw and interleaves them, in order, with loose events.
+    and packed bid runs raw and interleaves them, in order, with loose
+    events.
 
     The hot path never materializes per-decision objects into it; blocks
-    expand lazily (and deterministically — timestamps live in the block)
-    on :meth:`iter_events`.  ``len()`` and the blocks' bytes are
-    maintained incrementally; loose events are sized per class when
-    :attr:`nbytes` is read, so :meth:`emit` is a bare append.
+    and runs expand lazily (and deterministically — timestamps live in
+    them) on :meth:`iter_events`.  ``len()`` (a run counts its bids) and
+    the blocks' and runs' bytes are maintained incrementally; loose
+    events are sized per class when :attr:`nbytes` is read, so
+    :meth:`emit` is a bare append.
     """
 
     def __init__(self) -> None:
         self._items: list[Any] = []
         self._n = 0
         self._nbytes = 0
+        # True while every item is a loose event: :attr:`events` is then
+        # the item list itself.
+        self._loose = True
         # Items before ``_sized`` are in ``_nbytes``; each loose event
         # class's bytes per event are fixed when it is first sized.
         self._sized = 0
@@ -1268,19 +1298,26 @@ class ColumnarSink(EventSink):
         self._items.append(block)
         self._n += block.n_events
         self._nbytes += block.nbytes
+        self._loose = False
+
+    def emit_bids(self, run: Any) -> None:
+        self._items.append(run)
+        self._n += len(run)
+        self._nbytes += run.nbytes
+        self._loose = False
 
     def __len__(self) -> int:
         return self._n
 
     @property
     def nbytes(self) -> int:
-        """Captured payload bytes: exact columnar sizes for blocks plus,
+        """Captured payload bytes: exact sizes for blocks and runs plus,
         for loose events, one size per event class — the mean bytes kept
         by up to ``_SIZE_SAMPLE`` of its events, spread over those
         captured when the class is first sized."""
         by_class: dict[type, list[Any]] = {}
         for item in self._items[self._sized :]:
-            if not isinstance(item, RoundBlock):
+            if isinstance(item, Event):
                 by_class.setdefault(type(item), []).append(item)
         self._sized = len(self._items)
         for kind, loose in by_class.items():
@@ -1293,12 +1330,21 @@ class ColumnarSink(EventSink):
         return self._nbytes
 
     def iter_events(self) -> EventStream:
-        """The full stream in emission order, blocks expanded lazily."""
+        """The full stream in emission order, blocks and runs expanded
+        lazily."""
         return EventStream(self._items)
+
+    @property
+    def items(self) -> list[Any]:
+        """The raw items in emission order — loose events, blocks and
+        bid runs (the sink's own list: read, do not change it)."""
+        return self._items
 
     @property
     def events(self) -> list[Event]:
         """Materialized event list (drop-in for :class:`RecordingSink`)."""
+        if self._loose:
+            return list(self._items)
         return list(self.iter_events())
 
     def blocks(self) -> Iterable[RoundBlock]:

@@ -14,10 +14,11 @@ Four targets:
   decode is a lossless round-trip back to the same typed events; about
   2x smaller than JSONL on mechanism logs (1.98x tiny, 2.10x small,
   2.26x on the ``showcase`` scenario) and decodable in bounded memory.
-  Each kind's record layout is compiled once per file into ``struct``
-  runs.  Columnar round blocks are encoded straight from their arrays,
-  and runs of bid records decode as packed record arrays; the bytes are
-  the same either way.  Format spec in docs/observability.md.
+  Each kind's codec is compiled once per process, with one ``struct``
+  layout per tuple of its variable field lengths.  Columnar round
+  blocks are encoded straight from their arrays, packed runs of bid
+  records are copied, and runs of bid records decode as packed record
+  arrays; the bytes are the same either way.  Format spec in docs/observability.md.
 * **Chrome trace-event JSON** — loadable in Perfetto / ``chrome://tracing``;
   runs and rounds become duration ("X") slices on the central track,
   bids/winners/payments become instant events on per-agent tracks.
@@ -37,10 +38,17 @@ import json
 import math
 import struct
 from dataclasses import fields
-from functools import partial
-from operator import attrgetter
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import (
+    Any,
+    BinaryIO,
+    Callable,
+    Iterable,
+    Iterator,
+    NoReturn,
+    Optional,
+    Sequence,
+)
 
 import numpy as np
 
@@ -94,6 +102,7 @@ __all__ = [
     "chunk_path",
     "event_log_chunks",
     "write_events_binary",
+    "bid_run",
     "read_events_binary",
     "iter_events_binary",
     "open_event_stream",
@@ -326,158 +335,264 @@ _NUMPY_CODES = {"B": "u1", "I": "<u4", "d": "<f8", "q": "<i8", "?": "?"}
 #: The record header alone, as a numpy layout: a strided view of it over
 #: consecutive records checks their kinds and lengths in one step.
 _HEADER_DTYPE = np.dtype([("#kind", "u1"), ("#length", "<u4")])
-#: Variable-width annotations -> bytes per counted item: a u32 count,
-#: then that many UTF-8 bytes, i64s or i64 pairs.  Every event field is
-#: one of these six shapes; a new shape is a hard error when the codec
-#: is compiled, not silent corruption.
-_VAR_ITEM_BYTES = {
-    "str": 1,
-    "tuple[int, ...]": 8,
-    "tuple[tuple[int, int], ...]": 16,
+#: Variable-width annotations -> ``(struct code, items per count)``: a
+#: u32 count, then that many UTF-8 bytes, i64s or i64 pairs.  Every
+#: event field is one of these six shapes; a new shape is a hard error
+#: when the codec is compiled, not silent corruption.
+_VAR_CODES = {
+    "str": ("s", 1),
+    "tuple[int, ...]": ("q", 1),
+    "tuple[tuple[int, int], ...]": ("q", 2),
 }
+#: Layouts one kind keeps compiled; a kind that meets more (tuples of
+#: many lengths) starts its cache over.
+_MAX_LAYOUTS = 256
 
 
 class _KindCodec:
-    """One event kind's record codec, compiled from its dataclass fields.
+    """One event kind's record codec, compiled from its dataclass fields
+    once per process (see :data:`_CODECS`).
 
-    The fields, in declaration order, split into maximal runs of
-    fixed-width fields — one precompiled :class:`struct.Struct` per
-    run — with the variable-width codecs between the runs.  When every
-    field is fixed width, the record header folds into the run's struct
-    (:attr:`record`): writing a record is then one ``pack`` and reading
-    one is one ``unpack_from`` plus the class's positional constructor.
+    A record — header, fixed-width fields, and each variable-width
+    field's u32 count and items — is laid out by one
+    :class:`struct.Struct` per tuple of the kind's variable field
+    lengths (its *layout key*), compiled on first use and cached on the
+    codec (:attr:`layouts`).  An all-fixed-width kind has one layout,
+    :attr:`record`, also given as :attr:`dtype`, the record as a packed
+    numpy layout for encoding and decoding many records at once.
 
-    ``pack(*values(event))`` is the whole record, header included.  An
-    all-fixed-width kind also gets :attr:`dtype`, the same record as a
-    packed numpy layout, for encoding and decoding many records at once.
+    :meth:`encode` (an event's whole record) and :meth:`decode` (the
+    event of the record at ``buf[rec:end]``, header included) are
+    generated per kind as straight-line code: encoding is one ``pack``
+    of the event's attributes, ``str`` fields UTF-8 encoded and pair
+    tuples flattened; decoding reads the count prefixes, checks that
+    their layout fills the payload exactly (else :meth:`_mismatch`
+    raises), then is one ``unpack_from`` and the class's positional
+    constructor.
     """
 
     def __init__(self, index: int, cls: type[Event]) -> None:
         self.cls = cls
         self.index = index
-        #: The event's field values, as a tuple in declaration order
-        #: (every kind has ``t`` and at least one more field).
-        self.values: Callable[[Event], tuple[Any, ...]] = attrgetter(
-            *(f.name for f in fields(cls))
-        )
-        #: ``(name, annotation, run)``: ``run`` is the Struct of a
-        #: fixed-width run (``name`` its first field, annotation
-        #: ``""``), or None for one variable-width field.
-        self.segments: list[tuple[str, str, Optional[struct.Struct]]] = []
-        run, first = "", ""
+        #: Layout key (one count, or a tuple of them) -> its Struct.
+        self.layouts: dict[Any, struct.Struct] = {}
+        #: ``(name, item bytes, run bytes)`` per segment, for
+        #: :meth:`_mismatch`: a run of fixed-width fields named by its
+        #: first (``item`` 0), or one variable-width field.
+        self._segments: list[tuple[str, int, int]] = []
+        #: The layout format, one ``{}`` per variable-width field's
+        #: item count, and its items per counted value.
+        self._format = _HEADER.format
+        self._per_count: list[int] = []
+        pre: list[str] = []  # encode: statements before the pack
+        args: list[str] = []  # encode: the pack's field arguments
+        keys: list[str] = []  # encode: the layout key's terms
+        reads: list[str] = []  # decode: the count prefixes' reads
+        out: list[str] = []  # decode: the constructor's arguments
+        at, shift = 2, ""  # unpacked index of the next value
+        run, first = 0, ""  # the fixed-width run since the last count
         for f in fields(cls):
             if f.type in _FIXED_CODES:
-                run, first = run + _FIXED_CODES[f.type], first or f.name
+                code = _FIXED_CODES[f.type]
+                self._format += code
+                args.append(f"e.{f.name}")
+                out.append(f"v[{at}{shift}]")
+                at += 1
+                run, first = run + struct.calcsize(code), first or f.name
                 continue
-            if f.type not in _VAR_ITEM_BYTES:
+            if f.type not in _VAR_CODES:
                 raise TypeError(
                     f"{cls.__name__} field annotation {f.type!r} has no "
                     "binary codec"
                 )
+            code, per = _VAR_CODES[f.type]
+            item = struct.calcsize(code) * per
             if run:
-                self.segments.append((first, "", struct.Struct("<" + run)))
-                run, first = "", ""
-            self.segments.append((f.name, f.type, None))
+                self._segments.append((first, 0, run))
+            self._segments.append((f.name, item, 0))
+            self._format += "I{}" + code
+            self._per_count.append(per)
+            j = len(keys)
+            b, n = f"b{j}", f"n{j}"
+            keys.append(f"len({b})")
+            if f.type == "str":
+                pre.append(f"{b} = e.{f.name}.encode('utf-8')")
+                args += (f"len({b})", b)
+                out.append(f"v[{at + 1}{shift}].decode('utf-8')")
+                at += 2
+            elif per == 1:
+                pre.append(f"{b} = e.{f.name}")
+                args += (f"len({b})", f"*{b}")
+                out.append(f"v[{at + 1}{shift}:{at + 1}{shift} + {n}]")
+                at += 1
+                shift += f" + {n}"
+            else:
+                pre.append(f"{b} = e.{f.name}")
+                pre.append(f"f{j} = [x for pair in {b} for x in pair]")
+                args += (f"len({b})", f"*f{j}")
+                lo, hi = f"{at + 1}{shift}", f"{at + 1}{shift} + 2 * {n}"
+                out.append(f"tuple(zip(v[{lo}:{hi}:2], v[{lo} + 1:{hi}:2]))")
+                at += 1
+                shift += f" + 2 * {n}"
+            reads += (
+                f"q = rec + {_HEADER.size + run}" if j == 0 else f"q += {run}",
+                "if q + 4 > end: mismatch(buf, rec, end)",
+                f"{n} = u32(buf, q)[0]",
+                f"q += 4 + {n}" + (f" * {item}" if item > 1 else ""),
+            )
+            run, first = 0, ""
         if run:
-            self.segments.append((first, "", struct.Struct("<" + run)))
+            self._segments.append((first, 0, run))
         #: Header + payload struct of an all-fixed-width kind, else None.
         self.record: Optional[struct.Struct] = None
         #: :attr:`record` as a packed numpy layout: ``#kind``,
         #: ``#length``, then the event's fields by name.
         self.dtype: Optional[np.dtype] = None
         self.payload_size = 0
-        if len(self.segments) == 1 and self.segments[0][2] is not None:
-            only = self.segments[0][2]
-            self.record = struct.Struct(_HEADER.format + only.format[1:])
-            self.payload_size = only.size
-            self.pack: Callable[..., bytes] = partial(
-                self.record.pack, index, only.size
-            )
-            names = ["#kind", "#length"] + [f.name for f in fields(cls)]
-            codes = self.record.format[1:]
-            self.dtype = np.dtype(
-                [(n, _NUMPY_CODES[c]) for n, c in zip(names, codes)]
-            )
+        scope: dict[str, Any] = {
+            "cls": cls,
+            "u32": _U32.unpack_from,
+            "mismatch": self._mismatch,
+            "layouts": self.layouts,
+            "layout": self._layout,
+        }
+        packed = ", ".join(args)
+        if keys:
+
+            def key(terms: list[str]) -> str:
+                return terms[0] if len(terms) == 1 else f"({', '.join(terms)})"
+
+            encode = [
+                *pre,
+                f"key = {key(keys)}",
+                "s = layouts.get(key) or layout(key)",
+                f"return s.pack({index}, s.size - {_HEADER.size}, {packed})",
+            ]
+            decode = [
+                *reads,
+                f"if q + {run} != end: mismatch(buf, rec, end)",
+                f"key = {key([f'n{j}' for j in range(len(keys))])}",
+                "v = (layouts.get(key) or layout(key)).unpack_from(buf, rec)",
+            ]
         else:
-            self.pack = self._pack_segments
+            self.record = struct.Struct(self._format)
+            self.payload_size = self.record.size - _HEADER.size
+            names = ["#kind", "#length"] + [f.name for f in fields(cls)]
+            self.dtype = np.dtype(
+                [
+                    (name, _NUMPY_CODES[c])
+                    for name, c in zip(names, self._format[1:])
+                ]
+            )
+            scope["pack"] = self.record.pack
+            scope["unpack"] = self.record.unpack_from
+            encode = [f"return pack({index}, {self.payload_size}, {packed})"]
+            decode = [
+                f"if end - rec != {self.record.size}: mismatch(buf, rec, end)",
+                "v = unpack(buf, rec)",
+            ]
+        decode.append(f"return cls({', '.join(out)})")
+        source = "\n".join(
+            [
+                "def encode(e):",
+                *("    " + line for line in encode),
+                "def decode(buf, rec, end):",
+                *("    " + line for line in decode),
+            ]
+        )
+        exec(source, scope)
+        self.encode: Callable[[Event], bytes] = scope["encode"]
+        self.decode: Callable[[bytes, int, int], Event] = scope["decode"]
 
-    def _pack_segments(self, *values: Any) -> bytes:
-        parts: list[bytes] = []
-        i = 0
-        for _, ann, run in self.segments:
-            if run is not None:
-                n = len(run.format) - 1  # "<" + one code per field
-                parts.append(run.pack(*values[i : i + n]))
-                i += n
-                continue
-            value = values[i]
-            i += 1
-            if ann == "str":
-                raw = value.encode("utf-8")
-                parts += (_U32.pack(len(raw)), raw)
-            elif ann == "tuple[int, ...]":
-                parts += (
-                    _U32.pack(len(value)),
-                    struct.pack(f"<{len(value)}q", *value),
-                )
-            else:
-                flat = [x for pair in value for x in pair]
-                parts += (
-                    _U32.pack(len(value)),
-                    struct.pack(f"<{len(flat)}q", *flat),
-                )
-        payload = b"".join(parts)
-        return _HEADER.pack(self.index, len(payload)) + payload
+    def _layout(self, key: Any) -> struct.Struct:
+        """Compile (and cache) the layout of one tuple of counts."""
+        counts = key if type(key) is tuple else (key,)
+        if len(self.layouts) >= _MAX_LAYOUTS:
+            self.layouts.clear()
+        layout = self.layouts[key] = struct.Struct(
+            self._format.format(
+                *(n * per for n, per in zip(counts, self._per_count))
+            )
+        )
+        return layout
 
-    def decode(self, buf: bytes, pos: int, end: int) -> Event:
-        """Decode the payload ``buf[pos:end]`` into an event.
-
-        Raises ``ValueError`` unless the fields fill the payload
-        exactly — a field running past its end included.
-        """
-        start = pos
-        values: list[Any] = []
-        for name, ann, run in self.segments:
-            if run is not None:
-                need = run.size
-            else:
+    def _mismatch(self, buf: bytes, rec: int, end: int) -> NoReturn:
+        """Raise the error of a record whose fields do not fill its
+        payload ``buf[rec + 5:end]`` exactly, as reading it field by
+        field meets it: a string that is not UTF-8, the first field
+        that runs past the payload's end, else the bytes left over."""
+        start = pos = rec + _HEADER.size
+        for name, item, need in self._segments:
+            if item:
                 need = 4  # the u32 count, then its items
                 if end - pos >= need:
-                    count = _U32.unpack_from(buf, pos)[0]
-                    pos += 4
-                    need = count * _VAR_ITEM_BYTES[ann]
+                    need += _U32.unpack_from(buf, pos)[0] * item
             if end - pos < need:
                 raise ValueError(
                     f"record payload length mismatch: {self.cls.type!r} "
                     f"field {name!r} overruns the {end - start}-byte payload"
                 )
-            if run is not None:
-                values += run.unpack_from(buf, pos)
-            elif ann == "str":
-                values.append(buf[pos : pos + need].decode("utf-8"))
-            elif ann == "tuple[int, ...]":
-                values.append(struct.unpack_from(f"<{count}q", buf, pos))
-            else:
-                flat = struct.unpack_from(f"<{2 * count}q", buf, pos)
-                values.append(tuple(zip(flat[::2], flat[1::2])))
+            if item == 1:  # a str: its bytes must decode
+                buf[pos + 4 : pos + need].decode("utf-8")
             pos += need
-        if pos != end:
-            raise ValueError(
-                f"record payload length mismatch: {pos - start} decoded of "
-                f"{end - start}"
-            )
-        return self.cls(*values)
+        raise ValueError(
+            f"record payload length mismatch: {pos - start} decoded of "
+            f"{end - start}"
+        )
 
 
-def _block_records(
-    block: RoundBlock, bid: _KindCodec, encode: Callable[[Event], bytes]
-) -> Iterator[bytearray]:
+#: Every registered kind's codec by class, compiled once per process.  A
+#: kind's index is its position in :data:`EVENT_TYPES`, which is the
+#: kind table :func:`write_events_binary` writes.
+_CODECS: dict[type, _KindCodec] = {
+    cls: _KindCodec(index, cls) for index, cls in enumerate(EVENT_TYPES.values())
+}
+_BY_TAG = {codec.cls.type: codec for codec in _CODECS.values()}
+#: Magic, container version and the kind table, as every log starts.
+_FILE_HEADER = b"".join(
+    [BINARY_MAGIC, _U8.pack(BINARY_VERSION), _U16.pack(len(EVENT_TYPES))]
+    + [_U8.pack(len(tag.encode())) + tag.encode() for tag in EVENT_TYPES]
+)
+
+
+def bid_run(
+    t0: float,
+    step: float,
+    rnd: int,
+    agents: Any,
+    objs: Any,
+    values: Any,
+    region: int,
+) -> np.ndarray:
+    """One round's bids as a packed run of REVB bid records.
+
+    Bid ``j`` is stamped ``t0 + step * j`` (the stamps
+    :func:`~repro.obs.events.now_block` reserves for the run).  The run is
+    what :func:`open_record_stream` yields for consecutive bid records,
+    so sinks and the audits take it in place of its
+    :class:`~repro.obs.events.BidEvent`\\ s and
+    :func:`write_events_binary` copies its bytes.
+    """
+    bid = _CODECS[BidEvent]
+    run = np.empty(len(agents), bid.dtype)
+    run["#kind"] = bid.index
+    run["#length"] = bid.payload_size
+    run["t"] = t0 + step * np.arange(len(agents))
+    run["round"] = rnd
+    run["agent"] = agents
+    run["obj"] = objs
+    run["value"] = values
+    run["region"] = region
+    return run
+
+
+def _block_records(block: RoundBlock) -> Iterator[bytearray]:
     """The v1 records of ``iter_block_events(block)``, in pieces.
 
     A block is encoded from its columns ``_ENCODE_BIDS`` bid records at
     a time: the step's bid records are filled in as one packed record
-    array (``bid.dtype``), and the few other records per round are
-    packed one event at a time with ``encode``.  Timestamps follow the
+    array (the bid codec's ``dtype``), and the few other records per
+    round are encoded one event at a time.  Timestamps follow the
     expansion's running sum ``t += t_step`` (``np.cumsum`` adds in the
     same order), never ``t0 + j * t_step``.  A block whose clock is not
     finite (which NaN an addition of two NaNs returns is the compiled
@@ -486,13 +601,18 @@ def _block_records(
     if not (math.isfinite(block.t0) and math.isfinite(block.t_step)):
         out = bytearray()
         for event in iter_block_events(block):
-            out += encode(event)
+            out += _CODECS[type(event)].encode(event)
             if len(out) >= _IO_CHUNK:
                 yield out
                 out = bytearray()
         yield out
         return
+    bid = _CODECS[BidEvent]
     assert bid.dtype is not None
+    start, winner, payment, nn_update, end = (
+        _CODECS[cls].encode
+        for cls in (RoundStart, WinnerEvent, PaymentEvent, NNUpdateEvent, RoundEnd)
+    )
     size = bid.dtype.itemsize
     m = block.n_agents
     rule = block.payment_rule
@@ -535,20 +655,20 @@ def _block_records(
             zip(winners.tolist(), counts.tolist(), bid_firsts.tolist())
         ):
             rnd = block.base_round + r0 + i
-            out += encode(RoundStart(stamp(), rnd))
+            out += start(RoundStart(stamp(), rnd))
             out += bids[b * size : (b + n) * size]
             j = r0 + i
             if w >= 0:
                 obj = int(block.objs[j])
                 value = float(vals[i, w])
                 size_j, residual = int(block.obj_sizes[j]), int(block.residuals[j])
-                out += encode(
+                out += winner(
                     WinnerEvent(stamp(), rnd, w, obj, value, size_j, residual)
                 )
-                payment = float(block.payments[j])
-                out += encode(PaymentEvent(stamp(), rnd, w, payment, rule))
-                out += encode(NNUpdateEvent(stamp(), rnd, obj, m))
-            out += encode(RoundEnd(stamp(), rnd, int(w >= 0), float(block.otcs[j])))
+                amount = float(block.payments[j])
+                out += payment(PaymentEvent(stamp(), rnd, w, amount, rule))
+                out += nn_update(NNUpdateEvent(stamp(), rnd, obj, m))
+            out += end(RoundEnd(stamp(), rnd, int(w >= 0), float(block.otcs[j])))
         yield out
 
 
@@ -565,40 +685,30 @@ def write_events_binary(events: Iterable[Event], path: str | Path) -> Path:
     path written.
 
     An :class:`~repro.obs.events.EventStream` that nobody has iterated
-    yet is written from its raw items, each
+    yet is written from its raw items: each
     :class:`~repro.obs.events.RoundBlock` straight from its columns
-    (:func:`_block_records`) — the bytes its expanded events would give.
-    Any other iterable is encoded one event at a time.
+    (:func:`_block_records`), and each packed run of bid records
+    (:func:`bid_run`) as its bytes — the bytes their expanded events
+    would give.  Any other iterable is encoded one event at a time.
     """
     out = Path(path)
-    buf = bytearray(BINARY_MAGIC)
-    buf += _U8.pack(BINARY_VERSION)
-    buf += _U16.pack(len(EVENT_TYPES))
-    codecs = {}
-    for index, (tag, cls) in enumerate(EVENT_TYPES.items()):
-        raw = tag.encode("utf-8")
-        buf += _U8.pack(len(raw))
-        buf += raw
-        codecs[tag] = _KindCodec(index, cls)
-    encoders = {tag: (c.pack, c.values) for tag, c in codecs.items()}
-    by_class = {c.cls: (c.pack, c.values) for c in codecs.values()}
-
-    def encode(event: Event) -> bytes:
-        pack, values = encoders[event.type]
-        return pack(*values(event))
-
+    buf = bytearray(_FILE_HEADER)
     items = events.take_items() if isinstance(events, EventStream) else None
     with open(out, "wb") as f:
         for item in events if items is None else items:
-            enc = by_class.get(type(item))
-            if enc is None and isinstance(item, RoundBlock):
+            codec = _CODECS.get(type(item))
+            if codec is not None:
+                buf += codec.encode(item)
+            elif isinstance(item, RoundBlock):
                 f.write(buf)
                 buf.clear()
-                for records in _block_records(item, codecs[BidEvent.type], encode):
+                for records in _block_records(item):
                     f.write(records)
                 continue
-            pack, values = enc or encoders[item.type]
-            buf += pack(*values(item))
+            elif isinstance(item, np.ndarray):
+                buf += item.data
+            else:
+                buf += _BY_TAG[item.type].encode(item)
             if len(buf) >= _IO_CHUNK:
                 f.write(buf)
                 buf.clear()
@@ -651,24 +761,27 @@ def _iter_binary_records(path: str | Path, *, runs: bool) -> Iterator[Any]:
                 f"{BINARY_VERSION}; upgrade the library"
             )
         n_kinds = _U16.unpack(_read_exact(f, 2, "kind table"))[0]
+        # The file's kind indices name kinds by tag: the process's
+        # codecs serve whatever order the table lists them in.
         codecs: list[_KindCodec] = []
-        for index in range(n_kinds):
+        for _ in range(n_kinds):
             tag_len = _U8.unpack(_read_exact(f, 1, "kind table"))[0]
             tag = _read_exact(f, tag_len, "kind table").decode("utf-8")
-            cls = EVENT_TYPES.get(tag)
-            if cls is None:
+            codec = _BY_TAG.get(tag)
+            if codec is None:
                 raise ValueError(f"unknown event kind {tag!r} in binary log")
-            codecs.append(_KindCodec(index, cls))
+            codecs.append(codec)
         # Per kind index: the all-fixed-width fast path (None: the
         # general path below) and the record size it expects.
         records = [c.record for c in codecs]
         sizes = [c.payload_size for c in codecs]
         lengths = [_HEADER.size + c.payload_size for c in codecs]
         classes = [c.cls for c in codecs]
-        bid_kind, run_dtype = -1, None  # -1: no kind index matches
-        for c in codecs:
+        run_dtype = _CODECS[BidEvent].dtype
+        bid_kind = -1  # -1: no kind index matches
+        for index, c in enumerate(codecs):
             if runs and c.cls is BidEvent:
-                bid_kind, run_dtype = c.index, c.dtype
+                bid_kind = index
         buf = f.read(_IO_CHUNK)
         off, end = 0, len(buf)
         while True:
@@ -706,15 +819,11 @@ def _iter_binary_records(path: str | Path, *, runs: bool) -> Iterator[Any]:
                     continue
             if end - off < _HEADER.size:
                 buf, off, end = _refill(f, buf, off, _HEADER.size, "record header")
-            start = off + _HEADER.size
-            size = _U32.unpack_from(buf, off + 1)[0]
-            if end - start < size:
-                buf, off, end = _refill(
-                    f, buf, off, _HEADER.size + size, "record payload"
-                )
-                start = _HEADER.size
-            off = start + size
-            yield codecs[kind].decode(buf, start, off)
+            size = _HEADER.size + _U32.unpack_from(buf, off + 1)[0]
+            if end - off < size:
+                buf, off, end = _refill(f, buf, off, size, "record payload")
+            rec, off = off, off + size
+            yield codecs[kind].decode(buf, rec, off)
 
 
 def iter_events_binary(path: str | Path) -> Iterator[Event]:

@@ -146,7 +146,9 @@ def recovery_accounting(
     back to the highest round any incident touches).  Regional central
     crashes (the sharded runtime tags them with ``detail="region r"``)
     are matched to the next central recovery; agent crashes match on
-    the agent id.
+    the agent id.  ``events`` may be a
+    :class:`~repro.obs.events.ColumnarSink`'s raw items: its round
+    blocks and bid runs hold no kind folded here.
     """
     report = RecoveryReport()
     open_central: list[int] = []  # FIFO of open central-crash rounds

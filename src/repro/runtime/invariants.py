@@ -1,13 +1,14 @@
 """Online safety checks: the offline auditors, fed the live stream.
 
 :class:`InvariantMonitor` is an :class:`~repro.obs.events.EventSink`
-wrapper: it forwards every event (and every columnar block, unexpanded)
-to the inner sink, then hands the event to the auditors of
-:mod:`repro.obs.audit` — the very checkers ``python -m repro audit``
-runs on the recorded log, so the live and the offline verdicts come
-from one piece of code and cannot disagree.  Until the serving
-campaign's :class:`~repro.obs.events.ServeStart` the stream goes to
-the mechanism auditor of the central that runs (flat or sharded); from
+wrapper: it forwards every event (and every columnar block and packed
+bid run, unexpanded) to the inner sink, then hands the event (or the
+run, whole) to the auditors of :mod:`repro.obs.audit` — the very
+checkers ``python -m repro audit`` runs on the recorded log, so the
+live and the offline verdicts come from one piece of code and cannot
+disagree.  Until the serving campaign's
+:class:`~repro.obs.events.ServeStart` the stream goes to the mechanism
+auditor of the central that runs (flat or sharded); from
 it on, to the serving auditor and to a flat auditor for the drift
 re-auctions the serving tail nests.  Each violation an auditor finds
 becomes a typed :class:`~repro.obs.events.InvariantEvent` in the inner
@@ -76,7 +77,7 @@ class InvariantMonitor(ev.EventSink):
     that revealed them (a round's violations after its ``RoundEnd``),
     so the log stays a faithful transcript with the verdicts inline.  The wrapper
     is transparent to exporters — it proxies ``iter_events`` /
-    ``events`` / ``__len__`` / ``nbytes`` to the inner sink.
+    ``events`` / ``items`` / ``__len__`` / ``nbytes`` to the inner sink.
 
     ``sharded`` names the central whose mechanism log comes first: the
     sharded audit checks it per shard and cross-shard, the flat audit
@@ -123,12 +124,24 @@ class InvariantMonitor(ev.EventSink):
         for event in ev.iter_block_events(block):
             self._audit(event)
 
+    def emit_bids(self, run: Any) -> None:
+        # The auditors take a packed run whole (violations, if any, land
+        # after the whole run).
+        self.inner.emit_bids(run)
+        for feed in self._feeds:
+            feed(run)
+
     def __len__(self) -> int:
         return len(self.inner)
 
     @property
     def nbytes(self) -> int:
         return getattr(self.inner, "nbytes", 0)
+
+    @property
+    def items(self) -> list[Any]:
+        """The inner sink's raw items (a :class:`ColumnarSink`'s)."""
+        return self.inner.items
 
     def iter_events(self):
         if hasattr(self.inner, "iter_events"):

@@ -639,6 +639,7 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
                 seed=mat.shard_seed,
             ).run(mat.instance)
         split = len(monitor)
+        mech_items = len(monitor.items)
         serving = None
         if mat.traffic is not None:
             serving = serve(
@@ -653,17 +654,19 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
             )
 
     mech_audit, serving_audit, reauction_audit = monitor.finish()
-    events = monitor.events
-    mech_events = events[:split]
-
-    recovery = recovery_accounting(events)
+    # Recovery and detection read only loose events (faults, recoveries,
+    # partitions, the Byzantine layer, run ends), never a round's bids or
+    # a columnar block's decisions, so they fold over the sink's items
+    # with nothing expanded.
+    items = monitor.items
+    recovery = recovery_accounting(items)
 
     # Detection quality: injector ground truth vs. online defences,
     # joined on (round, agent); and who the defences locked out.
     truth: set[tuple[int, int]] = set()
     flagged: set[tuple[int, int]] = set()
     locked_out: set[int] = set()
-    for e in mech_events:
+    for e in items[:mech_items]:
         if isinstance(e, ev.AdversaryEvent):
             truth.add((e.round, e.agent))
         elif isinstance(e, (ev.ValidationEvent, ev.ManipulationEvent)):
@@ -828,7 +831,7 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
                 str(v) for v in reauction_audit.violations
             ],
         },
-        "events": len(events),
+        "events": len(monitor),
         "failures": list(failures),
         "ok": not failures,
     }

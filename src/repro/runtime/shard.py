@@ -112,6 +112,7 @@ from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
 from repro.obs import events as ev
+from repro.obs.export import bid_run
 from repro.result import PlacementResult
 from repro.runtime.adversary import (
     AdversaryInjector,
@@ -678,11 +679,18 @@ class ShardedAGTRam:
             )
         regional = self.valuation == "regional"
 
-        def make_engine(state: ReplicationState) -> Any:
-            """The engine for the start state, a partition fork or a heal."""
+        def make_engine(state: ReplicationState, like: Any = None) -> Any:
+            """The engine for the start state, a partition fork or a heal.
+
+            A fork (``state`` a copy of the state of engine ``like``)
+            starts from ``like``'s cached bests: the copy holds the same
+            bits, so only a heal's merged state needs a sweep.
+            """
             if regional:
                 return RegionalBenefitEngine(instance, state, part)
-            return make_local_engine(instance, state)
+            if like is None:
+                return make_local_engine(instance, state)
+            return make_local_engine(instance, state, like.best_per_server())
 
         label = "Sharded-AGT-RAM(regional)" if regional else "Sharded-AGT-RAM"
         rows = {r: [int(a) for a in np.flatnonzero(part == r)] for r in region_ids}
@@ -865,7 +873,7 @@ class ShardedAGTRam:
                         new_islands.append(
                             _Island(
                                 index=g, regions=regions_g, state=forked,
-                                engine=make_engine(forked),
+                                engine=make_engine(forked, islands[0].engine),
                             )
                         )
                 islands = new_islands
@@ -1037,7 +1045,9 @@ class ShardedAGTRam:
         in agent order, a scripted sender's payloads in place of its
         honest one.  Round events are only emitted when the region
         actually attempts an allocation (an exhausted region is skipped
-        silently), and only *accepted* bids are emitted, so the flat and
+        silently), and only *accepted* bids are emitted — the first copy
+        per sender, as one packed run of bid records
+        (:meth:`~repro.obs.events.EventSink.emit_bids`) — so the flat and
         per-shard audits verify each regional round independently.
         """
         state = island.state
@@ -1124,18 +1134,17 @@ class ShardedAGTRam:
         winner, obj = outcome.winner, outcome.obj
         if eventing:
             sink.emit(ev.RoundStart(t=ev.now(), round=pround, region=r))
-            sender = -1
-            for a, bobj, bval in zip(
-                bids.agent.tolist(), bids.obj.tolist(), bids.value.tolist()
-            ):
-                if a != sender:  # one event per sender, not per copy
-                    sender = a
-                    sink.emit(
-                        ev.BidEvent(
-                            t=ev.now(), round=pround, agent=a, obj=bobj,
-                            value=bval, region=r,
-                        )
-                    )
+            # One bid per sender (its first copy), as one packed run;
+            # a round that allocates has at least one bid.
+            first = np.ones(len(bids), dtype=bool)
+            np.not_equal(bids.agent[1:], bids.agent[:-1], out=first[1:])
+            logged = bids.take(first.nonzero()[0])
+            t, step = ev.now_block(len(logged))
+            sink.emit_bids(
+                bid_run(
+                    t, step, pround, logged.agent, logged.obj, logged.value, r
+                )
+            )
         if not state.can_host(winner, obj):
             if eventing:
                 reason = "duplicate" if state.x[winner, obj] else "capacity"

@@ -82,6 +82,42 @@ def worldcup_stream(
         yield ServeRequest(req.client, origin[req.client], req.obj, req.kind)
 
 
+def _epoch_requests(
+    epoch: WorkloadEpoch, quota: int, rng: np.random.Generator, chunk_size: int
+) -> Iterator[ServeRequest]:
+    """``quota`` requests drawn from one epoch's demand cells (reads,
+    then writes, row-major), ``chunk_size`` at a time.
+
+    Each chunk draws the cells ``rng.choice(len(p), size=chunk, p=p)``
+    would, from the CDF built once the way ``choice`` builds it, after
+    ``choice``'s own checks on ``p``.  The cell arrays are dropped once
+    the CDF is built, and the CDF when the epoch ends, so at most two
+    of them are alive at a time.
+    """
+    w = epoch.workload
+    m, n = w.reads.shape
+    cells = np.concatenate([w.reads.ravel(), w.writes.ravel()])
+    total = cells.sum()
+    if total <= 0:
+        raise ConfigurationError(f"epoch {epoch.index} has no demand")
+    p = cells / total
+    del cells
+    rng.choice(len(p), size=0, p=p)  # draws nothing
+    cdf = p.cumsum()
+    del p
+    cdf /= cdf[-1]
+    emitted = 0
+    while emitted < quota:
+        batch = min(chunk_size, quota - emitted)
+        idx = cdf.searchsorted(rng.random(batch), side="right")
+        servers, objs = np.divmod(idx % (m * n), n)
+        for server, obj, is_write in zip(
+            servers.tolist(), objs.tolist(), (idx >= m * n).tolist()
+        ):
+            yield ServeRequest(server, server, obj, "write" if is_write else "read")
+        emitted += batch
+
+
 def epoch_stream(
     epochs: Sequence[WorkloadEpoch],
     n_requests: int,
@@ -96,7 +132,8 @@ def epoch_stream(
     with probability proportional to the epoch's read/write weight for
     it.  The origin server doubles as the client id.  Cells are drawn
     ``chunk_size`` at a time (>= 1) and each chunk is decoded into
-    servers, objects and kinds on arrays.
+    servers, objects and kinds on arrays, from the epoch's CDF built
+    once (see :func:`_epoch_requests`).
     """
     if not epochs:
         raise ConfigurationError("need at least one epoch")
@@ -109,25 +146,7 @@ def epoch_stream(
     extra = n_requests - per * len(epochs)
     for e, epoch in enumerate(epochs):
         quota = per + (1 if e < extra else 0)
-        w = epoch.workload
-        m, n = w.reads.shape
-        combined = np.concatenate([w.reads.ravel(), w.writes.ravel()])
-        total = combined.sum()
-        if total <= 0:
-            raise ConfigurationError(f"epoch {epoch.index} has no demand")
-        p = combined / total
-        emitted = 0
-        while emitted < quota:
-            batch = min(chunk_size, quota - emitted)
-            idx = rng.choice(len(combined), size=batch, p=p)
-            servers, objs = np.divmod(idx % (m * n), n)
-            for server, obj, is_write in zip(
-                servers.tolist(), objs.tolist(), (idx >= m * n).tolist()
-            ):
-                yield ServeRequest(
-                    server, server, obj, "write" if is_write else "read"
-                )
-            emitted += batch
+        yield from _epoch_requests(epoch, quota, rng, chunk_size)
 
 
 #: Workload families a scenario's ``workload`` accepts.

@@ -40,6 +40,7 @@ from repro.obs.events import (
     WinnerEvent,
     iter_block_events,
 )
+from _export_reference import SegmentCodec
 from repro.obs.export import (
     BINARY_MAGIC,
     RotatingJsonlWriter,
@@ -265,6 +266,92 @@ def _one_record_log(event, tmp_path) -> tuple[bytes, bytes]:
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+#: Field values for the two-codec comparison: empty and non-ASCII
+#: strings and long tuples, on top of :data:`_FIELD_STRATEGIES`.
+_CODEC_FIELDS = {
+    **_FIELD_STRATEGIES,
+    "str": st.sampled_from(["", "ünïcødé", "区域-7", "émoji \U0001f680"])
+    | st.text(max_size=40),
+    "tuple[int, ...]": st.lists(_INDEX, max_size=4).map(tuple)
+    | st.lists(_INDEX, min_size=100, max_size=300).map(tuple),
+    "tuple[tuple[int, int], ...]": st.lists(
+        st.tuples(_INDEX, _INDEX), max_size=4
+    ).map(tuple)
+    | st.lists(st.tuples(_INDEX, _INDEX), min_size=100, max_size=200).map(tuple),
+}
+
+
+def _outcome(decode, *args) -> tuple:
+    """What decoding gives: the event, or the ``ValueError`` raised."""
+    try:
+        return ("event", decode(*args))
+    except ValueError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _count_offsets(ref: SegmentCodec, record: bytes) -> list[int]:
+    """Where each variable-width field's u32 count sits in ``record``."""
+    pos, out = 5, []
+    for _, ann, run in ref.segments:
+        if run is not None:
+            pos += run.size
+            continue
+        count = struct.unpack_from("<I", record, pos)[0]
+        out.append(pos)
+        pos += 4 + count * {"str": 1, "tuple[int, ...]": 8}.get(ann, 16)
+    return out
+
+
+@pytest.mark.parametrize("cls", list(EVENT_TYPES.values()), ids=lambda c: c.type)
+class TestCompiledCodec:
+    """Each kind's compiled codec against the segment codec it replaced
+    (``tests/_export_reference.py``): the same bytes, the same events,
+    the same ``ValueError`` texts."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_bytes_and_decodes_equal_the_segment_codec(self, cls, data):
+        event = data.draw(
+            st.builds(cls, **{f.name: _CODEC_FIELDS[f.type] for f in fields(cls)})
+        )
+        codec, ref = export._CODECS[cls], SegmentCodec(cls)
+        record = codec.encode(event)
+        assert record == ref.pack(event)
+        pad = data.draw(st.binary(max_size=9))
+        buf = pad + record + data.draw(st.binary(max_size=9))
+        rec, end = len(pad), len(pad) + len(record)
+        assert codec.decode(buf, rec, end) == ref.decode(buf, rec + 5, end) == event
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_malformed_payloads_raise_the_segment_codecs_errors(self, cls, data):
+        event = data.draw(
+            st.builds(cls, **{f.name: _CODEC_FIELDS[f.type] for f in fields(cls)})
+        )
+        codec, ref = export._CODECS[cls], SegmentCodec(cls)
+        record = codec.encode(event)
+        cases = []  # (buf, end): every case but a grown count must raise
+        # Cut anywhere in the payload, a count prefix included.
+        cut = data.draw(st.integers(5, len(record) - 1))
+        cases.append((record[:cut], cut))
+        # Trailing bytes past the fields.
+        extra = data.draw(st.binary(min_size=1, max_size=24))
+        cases.append((record + extra, len(record) + len(extra)))
+        # A count running past the payload.
+        offsets = _count_offsets(ref, record)
+        if offsets:
+            at = data.draw(st.sampled_from(offsets))
+            count = struct.unpack_from("<I", record, at)[0]
+            grown = data.draw(st.integers(count + 1, 2**32 - 1))
+            bad = record[:at] + struct.pack("<I", grown) + record[at + 4 :]
+            cases.append((bad, len(bad)))
+        for i, (buf, end) in enumerate(cases):
+            got = _outcome(codec.decode, buf, 0, end)
+            assert got == _outcome(ref.decode, buf, 5, end)
+            # A grown count may still leave a well-formed record.
+            assert got[0] == "error" or i == 2
 
 
 class TestBinaryBytesPinned:

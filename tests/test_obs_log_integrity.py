@@ -31,8 +31,8 @@ from repro.serving import ServeConfig, make_traffic, serve, with_demand
 
 class PicklingSink(ev.ColumnarSink):
     """A :class:`~repro.obs.events.ColumnarSink` that also keeps the
-    pickle of every event at the moment it is emitted (a block's events
-    as its expansion yields them)."""
+    pickle of every event at the moment it is emitted (a block's or a
+    bid run's events as its expansion yields them)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -46,6 +46,12 @@ class PicklingSink(ev.ColumnarSink):
         super().emit_block(block)
         self.emitted.extend(
             pickle.dumps(e, protocol=5) for e in ev.iter_block_events(block)
+        )
+
+    def emit_bids(self, run) -> None:
+        super().emit_bids(run)
+        self.emitted.extend(
+            pickle.dumps(e, protocol=5) for e in ev.iter_bid_run(run)
         )
 
     def assert_unchanged(self) -> None:

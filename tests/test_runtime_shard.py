@@ -1,5 +1,6 @@
 """Tests for the partition-tolerant sharded central (repro.runtime.shard)."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.drp.benefit import BenefitEngine
+from repro.drp.delta import make_local_engine
 from repro.drp.feasibility import check_state
 from repro.drp.instance import DRPInstance
 from repro.errors import ConfigurationError
 from repro.obs import events as ev
 from repro.obs.audit import audit_sharded_events
 from repro.runtime.adversary import AdversaryPlan, AdversarySpec
+from repro.runtime import scenario, shard
 from repro.runtime.messages import BidMessage
 from repro.runtime.shard import (
     PartitionSchedule,
@@ -641,6 +644,63 @@ class TestPartitionedCampaignRuns:
             ShardedAGTRam(
                 n_regions=4, seed=7, plan=PartitionSchedule.null(5)
             ).run(tiny_instance)
+
+
+def _composed_showcase() -> scenario.Scenario:
+    """``showcase`` at 160x800 over eight regions, seed 23: every plane
+    at once, with many partition forks."""
+    return dataclasses.replace(
+        scenario.CATALOG["showcase"],
+        name="composed",
+        seed=23,
+        servers=160,
+        objects=800,
+        requests=400_000,
+        regions=8,
+        horizon=1000,
+        n_requests=20_000,
+        faults=scenario.FaultPlane(
+            crash_rate=0.02,
+            straggler_rate=0.02,
+            serving_crash_rate=0.01,
+            serving_straggler_rate=0.02,
+        ),
+        adversary=scenario.AdversaryPlane(fraction=0.125),
+        partition=scenario.PartitionPlane(
+            fraction=0.3, mean_width=6.0, crash_rate=0.02
+        ),
+    )
+
+
+class TestForkStart:
+    def test_forked_engines_start_from_the_bests_a_sweep_gives(
+        self, monkeypatch
+    ):
+        sc = _composed_showcase()
+        mat = scenario.materialize(sc)
+        forks = []
+
+        def checked(instance, state, start=None):
+            engine = make_local_engine(instance, state, start)
+            if start is not None:
+                swept = make_local_engine(instance, state).best_view()
+                got = engine.best_view()
+                forks.append(
+                    all(a.tobytes() == b.tobytes() for a, b in zip(got, swept))
+                )
+            return engine
+
+        monkeypatch.setattr(shard, "make_local_engine", checked)
+        ShardedAGTRam(
+            n_regions=sc.regions,
+            plan=mat.partition,
+            faults=mat.fault_plan,
+            adversary=mat.adversary,
+            quarantine=mat.quarantine,
+            seed=mat.shard_seed,
+        ).run(mat.instance)
+        assert len(forks) > 10
+        assert all(forks)
 
 
 class TestRegionalCrash:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -218,12 +219,41 @@ class TestShardedRound:
         )
         if engine == "naive":
             # The reference engine, swapped in where the central builds
-            # its engines.
+            # its engines; it sweeps a fork's state instead of starting
+            # from the bests the delta engine hands over.
             monkeypatch.setattr(
-                "repro.runtime.shard.make_local_engine", BenefitEngine
+                "repro.runtime.shard.make_local_engine",
+                lambda instance, state, start=None: BenefitEngine(
+                    instance, state
+                ),
             )
         new, ref = _both(_sharded, read_heavy_instance, **kw)
         assert new == ref
+
+
+class TestBidRuns:
+    def test_recording_sink_sees_the_per_bid_stream(self, tight_instance):
+        """The regional centrals hand each round's bids over as one
+        packed run; a sink with the default ``emit_bids`` sees the
+        ``BidEvent`` per logged bid the per-bid round emits, field types
+        included."""
+        kw = _sharded_config(
+            tight_instance.n_servers, behaviors=BEHAVIORS, fraction=0.3,
+            activity=0.8, seed=7, crash=0.04, straggle=0.05, split=0.3,
+            central_crash=0.05, regions=4, keep=False,
+        )
+
+        def recorded():
+            with ev.logical_time(), ev.capture(ev.RecordingSink()) as sink:
+                ShardedAGTRam(**kw).run(tight_instance)
+            return sink.events
+
+        new = recorded()
+        with reference_round():
+            ref = recorded()
+        assert pickle.dumps(new) == pickle.dumps(ref)
+        kinds = {e.type for e in new}
+        assert {"bid", "adversary", "validation", "partition"} <= kinds
 
 
 def _simulated(instance, **kw):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.serving import (
@@ -12,8 +14,10 @@ from repro.serving import (
     with_demand,
     worldcup_stream,
 )
-from repro.serving.streams import epoch_stream
-from repro.workload.drift import drifting_workloads
+from repro.serving.streams import ServeRequest, epoch_stream
+from repro.utils.rng import substream
+from repro.workload.drift import WorkloadEpoch, drifting_workloads
+from repro.workload.synthetic import SyntheticWorkload
 
 
 class TestWorldcupStream:
@@ -57,6 +61,85 @@ class TestEpochStream:
         epochs = drifting_workloads(3, 4, 1, total_requests=50, seed=1)
         with pytest.raises(ConfigurationError, match="chunk_size"):
             next(epoch_stream(epochs, 10, chunk_size=chunk_size))
+
+
+def _choice_stream(epochs, n_requests, *, seed, chunk_size):
+    """:func:`epoch_stream` drawing each chunk with ``rng.choice``."""
+    rng = substream(seed, "serving/epoch-stream")
+    per, extra = divmod(n_requests, len(epochs))
+    for e, epoch in enumerate(epochs):
+        quota = per + (1 if e < extra else 0)
+        w = epoch.workload
+        m, n = w.reads.shape
+        combined = np.concatenate([w.reads.ravel(), w.writes.ravel()])
+        p = combined / combined.sum()
+        emitted = 0
+        while emitted < quota:
+            batch = min(chunk_size, quota - emitted)
+            idx = rng.choice(len(combined), size=batch, p=p)
+            servers, objs = np.divmod(idx % (m * n), n)
+            for server, obj, is_write in zip(
+                servers.tolist(), objs.tolist(), (idx >= m * n).tolist()
+            ):
+                yield ServeRequest(
+                    server, server, obj, "write" if is_write else "read"
+                )
+            emitted += batch
+
+
+@st.composite
+def _epochs(draw):
+    """1-3 epochs over one (M, N) shape, demand cells drawn with zeros
+    and skew (never an epoch without demand)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    epochs = []
+    for i in range(draw(st.integers(1, 3))):
+        cells = draw(
+            st.lists(
+                st.integers(0, 10) | st.integers(0, 10**6),
+                min_size=2 * m * n,
+                max_size=2 * m * n,
+            ).filter(any)
+        )
+        rw = np.array(cells, dtype=np.int64).reshape(2, m, n)
+        epochs.append(
+            WorkloadEpoch(
+                index=i,
+                workload=SyntheticWorkload(
+                    reads=rw[0], writes=rw[1],
+                    sizes=np.ones(n, dtype=np.int64), rw_ratio=0.9,
+                ),
+                popularity_rank=np.arange(n),
+            )
+        )
+    return epochs
+
+
+class TestEpochStreamDraws:
+    @given(
+        epochs=_epochs(),
+        n_requests=st.integers(0, 300),
+        seed=st.integers(0, 2**32),
+        chunk_size=st.integers(1, 64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_requests_equal_choice_draws(
+        self, epochs, n_requests, seed, chunk_size
+    ):
+        got = list(
+            epoch_stream(epochs, n_requests, seed=seed, chunk_size=chunk_size)
+        )
+        want = list(
+            _choice_stream(epochs, n_requests, seed=seed, chunk_size=chunk_size)
+        )
+        assert got == want
+
+    def test_drifting_epochs_equal_choice_draws(self):
+        epochs = drifting_workloads(6, 40, 3, total_requests=2_000, seed=3)
+        kw = dict(seed=11, chunk_size=97)
+        assert list(epoch_stream(epochs, 1_000, **kw)) == list(
+            _choice_stream(epochs, 1_000, **kw)
+        )
 
 
 class TestMakeTraffic:
